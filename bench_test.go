@@ -1,8 +1,8 @@
 // Package repro's root benchmark harness regenerates every table and
 // figure of the paper's evaluation (see DESIGN.md's per-experiment index).
 // Each benchmark runs a scaled-down version of the corresponding
-// experiment so the whole suite completes in minutes; the cmd tools run
-// the full paper-scale versions. Custom metrics attach the scientifically
+// experiment so the whole suite completes in minutes; `htcampaign run -spec
+// specs/paper.json` runs the full paper-scale versions. Custom metrics attach the scientifically
 // interesting quantity (infection rate, Q, improvement %) to the benchmark
 // output so `go test -bench` doubles as a results table.
 package repro_test
@@ -57,28 +57,32 @@ func BenchmarkAreaPower(b *testing.B) {
 
 // E3 — Fig 3(a): infection rate vs HT count, 64 nodes.
 func BenchmarkFig3a(b *testing.B) {
-	var last float64
-	for i := 0; i < b.N; i++ {
-		pts, err := core.InfectionVsHTCount(64, core.GMCorner, []int{5, 15, 30}, 20, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = pts[len(pts)-1].Rate
-	}
-	b.ReportMetric(last, "infection@30HT")
+	b.ReportMetric(benchmarkFig3(b, 64, []int{5, 15, 30}, 20), "infection@30HT")
 }
 
 // E4 — Fig 3(b): infection rate vs HT count, 512 nodes.
 func BenchmarkFig3b(b *testing.B) {
+	b.ReportMetric(benchmarkFig3(b, 512, []int{10, 30, 60}, 10), "infection@60HT")
+}
+
+// benchmarkFig3 runs one Fig 3 trial space as a single shard, as the
+// campaign engine does, and returns the corner-manager rate at the
+// largest HT count.
+func benchmarkFig3(b *testing.B, size int, counts []int, trials int) float64 {
+	b.Helper()
 	var last float64
 	for i := 0; i < b.N; i++ {
-		pts, err := core.InfectionVsHTCount(512, core.GMCorner, []int{10, 30, 60}, 10, 1)
+		raw, err := core.InfectionCurveShard(context.Background(), size, counts, trials, 1, 0, 0, core.InfectionCurveSpace(counts, trials))
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = pts[len(pts)-1].Rate
+		t, err := core.InfectionCurveTableFromRaw("E3", "Fig 3", size, counts, trials, 1, raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = t.Points[len(t.Points)-1].Rates[1] // gm-corner series
 	}
-	b.ReportMetric(last, "infection@60HT")
+	return last
 }
 
 // E5 — Fig 4(a): infection by HT distribution, HTs = size/16.
@@ -96,15 +100,16 @@ func benchmarkFig4(b *testing.B, denominator int) {
 	sizes := []int{64, 128, 256, 512}
 	var center, corner float64
 	for i := 0; i < b.N; i++ {
-		c, err := core.InfectionByDistribution(core.DistCenter, sizes, denominator, 10, 1)
+		raw, err := core.DistributionShard(context.Background(), sizes, denominator, 10, 1, 0, 0, core.DistributionSpace(sizes, 10))
 		if err != nil {
 			b.Fatal(err)
 		}
-		k, err := core.InfectionByDistribution(core.DistCorner, sizes, denominator, 10, 1)
+		t, err := core.DistributionTableFromRaw("E5", "Fig 4", sizes, denominator, 10, 1, raw)
 		if err != nil {
 			b.Fatal(err)
 		}
-		center, corner = c[2].Rate, k[2].Rate // 256-node column
+		col := t.Points[2].Rates // 256-node column: center, random, corner
+		center, corner = col[0], col[2]
 	}
 	b.ReportMetric(center, "center@256")
 	b.ReportMetric(corner, "corner@256")
@@ -117,7 +122,7 @@ func BenchmarkFig5(b *testing.B) {
 		b.Run(mix.Name, func(b *testing.B) {
 			var q float64
 			for i := 0; i < b.N; i++ {
-				pts, err := core.QVsInfection(benchConfig(), mix.Name, 16, []float64{0.8})
+				pts, err := core.QVsInfection(context.Background(), benchConfig(), mix.Name, 16, []float64{0.8})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -132,7 +137,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	var attackerChange, victimChange float64
 	for i := 0; i < b.N; i++ {
-		pts, err := core.QVsInfection(benchConfig(), "mix-1", 16, []float64{0.5})
+		pts, err := core.QVsInfection(context.Background(), benchConfig(), "mix-1", 16, []float64{0.5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +158,7 @@ func BenchmarkFig6(b *testing.B) {
 func BenchmarkOptimalPlacement(b *testing.B) {
 	var improvement float64
 	for i := 0; i < b.N; i++ {
-		study, err := core.OptimalVsRandom(benchConfig(), "mix-1", 16, 8, 6, 3)
+		study, err := core.OptimalVsRandom(context.Background(), benchConfig(), "mix-1", 16, 8, 6, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -263,7 +268,7 @@ func runCampaignQ(b *testing.B, cfg core.Config, strategy trojan.Strategy) float
 func BenchmarkCampaignPaper(b *testing.B) {
 	spec := benchPaperSpec()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := campaign.Run(spec, b.TempDir(), 0); err != nil {
+		if _, _, err := campaign.Run(context.Background(), spec, b.TempDir(), 0, campaign.Progress{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -277,7 +282,7 @@ func BenchmarkCampaignPaperTraced(b *testing.B) {
 	spec := benchPaperSpec()
 	for i := 0; i < b.N; i++ {
 		ctx, root := obs.StartTrace(context.Background(), "bench")
-		if _, _, err := campaign.RunCtx(ctx, spec, b.TempDir(), 0, campaign.Progress{}); err != nil {
+		if _, _, err := campaign.Run(ctx, spec, b.TempDir(), 0, campaign.Progress{}); err != nil {
 			b.Fatal(err)
 		}
 		root.End()
@@ -365,7 +370,7 @@ func BenchmarkDoSVariants(b *testing.B) {
 	}
 	var falseData, drop, loop float64
 	for i := 0; i < b.N; i++ {
-		results, err := core.DoSVariantStudy(cfg, "mix-1", 16, placement)
+		results, err := core.DoSVariantStudy(context.Background(), cfg, "mix-1", 16, placement)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -391,7 +396,7 @@ func BenchmarkDefenseAblation(b *testing.B) {
 	}
 	var undefended, defended float64
 	for i := 0; i < b.N; i++ {
-		results, err := core.DefenseStudy(cfg, "mix-1", 16, placement)
+		results, err := core.DefenseStudy(context.Background(), cfg, "mix-1", 16, placement)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -72,7 +72,7 @@ func runCampaign(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	man, tables, err := campaign.RunCtx(ctx, spec, *outDir, *parallel, campaign.Progress{})
+	man, tables, err := campaign.Run(ctx, spec, *outDir, *parallel, campaign.Progress{})
 	if err != nil {
 		return err
 	}

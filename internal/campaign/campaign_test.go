@@ -110,7 +110,7 @@ func TestManifestRecordsEffectiveSeed(t *testing.T) {
 	spec := &Spec{Name: "seedless", Experiments: []ExperimentSpec{
 		{ID: "E3", Params: Params{Trials: 1}},
 	}}
-	man, tables, err := Run(spec, t.TempDir(), 1)
+	man, tables, err := Run(context.Background(), spec, t.TempDir(), 1, Progress{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -63,7 +64,7 @@ func smokeSpec() *Spec {
 func runInto(t *testing.T, spec *Spec, workers int) map[string][]byte {
 	t.Helper()
 	dir := t.TempDir()
-	if _, _, err := Run(spec, dir, workers); err != nil {
+	if _, _, err := Run(context.Background(), spec, dir, workers, Progress{}); err != nil {
 		t.Fatalf("Run(workers=%d): %v", workers, err)
 	}
 	entries, err := os.ReadDir(dir)

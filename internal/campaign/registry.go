@@ -146,7 +146,7 @@ func (c *effectCache) tables(rc runCtx) (*results.EffectTable, *results.AppEffec
 			pair.err = err
 			return
 		}
-		pair.effect, pair.apps, pair.err = core.EffectTablesCtx(rc.ctx, cfg, rc.p.Mixes, rc.p.Threads, rc.p.Targets)
+		pair.effect, pair.apps, pair.err = core.EffectTables(rc.ctx, cfg, rc.p.Mixes, rc.p.Threads, rc.p.Targets)
 	})
 	return pair.effect, pair.apps, pair.err
 }
@@ -230,7 +230,7 @@ var registry = map[string]entry{
 			if err != nil {
 				return nil, err
 			}
-			return core.PlacementTableForCtx(rc.ctx, cfg, rc.p.Mixes, rc.p.Threads, rc.p.HTs, rc.p.Samples, rc.seed)
+			return core.PlacementTableFor(rc.ctx, cfg, rc.p.Mixes, rc.p.Threads, rc.p.HTs, rc.p.Samples, rc.seed)
 		},
 	},
 	"E10": {
@@ -242,7 +242,7 @@ var registry = map[string]entry{
 			if err != nil {
 				return nil, err
 			}
-			return core.AblationTableForCtx(rc.ctx, cfg, rc.p.Mix, rc.p.Threads, rc.p.TargetInfection)
+			return core.AblationTableFor(rc.ctx, cfg, rc.p.Mix, rc.p.Threads, rc.p.TargetInfection)
 		},
 	},
 	"X1": {
@@ -254,7 +254,7 @@ var registry = map[string]entry{
 			if err != nil {
 				return nil, err
 			}
-			return core.VariantTableForCtx(rc.ctx, cfg, rc.p.Mix, rc.p.Threads, rc.p.HTs)
+			return core.VariantTableFor(rc.ctx, cfg, rc.p.Mix, rc.p.Threads, rc.p.HTs)
 		},
 	},
 	"X2": {
@@ -266,7 +266,7 @@ var registry = map[string]entry{
 			if err != nil {
 				return nil, err
 			}
-			return core.DefenseTableForCtx(rc.ctx, cfg, rc.p.Mix, rc.p.Threads, rc.p.HTs)
+			return core.DefenseTableFor(rc.ctx, cfg, rc.p.Mix, rc.p.Threads, rc.p.HTs)
 		},
 	},
 }
@@ -287,32 +287,6 @@ func Experiments() []Experiment {
 		return registry[out[i].ID].order < registry[out[j].ID].order
 	})
 	return out
-}
-
-// BuildTable runs one experiment by ID with the given parameter overrides
-// and returns its typed table without writing anything. It is the single
-// entry point the study CLIs share with the campaign engine, so a figure
-// printed by a CLI and the matching htcampaign artifact can never drift.
-// A zero seed means the default campaign seed.
-func BuildTable(id string, over Params, seed int64, workers int) (results.Table, error) {
-	return BuildTableCtx(context.Background(), id, over, seed, workers)
-}
-
-// BuildTableCtx is BuildTable with cooperative cancellation: a cancelled
-// context stops the experiment's trial pools and in-flight campaigns
-// promptly and returns the context's error — the path the CLIs' signal
-// handling and the simulation service's DELETE /v1/jobs/{id} both use.
-func BuildTableCtx(ctx context.Context, id string, over Params, seed int64, workers int) (results.Table, error) {
-	ent, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("campaign: unknown experiment %q (known: %s)", id, knownIDs())
-	}
-	p := merge(ent.defaults, over)
-	if err := p.validate(); err != nil {
-		return nil, fmt.Errorf("campaign: experiment %s: %w", id, err)
-	}
-	spec := &Spec{Seed: seed}
-	return ent.run(runCtx{ctx: ctx, p: p, seed: spec.seedFor(p), workers: workers, effects: &effectCache{}})
 }
 
 // Artifact records one experiment's serialized outputs in the manifest.
@@ -380,7 +354,7 @@ func BuildTables(ctx context.Context, spec *Spec, workers int, prog Progress) ([
 		return nil, err
 	}
 	effects := &effectCache{}
-	return exp.RunCtx(ctx, workers, len(spec.Experiments), func(ctx context.Context, i int) (results.Table, error) {
+	return exp.Run(ctx, workers, len(spec.Experiments), func(ctx context.Context, i int) (results.Table, error) {
 		e := spec.Experiments[i]
 		ent := registry[e.ID]
 		p := merge(ent.defaults, e.Params)
@@ -421,20 +395,16 @@ func BuildTables(ctx context.Context, spec *Spec, workers int, prog Progress) ([
 // manifest is written as manifest.json. The produced tables are returned
 // in spec order for printing.
 //
+// The campaign stops promptly when ctx is cancelled (no artifacts are
+// written for a cancelled run), and prog receives the same job-granular
+// events BuildTables reports.
+//
 // The experiment-level fan-out nests pools: each driver also parallelises
 // its own trials over the same worker count. The oversubscription is
 // deliberate — trials are independent CPU-bound loops the Go scheduler
 // time-slices well, and the alternative (splitting the budget) starves
 // whichever level happens to carry the work in a given spec.
-func Run(spec *Spec, outDir string, workers int) (*Manifest, []results.Table, error) {
-	return RunCtx(context.Background(), spec, outDir, workers, Progress{})
-}
-
-// RunCtx is Run with cooperative cancellation and progress reporting: the
-// campaign stops promptly when ctx is cancelled (no artifacts are written
-// for a cancelled run), and prog receives the same job-granular events
-// BuildTables reports.
-func RunCtx(ctx context.Context, spec *Spec, outDir string, workers int, prog Progress) (*Manifest, []results.Table, error) {
+func Run(ctx context.Context, spec *Spec, outDir string, workers int, prog Progress) (*Manifest, []results.Table, error) {
 	tables, err := BuildTables(ctx, spec, workers, prog)
 	if err != nil {
 		return nil, nil, err

@@ -1,11 +1,10 @@
 package campaign
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
-
-	"context"
 
 	"repro/internal/core"
 	"repro/internal/results"
@@ -91,7 +90,7 @@ func curveHooks(fig string) shardHooks {
 	return shardHooks{
 		space: func(p Params) int { return core.InfectionCurveSpace(p.HTCounts, p.Trials) },
 		run: func(rc runCtx, lo, hi int) ([]float64, error) {
-			return core.InfectionCurveShardCtx(rc.ctx, rc.p.Size, rc.p.HTCounts, rc.p.Trials, rc.seed, rc.workers, lo, hi)
+			return core.InfectionCurveShard(rc.ctx, rc.p.Size, rc.p.HTCounts, rc.p.Trials, rc.seed, rc.workers, lo, hi)
 		},
 		build: func(rc runCtx, id string, raw []float64) (results.Table, error) {
 			title := fmt.Sprintf("Fig %s: infection rate vs HT count, %d cores", fig, rc.p.Size)
@@ -105,7 +104,7 @@ func distHooks(fig string) shardHooks {
 	return shardHooks{
 		space: func(p Params) int { return core.DistributionSpace(p.Sizes, p.Trials) },
 		run: func(rc runCtx, lo, hi int) ([]float64, error) {
-			return core.DistributionShardCtx(rc.ctx, rc.p.Sizes, rc.p.Denominator, rc.p.Trials, rc.seed, rc.workers, lo, hi)
+			return core.DistributionShard(rc.ctx, rc.p.Sizes, rc.p.Denominator, rc.p.Trials, rc.seed, rc.workers, lo, hi)
 		},
 		build: func(rc runCtx, id string, raw []float64) (results.Table, error) {
 			title := fmt.Sprintf("Fig %s: infection rate by HT distribution, HTs = size/%d", fig, rc.p.Denominator)
@@ -231,16 +230,13 @@ func shardRunCtx(ctx context.Context, sh Shard, workers int) (runCtx, error) {
 // shards run the experiment's registry driver and return its table as
 // JSON. Worker-count changes never change payloads, exactly as for local
 // runs.
-func RunShard(ctx context.Context, sh Shard, workers int) (*ShardResult, error) {
-	return RunShardObserved(ctx, sh, workers, nil)
-}
-
-// RunShardObserved is RunShard with a per-epoch observer threaded into
-// the shard's execution context — the worker half of distributed live
-// progress. Only atomic shards simulate epochs (trial shards are
-// analytic and observe nothing); the observer never influences the
-// result payload, so observed and unobserved runs stay byte-identical.
-func RunShardObserved(ctx context.Context, sh Shard, workers int, o core.Observer) (*ShardResult, error) {
+//
+// o, when non-nil, receives one sample per simulated epoch — the worker
+// half of distributed live progress. Only atomic shards simulate epochs
+// (trial shards are analytic and observe nothing); the observer never
+// influences the result payload, so observed and unobserved runs stay
+// byte-identical.
+func RunShard(ctx context.Context, sh Shard, workers int, o core.Observer) (*ShardResult, error) {
 	rc, err := shardRunCtx(ctx, sh, workers)
 	if err != nil {
 		return nil, err

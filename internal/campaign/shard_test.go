@@ -50,7 +50,7 @@ func runPlan(t *testing.T, shards []Shard, workers int) []ShardResult {
 	t.Helper()
 	out := make([]ShardResult, 0, len(shards))
 	for _, sh := range shards {
-		r, err := RunShard(context.Background(), sh, workers)
+		r, err := RunShard(context.Background(), sh, workers, nil)
 		if err != nil {
 			t.Fatalf("RunShard(%s): %v", sh, err)
 		}

@@ -8,173 +8,13 @@ import (
 	"repro/internal/attack"
 	"repro/internal/exp"
 	"repro/internal/mathx"
-	"repro/internal/metrics"
 	"repro/internal/noc"
 	"repro/internal/workload"
 )
 
-// This file drives the paper's evaluation (Section V): each function
-// regenerates the data behind one figure. The cmd tools print the series;
-// the benchmarks time them; EXPERIMENTS.md records the outcomes.
-
-// InfectionPoint is one x/y point of Fig 3.
-type InfectionPoint struct {
-	HTs  int
-	Rate float64
-}
-
-// InfectionVsHTCount regenerates one curve of Fig 3: the mean infection
-// rate over `trials` uniformly random HT placements, as a function of the
-// HT count, for a chip of the given size with the manager at the given
-// position. The infection rate of a placement under XY routing is exact
-// (closed form), matching the simulator (cross-validated in tests), so no
-// cycle simulation is needed here — exactly like the paper's
-// infrastructure-only experiment. Trials fan out over one worker per CPU;
-// use InfectionVsHTCountN to pick the worker count.
-func InfectionVsHTCount(size int, gm GMPlacement, htCounts []int, trials int, seed int64) ([]InfectionPoint, error) {
-	return InfectionVsHTCountN(size, gm, htCounts, trials, seed, 0)
-}
-
-// InfectionVsHTCountN is InfectionVsHTCount with an explicit worker count
-// (0 means one per CPU). Every (HT count, trial) cell of the campaign grid
-// seeds its own RNG from the campaign seed and its flat trial index, so
-// the returned rates are bit-identical for every worker count.
-func InfectionVsHTCountN(size int, gm GMPlacement, htCounts []int, trials int, seed int64, workers int) ([]InfectionPoint, error) {
-	return InfectionVsHTCountCtx(context.Background(), size, gm, htCounts, trials, seed, workers)
-}
-
-// InfectionVsHTCountCtx is InfectionVsHTCountN with cooperative
-// cancellation: no new trial starts once ctx is done and the pool returns
-// ctx's error.
-func InfectionVsHTCountCtx(ctx context.Context, size int, gm GMPlacement, htCounts []int, trials int, seed int64, workers int) ([]InfectionPoint, error) {
-	mesh, err := noc.MeshForSize(size)
-	if err != nil {
-		return nil, err
-	}
-	var manager noc.NodeID
-	switch gm {
-	case GMCorner:
-		manager = mesh.Corner()
-	case GMCenter:
-		manager = mesh.Center()
-	default:
-		return nil, fmt.Errorf("core: invalid manager placement %d", gm)
-	}
-	if trials < 1 {
-		return nil, fmt.Errorf("core: need at least one trial")
-	}
-	rates, err := exp.RunCtx(ctx, workers, len(htCounts)*trials, func(_ context.Context, trial int) (float64, error) {
-		m := htCounts[trial/trials]
-		if m == 0 {
-			return 0, nil
-		}
-		rng := rand.New(rand.NewSource(exp.TrialSeed(seed, trial)))
-		p, err := attack.RandomPlacement(mesh, m, rng, manager)
-		if err != nil {
-			return 0, err
-		}
-		return metrics.InfectionRateXY(mesh, manager, p.Infected(), nil), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]InfectionPoint, 0, len(htCounts))
-	for pi, m := range htCounts {
-		sum := 0.0
-		for t := 0; t < trials; t++ {
-			sum += rates[pi*trials+t]
-		}
-		out = append(out, InfectionPoint{HTs: m, Rate: sum / float64(trials)})
-	}
-	return out, nil
-}
-
-// Distribution names the three HT layouts of Fig 4.
-type Distribution string
-
-// Fig 4 distributions.
-const (
-	DistCenter Distribution = "center"
-	DistRandom Distribution = "random"
-	DistCorner Distribution = "corner"
-)
-
-// DistributionPoint is one bar of Fig 4.
-type DistributionPoint struct {
-	SystemSize int
-	Rate       float64
-}
-
-// InfectionByDistribution regenerates one series of Fig 4: infection rate
-// versus system size for a given HT distribution, with the HT count equal
-// to size/denominator (the paper uses 16 and 8) and the manager at the
-// center. Random placements are averaged over trials, which fan out over
-// one worker per CPU; use InfectionByDistributionN to pick the count.
-func InfectionByDistribution(dist Distribution, sizes []int, denominator, trials int, seed int64) ([]DistributionPoint, error) {
-	return InfectionByDistributionN(dist, sizes, denominator, trials, seed, 0)
-}
-
-// InfectionByDistributionN is InfectionByDistribution with an explicit
-// worker count (0 means one per CPU). Every (size, trial) cell seeds its
-// own RNG from the campaign seed and its flat trial index, so the returned
-// rates are bit-identical for every worker count.
-func InfectionByDistributionN(dist Distribution, sizes []int, denominator, trials int, seed int64, workers int) ([]DistributionPoint, error) {
-	return InfectionByDistributionCtx(context.Background(), dist, sizes, denominator, trials, seed, workers)
-}
-
-// InfectionByDistributionCtx is InfectionByDistributionN with cooperative
-// cancellation through the trial pool.
-func InfectionByDistributionCtx(ctx context.Context, dist Distribution, sizes []int, denominator, trials int, seed int64, workers int) ([]DistributionPoint, error) {
-	if denominator < 1 {
-		return nil, fmt.Errorf("core: invalid denominator %d", denominator)
-	}
-	switch dist {
-	case DistCenter, DistCorner, DistRandom:
-	default:
-		return nil, fmt.Errorf("core: unknown distribution %q", dist)
-	}
-	if trials < 1 {
-		trials = 1
-	}
-	rates, err := exp.RunCtx(ctx, workers, len(sizes)*trials, func(_ context.Context, trial int) (float64, error) {
-		size := sizes[trial/trials]
-		mesh, err := noc.MeshForSize(size)
-		if err != nil {
-			return 0, err
-		}
-		manager := mesh.Center()
-		m := size / denominator
-		if m < 1 {
-			m = 1
-		}
-		rng := rand.New(rand.NewSource(exp.TrialSeed(seed, trial)))
-		var p attack.Placement
-		switch dist {
-		case DistCenter:
-			p, err = attack.CenterCluster(mesh, m, rng, manager)
-		case DistCorner:
-			p, err = attack.CornerCluster(mesh, m, rng, manager)
-		default:
-			p, err = attack.RandomPlacement(mesh, m, rng, manager)
-		}
-		if err != nil {
-			return 0, err
-		}
-		return metrics.InfectionRateXY(mesh, manager, p.Infected(), nil), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]DistributionPoint, 0, len(sizes))
-	for si, size := range sizes {
-		sum := 0.0
-		for t := 0; t < trials; t++ {
-			sum += rates[si*trials+t]
-		}
-		out = append(out, DistributionPoint{SystemSize: size, Rate: sum / float64(trials)})
-	}
-	return out, nil
-}
+// This file drives the cycle-simulated part of the paper's evaluation
+// (Section V): each function regenerates the data behind one figure. The
+// analytic Fig 3/4 infection curves live in shard.go.
 
 // QPoint is one x/y point of Fig 5 (and one column group of Fig 6).
 type QPoint struct {
@@ -193,15 +33,9 @@ type QPoint struct {
 // QVsInfection regenerates the Fig 5 curve (and Fig 6 data) for one Table
 // III mix: for each target infection rate a greedy placement is built, the
 // campaign is simulated, and Q is evaluated against the shared clean
-// baseline.
-func QVsInfection(cfg Config, mixName string, threads int, targets []float64) ([]QPoint, error) {
-	return QVsInfectionCtx(context.Background(), cfg, mixName, threads, targets)
-}
-
-// QVsInfectionCtx is QVsInfection with cooperative cancellation: each
-// campaign in the sweep runs under ctx and a cancelled sweep returns
-// promptly with ctx's error.
-func QVsInfectionCtx(ctx context.Context, cfg Config, mixName string, threads int, targets []float64) ([]QPoint, error) {
+// baseline. Each campaign in the sweep runs under ctx, so a cancelled
+// sweep returns promptly with ctx's error.
+func QVsInfection(ctx context.Context, cfg Config, mixName string, threads int, targets []float64) ([]QPoint, error) {
 	mix, err := workload.MixByName(mixName)
 	if err != nil {
 		return nil, err
@@ -314,14 +148,8 @@ type PlacementStudy struct {
 // against the random mean. The training and shortlist campaigns — the
 // expensive cycle simulations — fan out over cfg.Workers; every random
 // fleet is drawn from its own (seed, sample index) RNG, so the study is
-// bit-identical for every worker count.
-func OptimalVsRandom(cfg Config, mixName string, threads, nHTs, samples int, seed int64) (*PlacementStudy, error) {
-	return OptimalVsRandomCtx(context.Background(), cfg, mixName, threads, nHTs, samples, seed)
-}
-
-// OptimalVsRandomCtx is OptimalVsRandom with cooperative cancellation
-// through the training and shortlist pools.
-func OptimalVsRandomCtx(ctx context.Context, cfg Config, mixName string, threads, nHTs, samples int, seed int64) (*PlacementStudy, error) {
+// bit-identical for every worker count. ctx cancels both pools.
+func OptimalVsRandom(ctx context.Context, cfg Config, mixName string, threads, nHTs, samples int, seed int64) (*PlacementStudy, error) {
 	if samples < 4 {
 		return nil, fmt.Errorf("core: need at least 4 samples to fit Eqn 9")
 	}
@@ -379,7 +207,7 @@ func OptimalVsRandomCtx(ctx context.Context, cfg Config, mixName string, threads
 		}
 		return Compare(attacked, baseline)
 	}
-	cmps, err := exp.RunCtx(ctx, cfg.Workers, len(placements), func(ctx context.Context, i int) (*Comparison, error) {
+	cmps, err := exp.Run(ctx, cfg.Workers, len(placements), func(ctx context.Context, i int) (*Comparison, error) {
 		return simulateQ(ctx, placements[i])
 	})
 	if err != nil {
@@ -414,7 +242,7 @@ func OptimalVsRandomCtx(ctx context.Context, cfg Config, mixName string, threads
 	if err != nil {
 		return nil, fmt.Errorf("core: Eqn 10 enumeration: %w", err)
 	}
-	topCmps, err := exp.RunCtx(ctx, cfg.Workers, len(top), func(ctx context.Context, i int) (*Comparison, error) {
+	topCmps, err := exp.Run(ctx, cfg.Workers, len(top), func(ctx context.Context, i int) (*Comparison, error) {
 		return simulateQ(ctx, top[i].Placement)
 	})
 	if err != nil {

@@ -34,14 +34,9 @@ type VariantResult struct {
 // three Section II-B attack classes implemented by the Trojan, comparing
 // their attack effects. The false-data attack is the paper's contribution;
 // drop and loopback are the taxonomy baselines. The three campaigns share
-// one clean baseline and fan out over cfg.Workers.
-func DoSVariantStudy(cfg Config, mixName string, threads int, placement attack.Placement) ([]VariantResult, error) {
-	return DoSVariantStudyCtx(context.Background(), cfg, mixName, threads, placement)
-}
-
-// DoSVariantStudyCtx is DoSVariantStudy with cooperative cancellation
-// through the variant pool and each variant's campaign.
-func DoSVariantStudyCtx(ctx context.Context, cfg Config, mixName string, threads int, placement attack.Placement) ([]VariantResult, error) {
+// one clean baseline and fan out over cfg.Workers; ctx cancels the
+// variant pool and each variant's campaign.
+func DoSVariantStudy(ctx context.Context, cfg Config, mixName string, threads int, placement attack.Placement) ([]VariantResult, error) {
 	mix, err := workload.MixByName(mixName)
 	if err != nil {
 		return nil, err
@@ -59,7 +54,7 @@ func DoSVariantStudyCtx(ctx context.Context, cfg Config, mixName string, threads
 		return nil, err
 	}
 	modes := trojan.Modes.All()
-	return exp.RunCtx(ctx, cfg.Workers, len(modes), func(ctx context.Context, i int) (VariantResult, error) {
+	return exp.Run(ctx, cfg.Workers, len(modes), func(ctx context.Context, i int) (VariantResult, error) {
 		mode := modes[i]
 		vsc := sc
 		vsc.Trojans = placement
@@ -118,14 +113,9 @@ type DefenseResult struct {
 // DefenseStudy measures how much of the attack effect each manager-side
 // request filter removes, under the same campaign. The attack duty-cycles
 // its activation (the paper's stealth recommendation), which is exactly
-// the transition signature history-based detection needs.
-func DefenseStudy(cfg Config, mixName string, threads int, placement attack.Placement) ([]DefenseResult, error) {
-	return DefenseStudyCtx(context.Background(), cfg, mixName, threads, placement)
-}
-
-// DefenseStudyCtx is DefenseStudy with cooperative cancellation through
+// the transition signature history-based detection needs. ctx cancels
 // the per-defense pool and each configuration's paired runs.
-func DefenseStudyCtx(ctx context.Context, cfg Config, mixName string, threads int, placement attack.Placement) ([]DefenseResult, error) {
+func DefenseStudy(ctx context.Context, cfg Config, mixName string, threads int, placement attack.Placement) ([]DefenseResult, error) {
 	mix, err := workload.MixByName(mixName)
 	if err != nil {
 		return nil, err
@@ -150,7 +140,7 @@ func DefenseStudyCtx(ctx context.Context, cfg Config, mixName string, threads in
 	// Every registered defense configuration is an independent chip: fan
 	// out over cfg.Workers. Stateful filters are cloned per run inside
 	// setup, so concurrent configurations never share detector state.
-	return exp.RunCtx(ctx, cfg.Workers, len(names), func(ctx context.Context, i int) (DefenseResult, error) {
+	return exp.Run(ctx, cfg.Workers, len(names), func(ctx context.Context, i int) (DefenseResult, error) {
 		name := names[i]
 		dcfg, err := defense.ByName(name)
 		if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/attack"
@@ -27,7 +28,7 @@ func TestDoSVariantStudy(t *testing.T) {
 		t.Fatal(err)
 	}
 	placement := campaignPlacement(t, sys)
-	results, err := DoSVariantStudy(cfg, "mix-1", 16, placement)
+	results, err := DoSVariantStudy(context.Background(), cfg, "mix-1", 16, placement)
 	if err != nil {
 		t.Fatalf("DoSVariantStudy: %v", err)
 	}
@@ -67,7 +68,7 @@ func TestDoSVariantStudy(t *testing.T) {
 func TestDoSVariantStudyUnknownMix(t *testing.T) {
 	cfg := fastConfig()
 	sys, _ := NewSystem(cfg)
-	if _, err := DoSVariantStudy(cfg, "mix-9", 16, campaignPlacement(t, sys)); err == nil {
+	if _, err := DoSVariantStudy(context.Background(), cfg, "mix-9", 16, campaignPlacement(t, sys)); err == nil {
 		t.Error("unknown mix must fail")
 	}
 }
@@ -116,7 +117,7 @@ func TestDefenseStudyReducesQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	placement := campaignPlacement(t, sys)
-	results, err := DefenseStudy(cfg, "mix-1", 16, placement)
+	results, err := DefenseStudy(context.Background(), cfg, "mix-1", 16, placement)
 	if err != nil {
 		t.Fatalf("DefenseStudy: %v", err)
 	}

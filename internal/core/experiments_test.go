@@ -1,107 +1,135 @@
 package core
 
 import (
+	"context"
 	"testing"
+
+	"repro/internal/results"
 )
 
-func TestInfectionVsHTCountTrends(t *testing.T) {
+// curveTable runs an infection-curve (E3/E4) trial space as one shard and
+// assembles its table, as the campaign engine does; series 0 is the
+// center manager, series 1 the corner.
+func curveTable(t *testing.T, size int, counts []int, trials int, seed int64) *results.InfectionTable {
+	t.Helper()
+	raw, err := InfectionCurveShard(context.Background(), size, counts, trials, seed, 0, 0, InfectionCurveSpace(counts, trials))
+	if err != nil {
+		t.Fatalf("InfectionCurveShard: %v", err)
+	}
+	tab, err := InfectionCurveTableFromRaw("E3", "curve", size, counts, trials, seed, raw)
+	if err != nil {
+		t.Fatalf("InfectionCurveTableFromRaw: %v", err)
+	}
+	return tab
+}
+
+// distributionTable runs a distribution (E5/E6) trial space as one shard
+// and assembles its table; series 0..2 are center, random, corner.
+func distributionTable(t *testing.T, sizes []int, denominator, trials int, seed int64) *results.InfectionTable {
+	t.Helper()
+	raw, err := DistributionShard(context.Background(), sizes, denominator, trials, seed, 0, 0, DistributionSpace(sizes, trials))
+	if err != nil {
+		t.Fatalf("DistributionShard: %v", err)
+	}
+	tab, err := DistributionTableFromRaw("E5", "distribution", sizes, denominator, trials, seed, raw)
+	if err != nil {
+		t.Fatalf("DistributionTableFromRaw: %v", err)
+	}
+	return tab
+}
+
+func TestInfectionCurveTrends(t *testing.T) {
 	counts := []int{0, 5, 10, 20, 30}
-	center, err := InfectionVsHTCount(64, GMCenter, counts, 20, 1)
-	if err != nil {
-		t.Fatalf("InfectionVsHTCount: %v", err)
+	pts := curveTable(t, 64, counts, 20, 1).Points
+	if len(pts) != len(counts) {
+		t.Fatalf("points = %d, want %d", len(pts), len(counts))
 	}
-	corner, err := InfectionVsHTCount(64, GMCorner, counts, 20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(center) != len(counts) {
-		t.Fatalf("points = %d, want %d", len(center), len(counts))
-	}
+	const center, corner = 0, 1
 	// Fig 3 trend 1: more HTs → higher infection (monotone in the mean).
-	for i := 1; i < len(center); i++ {
-		if center[i].Rate < center[i-1].Rate {
-			t.Errorf("center series not increasing at %d HTs", center[i].HTs)
+	for i := 1; i < len(pts); i++ {
+		if pts[i].Rates[center] < pts[i-1].Rates[center] {
+			t.Errorf("center series not increasing at %d HTs", pts[i].X)
 		}
 	}
 	// Fig 3 trend 2: corner manager suffers higher infection than center.
-	for i := 1; i < len(counts); i++ {
-		if corner[i].Rate <= center[i].Rate {
+	for i := 1; i < len(pts); i++ {
+		if pts[i].Rates[corner] <= pts[i].Rates[center] {
 			t.Errorf("at %d HTs corner rate %v not above center %v",
-				counts[i], corner[i].Rate, center[i].Rate)
+				counts[i], pts[i].Rates[corner], pts[i].Rates[center])
 		}
 	}
-	if center[0].Rate != 0 {
+	if pts[0].Rates[center] != 0 || pts[0].Rates[corner] != 0 {
 		t.Error("zero HTs must give zero infection")
 	}
 }
 
-func TestInfectionVsHTCountValidation(t *testing.T) {
-	if _, err := InfectionVsHTCount(0, GMCenter, []int{1}, 1, 1); err == nil {
-		t.Error("invalid size must fail")
-	}
-	if _, err := InfectionVsHTCount(64, GMPlacement(7), []int{1}, 1, 1); err == nil {
-		t.Error("invalid placement must fail")
-	}
-	if _, err := InfectionVsHTCount(64, GMCenter, []int{1}, 0, 1); err == nil {
-		t.Error("zero trials must fail")
-	}
-}
-
-func TestInfectionByDistributionOrdering(t *testing.T) {
+func TestDistributionOrdering(t *testing.T) {
 	sizes := []int{64, 128, 256, 512}
-	center, err := InfectionByDistribution(DistCenter, sizes, 16, 10, 1)
-	if err != nil {
-		t.Fatalf("InfectionByDistribution: %v", err)
-	}
-	random, err := InfectionByDistribution(DistRandom, sizes, 16, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corner, err := InfectionByDistribution(DistCorner, sizes, 16, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := distributionTable(t, sizes, 16, 10, 1).Points
 	// Fig 4's headline ordering: center > random > corner at every size.
 	for i, size := range sizes {
-		if !(center[i].Rate > random[i].Rate && random[i].Rate > corner[i].Rate) {
+		center, random, corner := pts[i].Rates[0], pts[i].Rates[1], pts[i].Rates[2]
+		if !(center > random && random > corner) {
 			t.Errorf("size %d: ordering violated center=%v random=%v corner=%v",
-				size, center[i].Rate, random[i].Rate, corner[i].Rate)
+				size, center, random, corner)
 		}
 	}
 }
 
-func TestInfectionByDistributionDenominator(t *testing.T) {
+func TestDistributionDenominator(t *testing.T) {
 	// HTs = size/8 must infect at least as much as size/16 (more HTs).
 	sizes := []int{64, 256}
-	th16, err := InfectionByDistribution(DistCenter, sizes, 16, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th8, err := InfectionByDistribution(DistCenter, sizes, 8, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	th16 := distributionTable(t, sizes, 16, 5, 1).Points
+	th8 := distributionTable(t, sizes, 8, 5, 1).Points
 	for i := range sizes {
 		// The sampling region grows with the fleet, so the comparison is
 		// statistical: allow a small tolerance.
-		if th8[i].Rate+0.05 < th16[i].Rate {
-			t.Errorf("size %d: size/8 rate %v below size/16 rate %v", sizes[i], th8[i].Rate, th16[i].Rate)
+		if th8[i].Rates[0]+0.05 < th16[i].Rates[0] {
+			t.Errorf("size %d: size/8 rate %v below size/16 rate %v", sizes[i], th8[i].Rates[0], th16[i].Rates[0])
 		}
 	}
 }
 
-func TestInfectionByDistributionValidation(t *testing.T) {
-	if _, err := InfectionByDistribution(DistCenter, []int{64}, 0, 1, 1); err == nil {
-		t.Error("zero denominator must fail")
+// TestShardRunnersRejectBadInputs pins that both trial-grid runners
+// reject the same malformed inputs instead of coercing them.
+func TestShardRunnersRejectBadInputs(t *testing.T) {
+	ctx := context.Background()
+	curve := func(size, trials, lo, hi int) func() ([]float64, error) {
+		return func() ([]float64, error) {
+			return InfectionCurveShard(ctx, size, []int{1}, trials, 1, 1, lo, hi)
+		}
 	}
-	if _, err := InfectionByDistribution(Distribution("weird"), []int{64}, 16, 1, 1); err == nil {
-		t.Error("unknown distribution must fail")
+	dist := func(size, denominator, trials, lo, hi int) func() ([]float64, error) {
+		return func() ([]float64, error) {
+			return DistributionShard(ctx, []int{size}, denominator, trials, 1, 1, lo, hi)
+		}
+	}
+	cases := []struct {
+		name string
+		run  func() ([]float64, error)
+	}{
+		{"curve/size 0", curve(0, 1, 0, 2)},
+		{"curve/trials 0", curve(64, 0, 0, 0)},
+		{"curve/range past space", curve(64, 1, 1, 3)},
+		{"curve/negative lo", curve(64, 1, -1, 1)},
+		{"distribution/size 0", dist(0, 16, 1, 0, 3)},
+		{"distribution/trials 0", dist(64, 16, 0, 0, 0)},
+		{"distribution/denominator 0", dist(64, 0, 1, 0, 3)},
+		{"distribution/range past space", dist(64, 16, 1, 2, 4)},
+		{"distribution/inverted range", dist(64, 16, 1, 2, 1)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := tc.run(); err == nil {
+				t.Error("want an error")
+			}
+		})
 	}
 }
 
 func TestQVsInfectionRises(t *testing.T) {
 	cfg := fastConfig()
-	points, err := QVsInfection(cfg, "mix-1", 8, []float64{0, 0.5, 0.95})
+	points, err := QVsInfection(context.Background(), cfg, "mix-1", 8, []float64{0, 0.5, 0.95})
 	if err != nil {
 		t.Fatalf("QVsInfection: %v", err)
 	}
@@ -130,14 +158,14 @@ func TestQVsInfectionRises(t *testing.T) {
 }
 
 func TestQVsInfectionUnknownMix(t *testing.T) {
-	if _, err := QVsInfection(fastConfig(), "mix-9", 8, []float64{0.5}); err == nil {
+	if _, err := QVsInfection(context.Background(), fastConfig(), "mix-9", 8, []float64{0.5}); err == nil {
 		t.Error("unknown mix must fail")
 	}
 }
 
 func TestOptimalVsRandomImproves(t *testing.T) {
 	cfg := fastConfig()
-	study, err := OptimalVsRandom(cfg, "mix-1", 8, 8, 8, 3)
+	study, err := OptimalVsRandom(context.Background(), cfg, "mix-1", 8, 8, 8, 3)
 	if err != nil {
 		t.Fatalf("OptimalVsRandom: %v", err)
 	}
@@ -157,10 +185,10 @@ func TestOptimalVsRandomImproves(t *testing.T) {
 }
 
 func TestOptimalVsRandomValidation(t *testing.T) {
-	if _, err := OptimalVsRandom(fastConfig(), "mix-1", 8, 8, 2, 3); err == nil {
+	if _, err := OptimalVsRandom(context.Background(), fastConfig(), "mix-1", 8, 8, 2, 3); err == nil {
 		t.Error("too few samples must fail")
 	}
-	if _, err := OptimalVsRandom(fastConfig(), "mix-9", 8, 8, 8, 3); err == nil {
+	if _, err := OptimalVsRandom(context.Background(), fastConfig(), "mix-9", 8, 8, 8, 3); err == nil {
 		t.Error("unknown mix must fail")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/budget"
@@ -12,43 +13,44 @@ import (
 // derive their random streams from (seed, trial index) rather than a
 // shared RNG, and per-run mutable state (allocators, filters) is cloned.
 
-func TestInfectionVsHTCountParallelDeterminism(t *testing.T) {
-	counts := []int{0, 4, 8, 16}
-	seq, err := InfectionVsHTCountN(64, GMCorner, counts, 12, 7, 1)
+// assertShardDeterministic runs a trial-grid shard with one worker and
+// with several, and requires bit-identical raw cells.
+func assertShardDeterministic(t *testing.T, run func(workers int) ([]float64, error)) {
+	t.Helper()
+	seq, err := run(1)
 	if err != nil {
 		t.Fatalf("workers=1: %v", err)
 	}
 	for _, workers := range []int{2, 8} {
-		par, err := InfectionVsHTCountN(64, GMCorner, counts, 12, 7, workers)
+		par, err := run(workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		if len(par) != len(seq) {
+			t.Fatalf("workers=%d: %d cells, want %d", workers, len(par), len(seq))
+		}
 		for i := range seq {
 			if par[i] != seq[i] {
-				t.Fatalf("workers=%d: point %d = %+v, want %+v (not bit-identical)",
-					workers, i, par[i], seq[i])
+				t.Fatalf("workers=%d: cell %d = %v, want %v (not bit-identical)", workers, i, par[i], seq[i])
 			}
 		}
 	}
 }
 
-func TestInfectionByDistributionParallelDeterminism(t *testing.T) {
+func TestInfectionCurveShardParallelDeterminism(t *testing.T) {
+	counts := []int{0, 4, 8, 16}
+	space := InfectionCurveSpace(counts, 12)
+	assertShardDeterministic(t, func(workers int) ([]float64, error) {
+		return InfectionCurveShard(context.Background(), 64, counts, 12, 7, workers, 0, space)
+	})
+}
+
+func TestDistributionShardParallelDeterminism(t *testing.T) {
 	sizes := []int{64, 128}
-	for _, dist := range []Distribution{DistCenter, DistRandom, DistCorner} {
-		seq, err := InfectionByDistributionN(dist, sizes, 16, 8, 3, 1)
-		if err != nil {
-			t.Fatalf("%s workers=1: %v", dist, err)
-		}
-		par, err := InfectionByDistributionN(dist, sizes, 16, 8, 3, 8)
-		if err != nil {
-			t.Fatalf("%s workers=8: %v", dist, err)
-		}
-		for i := range seq {
-			if par[i] != seq[i] {
-				t.Fatalf("%s: point %d = %+v, want %+v", dist, i, par[i], seq[i])
-			}
-		}
-	}
+	space := DistributionSpace(sizes, 8)
+	assertShardDeterministic(t, func(workers int) ([]float64, error) {
+		return DistributionShard(context.Background(), sizes, 16, 8, 3, workers, 0, space)
+	})
 }
 
 func TestRunPairParallelDeterminism(t *testing.T) {
@@ -93,7 +95,7 @@ func TestDoSVariantStudyParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := DoSVariantStudy(cfg, "mix-1", 16, campaignPlacement(t, sys))
+		results, err := DoSVariantStudy(context.Background(), cfg, "mix-1", 16, campaignPlacement(t, sys))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -119,7 +121,7 @@ func TestDefenseStudyParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := DefenseStudy(cfg, "mix-1", 16, campaignPlacement(t, sys))
+		results, err := DefenseStudy(context.Background(), cfg, "mix-1", 16, campaignPlacement(t, sys))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -141,7 +143,7 @@ func TestOptimalVsRandomParallelDeterminism(t *testing.T) {
 	run := func(workers int) *PlacementStudy {
 		cfg := fastConfig()
 		cfg.Workers = workers
-		study, err := OptimalVsRandom(cfg, "mix-1", 8, 8, 6, 3)
+		study, err := OptimalVsRandom(context.Background(), cfg, "mix-1", 8, 8, 6, 3)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -15,8 +15,8 @@ import (
 // This file exposes the trial-grid experiments (E3–E6) as shardable raw
 // workloads: a flat trial space, a runner for any contiguous [lo, hi)
 // range of it, and an assembler that turns the full raw vector back into
-// the published table. The single-process table builders in tables.go are
-// implemented on top of these, so the distributed path and the local path
+// the published table. The campaign engine's single-process path runs the
+// whole space as one shard, so the distributed path and the local path
 // share one code path by construction — the merge contract ("any
 // partition of the trial space reassembles bit-identically") is not a
 // property tests chase after the fact, it is how the tables are built.
@@ -29,24 +29,24 @@ import (
 //     in shard 3 of 5 on a remote worker or inline in one process.
 //  2. Shards return the raw per-cell float64 values, never partial sums:
 //     floating-point addition is not associative, so aggregation happens
-//     exactly once, over the fully reassembled vector, in the same loop
-//     order the single-process builder uses.
+//     exactly once, over the fully reassembled vector.
 
 // InfectionCurveSpace is the flat trial-space size of an infection-curve
 // experiment (E3/E4): the center-manager series occupies cells
 // [0, len(htCounts)*trials) and the corner-manager series the block after
 // it. Within a series block, cell i covers HT count htCounts[i/trials],
-// trial i%trials — the same layout InfectionVsHTCountCtx fans out over.
+// trial i%trials.
 func InfectionCurveSpace(htCounts []int, trials int) int {
 	return 2 * len(htCounts) * trials
 }
 
-// InfectionCurveShardCtx computes the raw per-cell infection rates for
-// cells [lo, hi) of an infection-curve experiment's flat trial space.
-// Both series blocks reuse the same cell-local trial seeds (the
-// single-process builder runs center and corner with the identical seed),
-// so a cell's value depends only on the campaign seed and its index.
-func InfectionCurveShardCtx(ctx context.Context, size int, htCounts []int, trials int, seed int64, workers, lo, hi int) ([]float64, error) {
+// InfectionCurveShard computes the raw per-cell infection rates for cells
+// [lo, hi) of an infection-curve experiment's flat trial space. Both
+// series blocks reuse the same cell-local trial seeds, so a cell's value
+// depends only on the campaign seed and its index. The infection rate of
+// a placement under XY routing is exact (closed form, cross-validated
+// against the simulator in tests), so no cycle simulation runs here.
+func InfectionCurveShard(ctx context.Context, size int, htCounts []int, trials int, seed int64, workers, lo, hi int) ([]float64, error) {
 	mesh, err := noc.MeshForSize(size)
 	if err != nil {
 		return nil, err
@@ -59,7 +59,7 @@ func InfectionCurveShardCtx(ctx context.Context, size int, htCounts []int, trial
 	}
 	managers := [2]noc.NodeID{mesh.Center(), mesh.Corner()}
 	block := len(htCounts) * trials
-	return exp.RunCtx(ctx, workers, hi-lo, func(_ context.Context, i int) (float64, error) {
+	return exp.Run(ctx, workers, hi-lo, func(_ context.Context, i int) (float64, error) {
 		flat := lo + i
 		inner := flat % block
 		m := htCounts[inner/trials]
@@ -77,8 +77,7 @@ func InfectionCurveShardCtx(ctx context.Context, size int, htCounts []int, trial
 }
 
 // InfectionCurveTableFromRaw assembles the E3/E4 table from the fully
-// reassembled raw vector, running the exact aggregation loop the
-// single-process builder uses (per-series, per-HT-count running sum, then
+// reassembled raw vector (per-series, per-HT-count running sum, then
 // mean), so the bytes match a local run for any shard partition.
 func InfectionCurveTableFromRaw(id, title string, size int, htCounts []int, trials int, seed int64, raw []float64) (*results.InfectionTable, error) {
 	if space := InfectionCurveSpace(htCounts, trials); len(raw) != space {
@@ -115,23 +114,30 @@ func InfectionCurveTableFromRaw(id, title string, size int, htCounts []int, tria
 // distribution, in the series order center, random, corner. Within a
 // block, cell i covers system size sizes[i/trials], trial i%trials.
 func DistributionSpace(sizes []int, trials int) int {
-	if trials < 1 {
-		trials = 1
-	}
 	return 3 * len(sizes) * trials
 }
 
+// distribution names one of the three HT layouts of Fig 4.
+type distribution string
+
+// Fig 4 distributions.
+const (
+	distCenter distribution = "center"
+	distRandom distribution = "random"
+	distCorner distribution = "corner"
+)
+
 // distributionSeries is the fixed series order of the E5/E6 tables; the
 // flat trial space uses one block per entry in this order.
-var distributionSeries = [3]Distribution{DistCenter, DistRandom, DistCorner}
+var distributionSeries = [3]distribution{distCenter, distRandom, distCorner}
 
-// DistributionShardCtx computes the raw per-cell infection rates for
-// cells [lo, hi) of a distribution experiment's flat trial space. As with
-// the single-process builder, all three distribution blocks reuse the
-// same cell-local trial seeds.
-func DistributionShardCtx(ctx context.Context, sizes []int, denominator, trials int, seed int64, workers, lo, hi int) ([]float64, error) {
+// DistributionShard computes the raw per-cell infection rates for cells
+// [lo, hi) of a distribution experiment's flat trial space, with the HT
+// count equal to size/denominator and the manager at the center. All
+// three distribution blocks reuse the same cell-local trial seeds.
+func DistributionShard(ctx context.Context, sizes []int, denominator, trials int, seed int64, workers, lo, hi int) ([]float64, error) {
 	if trials < 1 {
-		trials = 1
+		return nil, fmt.Errorf("core: need at least one trial")
 	}
 	if denominator < 1 {
 		return nil, fmt.Errorf("core: invalid denominator %d", denominator)
@@ -140,7 +146,7 @@ func DistributionShardCtx(ctx context.Context, sizes []int, denominator, trials 
 		return nil, err
 	}
 	block := len(sizes) * trials
-	return exp.RunCtx(ctx, workers, hi-lo, func(_ context.Context, i int) (float64, error) {
+	return exp.Run(ctx, workers, hi-lo, func(_ context.Context, i int) (float64, error) {
 		flat := lo + i
 		inner := flat % block
 		dist := distributionSeries[flat/block]
@@ -157,9 +163,9 @@ func DistributionShardCtx(ctx context.Context, sizes []int, denominator, trials 
 		rng := rand.New(rand.NewSource(exp.TrialSeed(seed, inner)))
 		var p attack.Placement
 		switch dist {
-		case DistCenter:
+		case distCenter:
 			p, err = attack.CenterCluster(mesh, m, rng, manager)
-		case DistCorner:
+		case distCorner:
 			p, err = attack.CornerCluster(mesh, m, rng, manager)
 		default:
 			p, err = attack.RandomPlacement(mesh, m, rng, manager)
@@ -172,12 +178,9 @@ func DistributionShardCtx(ctx context.Context, sizes []int, denominator, trials 
 }
 
 // DistributionTableFromRaw assembles the E5/E6 table from the fully
-// reassembled raw vector, running the single-process aggregation loop
-// (per-size running sum across each distribution block, then mean).
+// reassembled raw vector (per-size running sum across each distribution
+// block, then mean).
 func DistributionTableFromRaw(id, title string, sizes []int, denominator, trials int, seed int64, raw []float64) (*results.InfectionTable, error) {
-	if trials < 1 {
-		trials = 1
-	}
 	if space := DistributionSpace(sizes, trials); len(raw) != space {
 		return nil, fmt.Errorf("core: raw vector holds %d cells, trial space is %d", len(raw), space)
 	}
@@ -190,7 +193,7 @@ func DistributionTableFromRaw(id, title string, sizes []int, denominator, trials
 	t := &results.InfectionTable{
 		Meta:   results.NewMeta(id, title, seed, 0, params),
 		XLabel: "size",
-		Series: []string{string(DistCenter), string(DistRandom), string(DistCorner)},
+		Series: []string{string(distCenter), string(distRandom), string(distCorner)},
 	}
 	block := len(sizes) * trials
 	for si, size := range sizes {
@@ -208,8 +211,8 @@ func DistributionTableFromRaw(id, title string, sizes []int, denominator, trials
 }
 
 // checkShardRange validates a [lo, hi) shard range against a trial space.
-// An empty range (lo == hi) is permitted: it arises when a table builder
-// covers an empty space in one call, and runs zero trials.
+// An empty range (lo == hi) is permitted: it arises when a single-process
+// run covers an empty space in one call, and runs zero trials.
 func checkShardRange(lo, hi, space int) error {
 	if lo < 0 || hi > space || lo > hi {
 		return fmt.Errorf("core: shard range [%d, %d) invalid for trial space %d", lo, hi, space)

@@ -191,7 +191,7 @@ func (s *System) RunPairContext(ctx context.Context, sc Scenario, obs Observer) 
 	if workers > 2 {
 		workers = 2
 	}
-	reports, err := exp.RunCtx(ctx, workers, 2, func(ctx context.Context, i int) (*Report, error) {
+	reports, err := exp.Run(ctx, workers, 2, func(ctx context.Context, i int) (*Report, error) {
 		if i == 0 {
 			attacked, err := s.runCampaign(ctx, sc, s.mergeObserver(obs))
 			if err != nil {

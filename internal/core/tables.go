@@ -14,9 +14,9 @@ import (
 
 // This file is the table layer of the experiment drivers: every DESIGN.md
 // §2 experiment has a function here that runs the underlying driver and
-// returns its typed results table. The cmd tools print these tables and
-// the campaign engine serializes them, so human text and machine JSON/CSV
-// come from one code path.
+// returns its typed results table. htcampaign prints and serializes these
+// tables, so human text and machine JSON/CSV come from one code path. The
+// Fig 3/4 tables are assembled from raw shard values in shard.go.
 
 // ConfigTableFor builds the E1 artifact: the Table I configuration of one
 // chip as key/value rows.
@@ -82,44 +82,6 @@ func AreaPowerTableFor() *results.AreaPowerTable {
 	return t
 }
 
-// InfectionCurveTable builds a Fig 3 artifact (E3 at 64 cores, E4 at 512):
-// infection rate versus HT count for the center- and corner-manager
-// placements.
-func InfectionCurveTable(id, title string, size int, htCounts []int, trials int, seed int64, workers int) (*results.InfectionTable, error) {
-	return InfectionCurveTableCtx(context.Background(), id, title, size, htCounts, trials, seed, workers)
-}
-
-// InfectionCurveTableCtx is InfectionCurveTable with cooperative
-// cancellation through the trial pools. It is the shard machinery run
-// degenerately — the whole trial space as one shard — so the local and
-// distributed paths produce identical bytes by construction (see
-// shard.go).
-func InfectionCurveTableCtx(ctx context.Context, id, title string, size int, htCounts []int, trials int, seed int64, workers int) (*results.InfectionTable, error) {
-	raw, err := InfectionCurveShardCtx(ctx, size, htCounts, trials, seed, workers, 0, InfectionCurveSpace(htCounts, trials))
-	if err != nil {
-		return nil, err
-	}
-	return InfectionCurveTableFromRaw(id, title, size, htCounts, trials, seed, raw)
-}
-
-// DistributionTable builds a Fig 4 artifact (E5 with HTs = size/16, E6
-// with size/8): infection rate versus system size for the three HT
-// distributions with the manager at the center.
-func DistributionTable(id, title string, sizes []int, denominator, trials int, seed int64, workers int) (*results.InfectionTable, error) {
-	return DistributionTableCtx(context.Background(), id, title, sizes, denominator, trials, seed, workers)
-}
-
-// DistributionTableCtx is DistributionTable with cooperative cancellation
-// through the trial pools. Like InfectionCurveTableCtx it is the shard
-// machinery run over the whole trial space as one shard (see shard.go).
-func DistributionTableCtx(ctx context.Context, id, title string, sizes []int, denominator, trials int, seed int64, workers int) (*results.InfectionTable, error) {
-	raw, err := DistributionShardCtx(ctx, sizes, denominator, trials, seed, workers, 0, DistributionSpace(sizes, trials))
-	if err != nil {
-		return nil, err
-	}
-	return DistributionTableFromRaw(id, title, sizes, denominator, trials, seed, raw)
-}
-
 // effectParams fingerprints the Fig 5/6 campaign grid.
 type effectParams struct {
 	Cores   int       `json:"cores"`
@@ -135,15 +97,10 @@ type effectParams struct {
 // mix, Q versus target infection rate (Fig 5) and the per-application
 // performance changes behind it (Fig 6). Mixes fan out over cfg.Workers;
 // each mix's sweep is an independent campaign with its own baseline.
-func EffectTables(cfg Config, mixNames []string, threads int, targets []float64) (*results.EffectTable, *results.AppEffectTable, error) {
-	return EffectTablesCtx(context.Background(), cfg, mixNames, threads, targets)
-}
-
-// EffectTablesCtx is EffectTables with cooperative cancellation through
-// the mix pool and every campaign beneath it.
-func EffectTablesCtx(ctx context.Context, cfg Config, mixNames []string, threads int, targets []float64) (*results.EffectTable, *results.AppEffectTable, error) {
-	series, err := exp.RunCtx(ctx, cfg.Workers, len(mixNames), func(ctx context.Context, i int) ([]QPoint, error) {
-		pts, err := QVsInfectionCtx(ctx, cfg, mixNames[i], threads, targets)
+// ctx cancels the mix pool and every campaign beneath it.
+func EffectTables(ctx context.Context, cfg Config, mixNames []string, threads int, targets []float64) (*results.EffectTable, *results.AppEffectTable, error) {
+	series, err := exp.Run(ctx, cfg.Workers, len(mixNames), func(ctx context.Context, i int) ([]QPoint, error) {
+		pts, err := QVsInfection(ctx, cfg, mixNames[i], threads, targets)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", mixNames[i], err)
 		}
@@ -184,14 +141,9 @@ func EffectTablesCtx(ctx context.Context, cfg Config, mixNames []string, threads
 }
 
 // PlacementTableFor builds the E9 artifact: the Section V-C optimal versus
-// random placement study, one row per mix.
-func PlacementTableFor(cfg Config, mixNames []string, threads, nHTs, samples int, seed int64) (*results.PlacementTable, error) {
-	return PlacementTableForCtx(context.Background(), cfg, mixNames, threads, nHTs, samples, seed)
-}
-
-// PlacementTableForCtx is PlacementTableFor with cooperative cancellation
-// through each mix's training and shortlist pools.
-func PlacementTableForCtx(ctx context.Context, cfg Config, mixNames []string, threads, nHTs, samples int, seed int64) (*results.PlacementTable, error) {
+// random placement study, one row per mix. ctx cancels each mix's
+// training and shortlist pools.
+func PlacementTableFor(ctx context.Context, cfg Config, mixNames []string, threads, nHTs, samples int, seed int64) (*results.PlacementTable, error) {
 	params := struct {
 		Cores   int      `json:"cores"`
 		Mixes   []string `json:"mixes"`
@@ -204,7 +156,7 @@ func PlacementTableForCtx(ctx context.Context, cfg Config, mixNames []string, th
 		Meta: results.NewMeta("E9", "Section V-C: optimal vs random Trojan placement", seed, 0, params),
 	}
 	for _, name := range mixNames {
-		study, err := OptimalVsRandomCtx(ctx, cfg, name, threads, nHTs, samples, seed)
+		study, err := OptimalVsRandom(ctx, cfg, name, threads, nHTs, samples, seed)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -233,20 +185,15 @@ type AblationResult struct {
 // AllocatorAblation runs the E10 study: the same mix and target infection
 // under every budgeting algorithm, testing the paper's "irrespective of
 // the power budgeting algorithm" claim. Allocators fan out over
-// cfg.Workers; each gets its own chip.
-func AllocatorAblation(cfg Config, mixName string, threads int, targetInfection float64) ([]AblationResult, error) {
-	return AllocatorAblationCtx(context.Background(), cfg, mixName, threads, targetInfection)
-}
-
-// AllocatorAblationCtx is AllocatorAblation with cooperative cancellation
-// through the allocator pool and each allocator's paired runs.
-func AllocatorAblationCtx(ctx context.Context, cfg Config, mixName string, threads int, targetInfection float64) ([]AblationResult, error) {
+// cfg.Workers; each gets its own chip. ctx cancels the allocator pool and
+// each allocator's paired runs.
+func AllocatorAblation(ctx context.Context, cfg Config, mixName string, threads int, targetInfection float64) ([]AblationResult, error) {
 	mix, err := workload.MixByName(mixName)
 	if err != nil {
 		return nil, err
 	}
 	allocs := budget.All()
-	return exp.RunCtx(ctx, cfg.Workers, len(allocs), func(ctx context.Context, i int) (AblationResult, error) {
+	return exp.Run(ctx, cfg.Workers, len(allocs), func(ctx context.Context, i int) (AblationResult, error) {
 		c := cfg
 		c.Allocator = allocs[i]
 		sys, err := NewSystem(c)
@@ -272,13 +219,8 @@ func AllocatorAblationCtx(ctx context.Context, cfg Config, mixName string, threa
 }
 
 // AblationTableFor builds the E10 artifact from AllocatorAblation.
-func AblationTableFor(cfg Config, mixName string, threads int, targetInfection float64) (*results.AblationTable, error) {
-	return AblationTableForCtx(context.Background(), cfg, mixName, threads, targetInfection)
-}
-
-// AblationTableForCtx is AblationTableFor with cooperative cancellation.
-func AblationTableForCtx(ctx context.Context, cfg Config, mixName string, threads int, targetInfection float64) (*results.AblationTable, error) {
-	rows, err := AllocatorAblationCtx(ctx, cfg, mixName, threads, targetInfection)
+func AblationTableFor(ctx context.Context, cfg Config, mixName string, threads int, targetInfection float64) (*results.AblationTable, error) {
+	rows, err := AllocatorAblation(ctx, cfg, mixName, threads, targetInfection)
 	if err != nil {
 		return nil, err
 	}
@@ -326,17 +268,12 @@ type studyParams struct {
 // VariantTableFor builds the X1 artifact: the Section II-B DoS attack
 // classes (false-data, drop, loopback) under an identical near-manager
 // ring fleet of nHTs Trojans.
-func VariantTableFor(cfg Config, mixName string, threads, nHTs int) (*results.VariantTable, error) {
-	return VariantTableForCtx(context.Background(), cfg, mixName, threads, nHTs)
-}
-
-// VariantTableForCtx is VariantTableFor with cooperative cancellation.
-func VariantTableForCtx(ctx context.Context, cfg Config, mixName string, threads, nHTs int) (*results.VariantTable, error) {
+func VariantTableFor(ctx context.Context, cfg Config, mixName string, threads, nHTs int) (*results.VariantTable, error) {
 	_, placement, err := nearManagerRing(cfg, nHTs)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := DoSVariantStudyCtx(ctx, cfg, mixName, threads, placement)
+	rows, err := DoSVariantStudy(ctx, cfg, mixName, threads, placement)
 	if err != nil {
 		return nil, err
 	}
@@ -360,17 +297,12 @@ func VariantTableForCtx(ctx context.Context, cfg Config, mixName string, threads
 // DefenseTableFor builds the X2 artifact: the manager-side defense study
 // under a duty-cycled attack from a near-manager ring fleet of nHTs
 // Trojans.
-func DefenseTableFor(cfg Config, mixName string, threads, nHTs int) (*results.DefenseTable, error) {
-	return DefenseTableForCtx(context.Background(), cfg, mixName, threads, nHTs)
-}
-
-// DefenseTableForCtx is DefenseTableFor with cooperative cancellation.
-func DefenseTableForCtx(ctx context.Context, cfg Config, mixName string, threads, nHTs int) (*results.DefenseTable, error) {
+func DefenseTableFor(ctx context.Context, cfg Config, mixName string, threads, nHTs int) (*results.DefenseTable, error) {
 	_, placement, err := nearManagerRing(cfg, nHTs)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := DefenseStudyCtx(ctx, cfg, mixName, threads, placement)
+	rows, err := DefenseStudy(ctx, cfg, mixName, threads, placement)
 	if err != nil {
 		return nil, err
 	}

@@ -588,7 +588,7 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec *campaign.Spec, prog
 	if conc < 1 {
 		conc = 1
 	}
-	shardResults, err := exp.RunCtx(ctx, conc, len(shards), func(ctx context.Context, i int) (campaign.ShardResult, error) {
+	shardResults, err := exp.Run(ctx, conc, len(shards), func(ctx context.Context, i int) (campaign.ShardResult, error) {
 		markStarted(shards[i])
 		r, err := c.runShard(ctx, shards[i], i, sink)
 		if err != nil {

@@ -49,7 +49,7 @@ func shardWorker(t *testing.T, beforeRun func()) *httptest.Server {
 		if beforeRun != nil {
 			beforeRun()
 		}
-		res, err := campaign.RunShard(r.Context(), req.Shard, 1)
+		res, err := campaign.RunShard(r.Context(), req.Shard, 1, nil)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

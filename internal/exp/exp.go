@@ -37,7 +37,7 @@ func Workers(requested int) int {
 // Gate is a context-aware counting semaphore bounding how many holders run
 // at once. The simulation service uses one to cap concurrent jobs on the
 // same worker budget the trial pools draw from: a job Acquires a slot
-// before fanning its experiments out over Run/RunCtx and Releases it when
+// before fanning its experiments out over Run and Releases it when
 // the campaign finishes, so queued jobs wait instead of oversubscribing
 // the machine. A Gate is safe for concurrent use; the zero value is not
 // usable — construct with NewGate.
@@ -150,27 +150,21 @@ func ShardSeed(parent int64, shard int) int64 {
 	return StreamSeed(parent, fmt.Sprintf("shard/%d", shard))
 }
 
-// Run executes fn(trial) for every trial in [0, trials) on a pool of
+// Run executes fn(ctx, trial) for every trial in [0, trials) on a pool of
 // workers (see Workers for how the count is resolved) and returns the
 // results indexed by trial. All trials run to completion even when some
 // fail; the error of the lowest-indexed failing trial is returned, so the
 // reported error is as deterministic as the results.
-func Run[T any](workers, trials int, fn func(trial int) (T, error)) ([]T, error) {
-	return RunCtx(context.Background(), workers, trials, func(_ context.Context, trial int) (T, error) {
-		return fn(trial)
-	})
-}
-
-// RunCtx is Run with cooperative cancellation: no new trial starts once
-// ctx is done, the trial function receives ctx so long-running trials can
-// stop mid-flight, and a cancelled pool returns ctx's error (taking
-// precedence over per-trial errors, which on cancellation are expected
-// casualties rather than results). A panicking trial does not kill its
-// worker goroutine (or the process): the panic is converted into that
-// trial's error, so one poisoned trial fails one run while every other
-// trial completes — and because errors are reported lowest-index-first,
-// the surfaced failure is as deterministic as the results.
-func RunCtx[T any](ctx context.Context, workers, trials int, fn func(ctx context.Context, trial int) (T, error)) ([]T, error) {
+//
+// Cancellation is cooperative: no new trial starts once ctx is done, the
+// trial function receives ctx so long-running trials can stop
+// mid-flight, and a cancelled pool returns ctx's error (taking precedence
+// over per-trial errors, which on cancellation are expected casualties
+// rather than results). A panicking trial does not kill its worker
+// goroutine (or the process): the panic is converted into that trial's
+// error, so one poisoned trial fails one run while every other trial
+// completes.
+func Run[T any](ctx context.Context, workers, trials int, fn func(ctx context.Context, trial int) (T, error)) ([]T, error) {
 	if trials <= 0 {
 		return nil, nil
 	}

@@ -25,7 +25,7 @@ func TestWorkersResolution(t *testing.T) {
 }
 
 func TestRunCollectsInTrialOrder(t *testing.T) {
-	out, err := Run(4, 100, func(trial int) (int, error) { return trial * trial, nil })
+	out, err := Run(context.Background(), 4, 100, func(_ context.Context, trial int) (int, error) { return trial * trial, nil })
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -40,7 +40,7 @@ func TestRunCollectsInTrialOrder(t *testing.T) {
 }
 
 func TestRunZeroTrials(t *testing.T) {
-	out, err := Run(4, 0, func(int) (int, error) { t.Fatal("fn must not run"); return 0, nil })
+	out, err := Run(context.Background(), 4, 0, func(context.Context, int) (int, error) { t.Fatal("fn must not run"); return 0, nil })
 	if err != nil || out != nil {
 		t.Fatalf("Run(0 trials) = %v, %v", out, err)
 	}
@@ -48,7 +48,7 @@ func TestRunZeroTrials(t *testing.T) {
 
 func TestRunReturnsLowestIndexedError(t *testing.T) {
 	bad := map[int]bool{17: true, 41: true, 80: true}
-	_, err := Run(8, 100, func(trial int) (int, error) {
+	_, err := Run(context.Background(), 8, 100, func(_ context.Context, trial int) (int, error) {
 		if bad[trial] {
 			return 0, fmt.Errorf("trial %d failed", trial)
 		}
@@ -63,7 +63,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	// The canonical usage pattern: each trial seeds its own RNG from the
 	// trial index. Results must be identical for any worker count.
 	campaign := func(workers int) []float64 {
-		out, err := Run(workers, 64, func(trial int) (float64, error) {
+		out, err := Run(context.Background(), workers, 64, func(_ context.Context, trial int) (float64, error) {
 			rng := rand.New(rand.NewSource(TrialSeed(99, trial)))
 			sum := 0.0
 			for i := 0; i < 100; i++ {
@@ -89,7 +89,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestRunAllTrialsCompleteDespiteError(t *testing.T) {
 	ran := make([]bool, 32)
-	_, err := Run(4, 32, func(trial int) (int, error) {
+	_, err := Run(context.Background(), 4, 32, func(_ context.Context, trial int) (int, error) {
 		ran[trial] = true
 		if trial == 0 {
 			return 0, errors.New("boom")
@@ -201,7 +201,7 @@ func TestGateAcquireWithinTimesOut(t *testing.T) {
 func TestRunCtxRecoversTrialPanics(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var completed atomic.Int64
-		_, err := RunCtx(context.Background(), workers, 16, func(_ context.Context, trial int) (int, error) {
+		_, err := Run(context.Background(), workers, 16, func(_ context.Context, trial int) (int, error) {
 			if trial == 5 || trial == 11 {
 				panic(fmt.Sprintf("poisoned trial %d", trial))
 			}

@@ -60,7 +60,7 @@ func cliArtifacts(t *testing.T) map[string][]byte {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, _, err := campaign.Run(spec, dir, 1); err != nil {
+	if _, _, err := campaign.Run(context.Background(), spec, dir, 1, campaign.Progress{}); err != nil {
 		t.Fatal(err)
 	}
 	want := make(map[string][]byte)

@@ -118,7 +118,7 @@ func TestCampaignEndToEndMatchesCLIArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, _, err := campaign.Run(spec, dir, 1); err != nil {
+	if _, _, err := campaign.Run(context.Background(), spec, dir, 1, campaign.Progress{}); err != nil {
 		t.Fatal(err)
 	}
 

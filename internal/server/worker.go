@@ -81,7 +81,7 @@ func (s *Server) handleRunShard(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.jobs.gate.Release()
 	if !req.Stream {
-		res, err := campaign.RunShard(r.Context(), req.Shard, s.opts.Workers)
+		res, err := campaign.RunShard(r.Context(), req.Shard, s.opts.Workers, nil)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return
@@ -132,7 +132,7 @@ func (s *Server) streamShard(w http.ResponseWriter, r *http.Request, req dist.Sh
 	})
 
 	runCtx, span := obs.StartSpan(ctx, "shard.run")
-	res, err := campaign.RunShardObserved(runCtx, req.Shard, s.opts.Workers, observer)
+	res, err := campaign.RunShard(runCtx, req.Shard, s.opts.Workers, observer)
 	span.RecordError(err)
 	span.End()
 	if err != nil {
