@@ -90,34 +90,14 @@ func TestDistributionDenominator(t *testing.T) {
 	}
 }
 
-// TestShardRunnersRejectBadInputs pins that both trial-grid runners
-// reject the same malformed inputs instead of coercing them.
-func TestShardRunnersRejectBadInputs(t *testing.T) {
-	ctx := context.Background()
-	curve := func(size, trials, lo, hi int) func() ([]float64, error) {
-		return func() ([]float64, error) {
-			return InfectionCurveShard(ctx, size, []int{1}, trials, 1, 1, lo, hi)
-		}
-	}
-	dist := func(size, denominator, trials, lo, hi int) func() ([]float64, error) {
-		return func() ([]float64, error) {
-			return DistributionShard(ctx, []int{size}, denominator, trials, 1, 1, lo, hi)
-		}
-	}
-	cases := []struct {
-		name string
-		run  func() ([]float64, error)
-	}{
-		{"curve/size 0", curve(0, 1, 0, 2)},
-		{"curve/trials 0", curve(64, 0, 0, 0)},
-		{"curve/range past space", curve(64, 1, 1, 3)},
-		{"curve/negative lo", curve(64, 1, -1, 1)},
-		{"distribution/size 0", dist(0, 16, 1, 0, 3)},
-		{"distribution/trials 0", dist(64, 16, 0, 0, 0)},
-		{"distribution/denominator 0", dist(64, 0, 1, 0, 3)},
-		{"distribution/range past space", dist(64, 16, 1, 2, 4)},
-		{"distribution/inverted range", dist(64, 16, 1, 2, 1)},
-	}
+// shardCase is one malformed input a trial-grid runner must reject.
+type shardCase struct {
+	name string
+	run  func() ([]float64, error)
+}
+
+func runRejectCases(t *testing.T, cases []shardCase) {
+	t.Helper()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := tc.run(); err == nil {
@@ -125,6 +105,39 @@ func TestShardRunnersRejectBadInputs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestInfectionVsHTCountValidation pins that the E3/E4 runner,
+// InfectionCurveShard, rejects malformed inputs instead of coercing them.
+func TestInfectionVsHTCountValidation(t *testing.T) {
+	curve := func(size, trials, lo, hi int) func() ([]float64, error) {
+		return func() ([]float64, error) {
+			return InfectionCurveShard(context.Background(), size, []int{1}, trials, 1, 1, lo, hi)
+		}
+	}
+	runRejectCases(t, []shardCase{
+		{"size 0", curve(0, 1, 0, 2)},
+		{"trials 0", curve(64, 0, 0, 0)},
+		{"range past space", curve(64, 1, 1, 3)},
+		{"negative lo", curve(64, 1, -1, 1)},
+	})
+}
+
+// TestInfectionByDistributionValidation pins that the E5/E6 runner,
+// DistributionShard, rejects malformed inputs instead of coercing them.
+func TestInfectionByDistributionValidation(t *testing.T) {
+	dist := func(size, denominator, trials, lo, hi int) func() ([]float64, error) {
+		return func() ([]float64, error) {
+			return DistributionShard(context.Background(), []int{size}, denominator, trials, 1, 1, lo, hi)
+		}
+	}
+	runRejectCases(t, []shardCase{
+		{"size 0", dist(0, 16, 1, 0, 3)},
+		{"trials 0", dist(64, 16, 0, 0, 0)},
+		{"denominator 0", dist(64, 0, 1, 0, 3)},
+		{"range past space", dist(64, 16, 1, 2, 4)},
+		{"inverted range", dist(64, 16, 1, 2, 1)},
+	})
 }
 
 func TestQVsInfectionRises(t *testing.T) {
