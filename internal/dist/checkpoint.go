@@ -1,29 +1,20 @@
 package dist
 
 import (
-	"bufio"
-	"context"
-	"crypto/sha256"
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
 
 	"repro/internal/campaign"
 	"repro/internal/faultinject"
+	"repro/internal/store"
 )
 
-// This file is the shard checkpoint store: the disk tier under the
-// coordinator's in-memory shard cache, mirroring the job cache's
-// trust-nothing layout (internal/server/cache.go). Each completed shard
-// result is spilled under its content address as result.json plus a
-// sha256 manifest; a read verifies the manifest before trusting the
-// bytes, and a mismatch quarantines the entry (moved aside for
-// post-mortem, never deleted in place) and reports a miss — a corrupt
-// checkpoint degrades to a recompute, never to wrong merged tables.
+// This file is the shard checkpoint encoding: the disk tier under the
+// coordinator's in-memory shard cache keeps each completed shard result
+// as result.json in an internal/store Dir, which verifies it against a
+// sha256 manifest before trusting it and quarantines it when corrupt —
+// a corrupt checkpoint degrades to a recompute, never to wrong merged
+// tables.
 //
 // Checkpointing is strictly best-effort on the write side (a failed
 // spill — including the injected shard.checkpoint.write fault — skips
@@ -33,163 +24,47 @@ import (
 // replayed campaign answers every already-completed shard from here and
 // recomputes only the ones that never finished.
 
-const (
-	// checkpointFile is the serialized campaign.ShardResult.
-	checkpointFile = "result.json"
-	// checkpointSums is the per-entry checksum manifest, same format as
-	// the job cache's manifest.sums.
-	checkpointSums = "manifest.sums"
-	// checkpointQuarantine is the subdirectory corrupt entries move into.
-	checkpointQuarantine = "quarantine"
-)
+// checkpointFile is the serialized campaign.ShardResult.
+const checkpointFile = "result.json"
 
-// checkpointStore persists completed shard results across coordinator
-// restarts. All methods are nil-safe: a coordinator without a
-// checkpoint directory carries a nil store and every call misses or
-// no-ops.
-type checkpointStore struct {
-	dir    string
-	faults *faultinject.Set
-	// mu serialises spills of the same key; distinct keys only contend
-	// on the brief rename.
-	mu sync.Mutex
+// openCheckpoints opens (creating) the checkpoint store rooted at dir;
+// an empty dir disables checkpointing and returns a nil store.
+func openCheckpoints(dir string, faults *faultinject.Set) (*store.Dir, error) {
+	return store.OpenDir(dir, faults, "shard.checkpoint.read", "shard.checkpoint.write", nil)
 }
 
-// newCheckpointStore opens (creating) the store rooted at dir; an empty
-// dir disables checkpointing and returns a nil store.
-func newCheckpointStore(dir string, faults *faultinject.Set) (*checkpointStore, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &checkpointStore{dir: dir, faults: faults}, nil
-}
-
-// get loads one checkpointed shard result, verifying it against its
-// manifest first. Every failure path — injected read fault, missing
-// entry, torn or tampered bytes — degrades to a miss; corruption is
-// additionally quarantined so the recompute does not trip over it again.
-func (s *checkpointStore) get(key string) (campaign.ShardResult, bool) {
+// loadCheckpoint reads one checkpointed shard result. Every failure —
+// no store, injected read fault, missing entry, torn or tampered bytes
+// — degrades to a miss; corruption is also quarantined so the recompute
+// does not trip over it again.
+func loadCheckpoint(d *store.Dir, key string) (campaign.ShardResult, bool) {
 	var r campaign.ShardResult
-	if s == nil {
+	if _, ok := d.Get(key); !ok {
 		return r, false
 	}
-	if err := s.faults.Fire(context.Background(), "shard.checkpoint.read"); err != nil {
-		return r, false
-	}
-	dir := s.entryPath(key)
-	b, err := os.ReadFile(filepath.Join(dir, checkpointFile))
+	f, err := d.Open(key, checkpointFile)
 	if err != nil {
 		return r, false
 	}
-	if err := s.verify(dir, b); err != nil {
-		s.quarantine(key)
-		return r, false
-	}
-	if err := json.Unmarshal(b, &r); err != nil {
-		s.quarantine(key)
+	defer f.Close()
+	if err := json.NewDecoder(f).Decode(&r); err != nil {
+		d.Quarantine(key)
 		return r, false
 	}
 	return r, true
 }
 
-// put spills one completed shard result: result.json plus its manifest
-// written into a temp directory, then renamed into place, so a torn
-// spill is never visible under the entry's final name. Errors
-// (including the injected shard.checkpoint.write fault) leave the shard
-// un-checkpointed — the result still merges, it just recomputes after a
+// saveCheckpoint spills one completed shard result. An error (no store,
+// or an injected shard.checkpoint.write fault) leaves the shard
+// un-checkpointed: the result still merges, it just recomputes after a
 // restart.
-func (s *checkpointStore) put(key string, r *campaign.ShardResult) error {
-	if s == nil {
-		return os.ErrInvalid
-	}
-	if err := s.faults.Fire(context.Background(), "shard.checkpoint.write"); err != nil {
-		return err
-	}
+func saveCheckpoint(d *store.Dir, key string, r *campaign.ShardResult) error {
 	b, err := json.Marshal(r)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tmp, err := os.MkdirTemp(s.dir, "ckpt-*")
-	if err != nil {
+	return d.Put(key, []store.File{{Name: checkpointFile, Write: func(w io.Writer) error {
+		_, err := w.Write(b)
 		return err
-	}
-	defer os.RemoveAll(tmp)
-	f, err := os.Create(filepath.Join(tmp, checkpointFile))
-	if err != nil {
-		return err
-	}
-	// The hash sees every byte marshalled; the file sees what the
-	// (possibly faulty) writer let through. Divergence is exactly what
-	// get's verification must catch.
-	h := sha256.New()
-	_, err = io.MultiWriter(h, s.faults.Writer("shard.checkpoint.write", f)).Write(b)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	sums := fmt.Sprintf("%x  %s\n", h.Sum(nil), checkpointFile)
-	if err := os.WriteFile(filepath.Join(tmp, checkpointSums), []byte(sums), 0o644); err != nil {
-		return err
-	}
-	final := s.entryPath(key)
-	os.RemoveAll(final)
-	return os.Rename(tmp, final)
+	}}})
 }
-
-// verify checks the entry's result bytes against its sha256 manifest.
-func (s *checkpointStore) verify(dir string, body []byte) error {
-	f, err := os.Open(filepath.Join(dir, checkpointSums))
-	if err != nil {
-		return fmt.Errorf("checksum manifest: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		digest, name, ok := strings.Cut(sc.Text(), "  ")
-		if !ok || len(digest) != sha256.Size*2 {
-			return fmt.Errorf("malformed manifest line %q", sc.Text())
-		}
-		if name != checkpointFile {
-			continue
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(body)); got != digest {
-			return fmt.Errorf("%s checksum mismatch (have %.12s, manifest %.12s)", name, got, digest)
-		}
-		return nil
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return fmt.Errorf("%s not in checksum manifest", checkpointFile)
-}
-
-// quarantine moves a corrupt entry into the quarantine subdirectory
-// (falling back to deletion if even the move fails), preserving it for
-// post-mortem rather than destroying the evidence.
-func (s *checkpointStore) quarantine(key string) {
-	qdir := filepath.Join(s.dir, checkpointQuarantine)
-	if err := os.MkdirAll(qdir, 0o755); err == nil {
-		for n := 0; n < 100; n++ {
-			dst := filepath.Join(qdir, fmt.Sprintf("%s-%d", key, n))
-			if _, err := os.Stat(dst); err == nil {
-				continue
-			}
-			if os.Rename(s.entryPath(key), dst) == nil {
-				return
-			}
-			break
-		}
-	}
-	os.RemoveAll(s.entryPath(key))
-}
-
-// entryPath is one key's checkpoint directory (keys are hex
-// fingerprints, safe as path elements).
-func (s *checkpointStore) entryPath(key string) string { return filepath.Join(s.dir, key) }

@@ -72,28 +72,27 @@ import (
 	"repro/internal/histo"
 	"repro/internal/obs"
 	"repro/internal/results"
+	"repro/internal/store"
 )
 
 // ShardPath is the worker endpoint shards are POSTed to.
 const ShardPath = "/v1/shards"
 
-// NDJSONContentType marks a streamed shard response: newline-delimited
-// StreamFrame objects instead of one ShardResult document.
+// NDJSONContentType marks a shard response: newline-delimited
+// StreamFrame objects.
 const NDJSONContentType = "application/x-ndjson"
 
 // ShardRequest is the wire form of one shard dispatch. Revision and Go
 // fingerprint the coordinator's build; a worker on a different build
 // must reject the shard rather than contribute bytes from a divergent
 // simulator. Traceparent, when set, names the coordinator's dispatch
-// span so the worker's spans stitch into the same trace; Stream asks
-// for the NDJSON response (epoch frames live, then the result) instead
-// of the legacy single-document reply.
+// span so the worker's spans stitch into the same trace. The worker
+// answers with an NDJSON stream of StreamFrames.
 type ShardRequest struct {
 	Revision    string         `json:"revision"`
 	Go          string         `json:"go"`
 	Shard       campaign.Shard `json:"shard"`
 	Traceparent string         `json:"traceparent,omitempty"`
-	Stream      bool           `json:"stream,omitempty"`
 }
 
 // EpochFrame is one per-epoch Observer sample a worker relays back
@@ -162,9 +161,6 @@ type Options struct {
 	// negative disables). A hung worker costs one attempt, not the
 	// campaign.
 	ShardTimeout time.Duration
-	// CacheShards sizes the coordinator's shard-result cache (default
-	// 512 entries; negative disables caching).
-	CacheShards int
 	// Client is the HTTP client for dispatches and probes (default: a
 	// plain http.Client; per-attempt deadlines come from ShardTimeout).
 	Client *http.Client
@@ -216,9 +212,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ShardTimeout == 0 {
 		o.ShardTimeout = 5 * time.Minute
-	}
-	if o.CacheShards == 0 {
-		o.CacheShards = 512
 	}
 	if o.Client == nil {
 		o.Client = &http.Client{}
@@ -293,23 +286,28 @@ type Coordinator struct {
 	// adaptive hedging.
 	latency *histo.Histogram
 
-	cache *shardCache
-	ckpt  *checkpointStore
+	// cache memoizes completed shard results by content address; ckpt
+	// (nil without a checkpoint directory) is its disk tier.
+	cache *store.LRU[campaign.ShardResult]
+	ckpt  *store.Dir
 
 	hedgeMismatches atomic.Int64
 }
+
+// shardCacheEntries sizes the coordinator's shard-result cache.
+const shardCacheEntries = 512
 
 // New builds a Coordinator over the given options, creating the
 // checkpoint directory when configured.
 func New(opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
-	ckpt, err := newCheckpointStore(opts.CheckpointDir, opts.Faults)
+	ckpt, err := openCheckpoints(opts.CheckpointDir, opts.Faults)
 	if err != nil {
 		return nil, fmt.Errorf("dist: checkpoint dir: %w", err)
 	}
 	c := &Coordinator{
 		opts:    opts,
-		cache:   newShardCache(opts.CacheShards),
+		cache:   store.NewLRU[campaign.ShardResult](shardCacheEntries),
 		ckpt:    ckpt,
 		latency: histo.Exponential(0.001, 2, 18),
 	}
@@ -679,7 +677,7 @@ func (c *Coordinator) runShard(ctx context.Context, sh campaign.Shard, planIndex
 	span.SetAttr("shard", sh.String())
 	defer span.End()
 	key := shardKey(sh)
-	if r, ok := c.cache.get(key); ok {
+	if r, ok := c.cache.Get(key); ok {
 		if c.opts.Observe.CacheHit != nil {
 			c.opts.Observe.CacheHit()
 		}
@@ -690,14 +688,14 @@ func (c *Coordinator) runShard(ctx context.Context, sh campaign.Shard, planIndex
 		r.Shard = sh
 		return &r, nil
 	}
-	if r, ok := c.ckpt.get(key); ok {
+	if r, ok := loadCheckpoint(c.ckpt, key); ok {
 		// The shard completed before a restart: resume from the
 		// checkpoint (re-warming the memory cache) instead of recomputing.
 		if c.opts.Observe.Resumed != nil {
 			c.opts.Observe.Resumed()
 		}
 		span.SetAttr("source", "checkpoint")
-		c.cache.put(key, r)
+		c.cache.Put(key, r)
 		r.Shard = sh
 		return &r, nil
 	}
@@ -719,8 +717,8 @@ func (c *Coordinator) runShard(ctx context.Context, sh campaign.Shard, planIndex
 		}
 		r, err := c.dispatchHedged(ctx, primary, secondary, sh, planIndex, attempt, sink)
 		if err == nil {
-			c.cache.put(key, *r)
-			if c.ckpt != nil && c.ckpt.put(key, r) == nil && c.opts.Observe.Checkpointed != nil {
+			c.cache.Put(key, *r)
+			if c.ckpt != nil && saveCheckpoint(c.ckpt, key, r) == nil && c.opts.Observe.Checkpointed != nil {
 				c.opts.Observe.Checkpointed()
 			}
 			return r, nil
@@ -864,14 +862,11 @@ func (c *Coordinator) auditLoser(ch <-chan dispatchOutcome, winner *campaign.Sha
 // byte-identical — zero unless shard determinism is broken.
 func (c *Coordinator) HedgeMismatches() int64 { return c.hedgeMismatches.Load() }
 
-// dispatch POSTs one shard to one worker and decodes the result. The
-// dist.dispatch fault point fires first: an injected error is a failed
-// attempt, exercising the redispatch path without a real dead worker.
-// With a progress sink or a live span the request asks for the NDJSON
-// stream (epoch frames relayed live, the worker's span subtree grafted
-// under this attempt's span); the coordinator branches on the response
-// content type, so a worker answering the legacy single document —
-// Stream unset, or an older build behind a proxy — still merges.
+// dispatch POSTs one shard to one worker and decodes the streamed
+// result: epoch frames relay live through the sink and the worker's
+// span subtree grafts under this attempt's span. The dist.dispatch
+// fault point fires first: an injected error is a failed attempt,
+// exercising the redispatch path without a real dead worker.
 func (c *Coordinator) dispatch(ctx context.Context, workerURL string, sh campaign.Shard, planIndex int, sink *progressSink, span *obs.Span) (*campaign.ShardResult, error) {
 	if err := c.opts.Faults.Fire(ctx, "dist.dispatch"); err != nil {
 		return nil, err
@@ -884,13 +879,11 @@ func (c *Coordinator) dispatch(ctx context.Context, workerURL string, sh campaig
 		ctx, cancel = context.WithTimeout(ctx, c.opts.ShardTimeout)
 		defer cancel()
 	}
-	stream := sink != nil || span != nil
 	body, err := json.Marshal(ShardRequest{
 		Revision:    results.Revision(),
 		Go:          runtime.Version(),
 		Shard:       sh,
 		Traceparent: span.Traceparent(),
-		Stream:      stream,
 	})
 	if err != nil {
 		return nil, err
@@ -911,22 +904,16 @@ func (c *Coordinator) dispatch(ctx context.Context, workerURL string, sh campaig
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("shard rejected: %s: %s", resp.Status, errorBody(resp.Body))
 	}
-	var r campaign.ShardResult
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), NDJSONContentType) {
-		res, err := c.consumeStream(resp.Body, planIndex, sink, span)
-		if err != nil {
-			return nil, err
-		}
-		r = *res
-	} else if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
-		return nil, fmt.Errorf("decode shard result: %w", err)
+	r, err := c.consumeStream(resp.Body, planIndex, sink, span)
+	if err != nil {
+		return nil, err
 	}
 	if r.Shard.Lo != sh.Lo || r.Shard.Hi != sh.Hi || r.Shard.Experiment.ID != sh.Experiment.ID {
 		return nil, fmt.Errorf("worker answered for shard %s, asked for %s", r.Shard, sh)
 	}
 	// Trust the request's identity, not the echo: merges key on ExpIndex.
 	r.Shard = sh
-	return &r, nil
+	return r, nil
 }
 
 // consumeStream drains a streamed shard response: epoch frames forward
@@ -984,66 +971,4 @@ func shardKey(sh campaign.Shard) string {
 		Revision   string                  `json:"revision"`
 		Go         string                  `json:"go"`
 	}{sh.Experiment, sh.Seed, sh.Lo, sh.Hi, sh.Count, results.Revision(), runtime.Version()})
-}
-
-// shardCache is a small LRU of completed shard results keyed by content
-// address. It holds decoded payloads (raw vectors or table JSON), which
-// for the paper campaigns are tiny next to the compute they memoize.
-type shardCache struct {
-	mu      sync.Mutex
-	entries map[string]campaign.ShardResult
-	order   []string // LRU: oldest first
-	max     int
-}
-
-// newShardCache builds a cache holding up to max entries (max < 0
-// disables caching).
-func newShardCache(max int) *shardCache {
-	if max < 0 {
-		max = 0
-	}
-	return &shardCache{entries: make(map[string]campaign.ShardResult), max: max}
-}
-
-// get returns a cached result and refreshes its recency.
-func (s *shardCache) get(key string) (campaign.ShardResult, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.entries[key]
-	if ok {
-		s.touchLocked(key)
-	}
-	return r, ok
-}
-
-// put stores a result, evicting the least recently used entry at
-// capacity.
-func (s *shardCache) put(key string, r campaign.ShardResult) {
-	if s.max == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
-		s.entries[key] = r
-		s.touchLocked(key)
-		return
-	}
-	for len(s.entries) >= s.max && len(s.order) > 0 {
-		oldest := s.order[0]
-		s.order = s.order[1:]
-		delete(s.entries, oldest)
-	}
-	s.entries[key] = r
-	s.order = append(s.order, key)
-}
-
-// touchLocked moves key to the most-recent end; s.mu held.
-func (s *shardCache) touchLocked(key string) {
-	for i, k := range s.order {
-		if k == key {
-			s.order = append(append(s.order[:i:i], s.order[i+1:]...), key)
-			return
-		}
-	}
 }

@@ -34,33 +34,6 @@ func TestAddWorkerNormalisesAndDedupes(t *testing.T) {
 	}
 }
 
-func TestShardCacheLRU(t *testing.T) {
-	c := newShardCache(2)
-	r := func(id string) campaign.ShardResult {
-		return campaign.ShardResult{Shard: campaign.Shard{Experiment: campaign.ExperimentSpec{ID: id}}}
-	}
-	c.put("a", r("A"))
-	c.put("b", r("B"))
-	if _, ok := c.get("a"); !ok { // refresh a's recency
-		t.Fatal("a missing")
-	}
-	c.put("c", r("C")) // evicts b, the least recently used
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b survived eviction past capacity")
-	}
-	for _, k := range []string{"a", "c"} {
-		if _, ok := c.get(k); !ok {
-			t.Fatalf("%s evicted, want retained", k)
-		}
-	}
-
-	disabled := newShardCache(-1)
-	disabled.put("x", r("X"))
-	if _, ok := disabled.get("x"); ok {
-		t.Fatal("disabled cache stored an entry")
-	}
-}
-
 func TestShardKeyIgnoresCampaignPosition(t *testing.T) {
 	sh := campaign.Shard{
 		ExpIndex:   0,

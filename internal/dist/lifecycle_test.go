@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/faultinject"
+	"repro/internal/store"
 )
 
 // This file covers the durability-and-lifecycle layer of the
@@ -35,9 +36,10 @@ func mustParseFaults(t *testing.T, spec string) *faultinject.Set {
 }
 
 // shardWorker boots a fake worker that actually executes shards (no
-// build-fingerprint check — both sides of these tests are one binary).
-// beforeRun, when non-nil, runs before each shard execution (a sleep
-// makes a straggler).
+// build-fingerprint check — both sides of these tests are one binary)
+// and answers with the terminal result frame alone. beforeRun, when
+// non-nil, runs before each shard execution (a sleep makes a
+// straggler).
 func shardWorker(t *testing.T, beforeRun func()) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -54,7 +56,7 @@ func shardWorker(t *testing.T, beforeRun func()) *httptest.Server {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		json.NewEncoder(w).Encode(res)
+		json.NewEncoder(w).Encode(StreamFrame{Result: res})
 	}))
 	t.Cleanup(ts.Close)
 	return ts
@@ -171,48 +173,48 @@ func TestRegisterStableIDAndRemove(t *testing.T) {
 // manifest, quarantined for post-mortem, and reported as a miss.
 func TestCheckpointStoreRoundTripAndQuarantine(t *testing.T) {
 	dir := t.TempDir()
-	s, err := newCheckpointStore(dir, nil)
+	s, err := openCheckpoints(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := &campaign.ShardResult{Shard: campaign.Shard{Experiment: campaign.ExperimentSpec{ID: "E1"}, Lo: 0, Hi: 2}}
-	if err := s.put("k1", r); err != nil {
+	if err := saveCheckpoint(s, "k1", r); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.get("k1")
+	got, ok := loadCheckpoint(s, "k1")
 	if !ok || got.Shard.Experiment.ID != "E1" || got.Shard.Hi != 2 {
 		t.Fatalf("round trip = (%+v, %v), want the stored result", got, ok)
 	}
 
 	// Tamper: flip bytes in the entry; the manifest must catch it.
-	path := filepath.Join(s.entryPath("k1"), checkpointFile)
+	path := filepath.Join(dir, "k1", checkpointFile)
 	if err := os.WriteFile(path, []byte(`{"shard":{}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.get("k1"); ok {
+	if _, ok := loadCheckpoint(s, "k1"); ok {
 		t.Fatal("tampered checkpoint served as trusted")
 	}
-	if _, err := os.Stat(filepath.Join(dir, checkpointQuarantine, "k1-0")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, store.QuarantineDir, "k1-0")); err != nil {
 		t.Fatalf("tampered entry not quarantined: %v", err)
 	}
-	if _, ok := s.get("k1"); ok {
+	if _, ok := loadCheckpoint(s, "k1"); ok {
 		t.Fatal("quarantined entry still readable under its key")
 	}
 	// The key is reusable after quarantine.
-	if err := s.put("k1", r); err != nil {
+	if err := saveCheckpoint(s, "k1", r); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.get("k1"); !ok {
+	if _, ok := loadCheckpoint(s, "k1"); !ok {
 		t.Fatal("re-spill after quarantine missed")
 	}
 
 	// A nil store (no checkpoint dir) misses and refuses puts, never
 	// panics.
-	var nilStore *checkpointStore
-	if _, ok := nilStore.get("k"); ok {
+	var nilStore *store.Dir
+	if _, ok := loadCheckpoint(nilStore, "k"); ok {
 		t.Fatal("nil store hit")
 	}
-	if err := nilStore.put("k", r); err == nil {
+	if err := saveCheckpoint(nilStore, "k", r); err == nil {
 		t.Fatal("nil store accepted a put")
 	}
 }
@@ -222,28 +224,28 @@ func TestCheckpointStoreRoundTripAndQuarantine(t *testing.T) {
 // read fault degrades to a miss.
 func TestCheckpointFaultPoints(t *testing.T) {
 	r := &campaign.ShardResult{Shard: campaign.Shard{Experiment: campaign.ExperimentSpec{ID: "E1"}}}
-	sw, err := newCheckpointStore(t.TempDir(), mustParseFaults(t, "shard.checkpoint.write:error:times=1"))
+	sw, err := openCheckpoints(t.TempDir(), mustParseFaults(t, "shard.checkpoint.write:error:times=1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.put("k", r); err == nil {
+	if err := saveCheckpoint(sw, "k", r); err == nil {
 		t.Fatal("put under write fault succeeded")
 	}
-	if err := sw.put("k", r); err != nil {
+	if err := saveCheckpoint(sw, "k", r); err != nil {
 		t.Fatalf("put after fault spent: %v", err)
 	}
 
-	sr, err := newCheckpointStore(t.TempDir(), mustParseFaults(t, "shard.checkpoint.read:error:times=1"))
+	sr, err := openCheckpoints(t.TempDir(), mustParseFaults(t, "shard.checkpoint.read:error:times=1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sr.put("k", r); err != nil {
+	if err := saveCheckpoint(sr, "k", r); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sr.get("k"); ok {
+	if _, ok := loadCheckpoint(sr, "k"); ok {
 		t.Fatal("get under read fault hit")
 	}
-	if _, ok := sr.get("k"); !ok {
+	if _, ok := loadCheckpoint(sr, "k"); !ok {
 		t.Fatal("get after fault spent missed")
 	}
 }

@@ -1,20 +1,12 @@
 package server
 
 import (
-	"bufio"
-	"container/list"
-	"context"
-	"crypto/sha256"
-	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/faultinject"
 	"repro/internal/results"
+	"repro/internal/store"
 )
 
 // This file is the content-addressed result cache: finished jobs are
@@ -22,274 +14,47 @@ import (
 // the binary's VCS revision, and the Go toolchain, so an identical
 // submission returns instantly without re-simulation. Entries live in an
 // in-memory LRU holding the typed tables; when a cache directory is
-// configured, every entry is also spilled to disk as fully rendered
-// artifacts, surviving both LRU eviction and server restarts.
-//
-// The disk tier assumes it will be corrupted: every spill writes a
-// sha256 manifest alongside the artifacts, and diskLoad verifies each
-// file against it before trusting the entry. A truncated, bit-flipped,
-// or manifest-less entry is quarantined (moved aside for post-mortem,
-// never deleted in place) and reported as a miss, so the job recomputes
-// and respills — a corrupt cache degrades to a slower answer, never a
-// wrong artifact or a 500.
+// configured, every entry is also spilled to an internal/store disk tier
+// as fully rendered artifacts, surviving both LRU eviction and server
+// restarts. The store verifies each spilled entry against its sha256
+// manifest before trusting it and quarantines one that was torn or
+// tampered with, so a corrupt cache degrades to a recompute — never a
+// wrong artifact or a 500. The store's manifest.sums is outside
+// artifactName's namespace, so it can never be fetched as an artifact.
 
-// sumsFile is the per-entry checksum manifest name. Its extension is
-// deliberately outside the artifact namespace (artifactName rejects it),
-// so it can never be fetched or collide with a table rendering.
-const sumsFile = "manifest.sums"
-
-// quarantineDir is the subdirectory corrupt entries are moved into.
-const quarantineDir = "quarantine"
-
-// cacheEntry is one cached result set.
-type cacheEntry struct {
-	key    string
-	tables []results.Table
-}
-
-// cache is a thread-safe LRU of result tables with optional disk spill.
+// cache pairs the memory tier of typed tables with the optional disk
+// tier of their renderings.
 type cache struct {
-	mu       sync.Mutex
-	capacity int
-	ll       *list.List // front = most recently used
-	index    map[string]*list.Element
-	dir      string // "" disables the disk tier
-	faults   *faultinject.Set
-	// onCorrupt reports each quarantined disk entry (wired to the
-	// service's cache_corrupt_quarantined counter; never nil).
-	onCorrupt func()
+	mem  *store.LRU[[]results.Table]
+	disk *store.Dir // nil without a cache directory
 }
 
-// newCache returns an empty cache of the given capacity (entries below 1
-// are clamped to 1) spilling into dir when non-empty. faults may be nil;
-// onCorrupt (the quarantine hook, shared with /v1/metrics) may be nil
-// and is then a no-op.
-func newCache(capacity int, dir string, faults *faultinject.Set, onCorrupt func()) *cache {
-	if capacity < 1 {
-		capacity = 1
+// newCache returns an empty cache of the given capacity spilling into
+// dir (created if missing) when non-empty. faults may be nil; onCorrupt
+// (the quarantine hook, shared with /v1/metrics) may be nil.
+func newCache(capacity int, dir string, faults *faultinject.Set, onCorrupt func()) (*cache, error) {
+	disk, err := store.OpenDir(dir, faults, "cache.disk.read", "cache.disk.write", onCorrupt)
+	if err != nil {
+		return nil, err
 	}
-	if onCorrupt == nil {
-		onCorrupt = func() {}
-	}
-	return &cache{
-		capacity:  capacity,
-		ll:        list.New(),
-		index:     make(map[string]*list.Element),
-		dir:       dir,
-		faults:    faults,
-		onCorrupt: onCorrupt,
-	}
+	return &cache{mem: store.NewLRU[[]results.Table](capacity), disk: disk}, nil
 }
 
-// get returns the cached tables for key, promoting the entry to
-// most-recently-used.
-func (c *cache) get(key string) ([]results.Table, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.index[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).tables, true
-}
-
-// put stores tables under key, evicting the least-recently-used entry
-// beyond capacity and spilling rendered artifacts to the disk tier.
+// put stores tables under key in memory and, with a disk tier, spills
+// every table in every format as {table}.{format}.
 func (c *cache) put(key string, tables []results.Table) error {
-	c.mu.Lock()
-	if el, ok := c.index[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).tables = tables
-	} else {
-		c.index[key] = c.ll.PushFront(&cacheEntry{key: key, tables: tables})
-		if c.ll.Len() > c.capacity {
-			last := c.ll.Back()
-			c.ll.Remove(last)
-			delete(c.index, last.Value.(*cacheEntry).key)
-		}
-	}
-	c.mu.Unlock()
-	if c.dir == "" {
+	c.mem.Put(key, tables)
+	if c.disk == nil {
 		return nil
 	}
-	return c.spill(key, tables)
-}
-
-// spill renders every table in every format into dir/key, plus a sha256
-// manifest over the rendered bytes. A partially written entry is never
-// visible to a well-behaved filesystem: artifacts are written into a
-// temporary directory and renamed into place — and if the filesystem
-// does tear a write (simulated by the cache.disk.write partial-write
-// fault), the manifest mismatch quarantines the entry at load time.
-func (c *cache) spill(key string, tables []results.Table) error {
-	if err := c.faults.Fire(context.Background(), "cache.disk.write"); err != nil {
-		return err
-	}
-	tmp, err := os.MkdirTemp(c.dir, "spill-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-	var sums strings.Builder
+	var files []store.File
 	for _, t := range tables {
 		base := strings.ToLower(t.TableMeta().Experiment)
 		for _, format := range results.Formats() {
-			name := base + "." + format
-			f, err := os.Create(filepath.Join(tmp, name))
-			if err != nil {
-				return err
-			}
-			// The hash sees every byte the renderer produced; the file sees
-			// what the (possibly faulty) writer let through. Any divergence
-			// is exactly what verification must catch.
-			h := sha256.New()
-			err = results.WriteFormat(io.MultiWriter(h, c.faults.Writer("cache.disk.write", f)), t, format)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(&sums, "%x  %s\n", h.Sum(nil), name)
+			files = append(files, store.File{Name: base + "." + format, Write: func(w io.Writer) error {
+				return results.WriteFormat(w, t, format)
+			}})
 		}
 	}
-	if err := os.WriteFile(filepath.Join(tmp, sumsFile), []byte(sums.String()), 0o644); err != nil {
-		return err
-	}
-	final := c.diskPath(key)
-	os.RemoveAll(final)
-	return os.Rename(tmp, final)
+	return c.disk.Put(key, files)
 }
-
-// diskLoad reports whether key exists in the disk tier and the artifact
-// file names it holds, sorted. Every file is verified against the
-// entry's sha256 manifest first: a missing manifest, an unlisted or
-// missing file, or a digest mismatch quarantines the whole entry and
-// reports a miss, so the caller recomputes instead of serving bytes that
-// were torn or tampered with.
-func (c *cache) diskLoad(key string) ([]string, bool) {
-	if c.dir == "" {
-		return nil, false
-	}
-	if err := c.faults.Fire(context.Background(), "cache.disk.read"); err != nil {
-		// An injected read failure is indistinguishable from a dying disk:
-		// degrade to a miss, never to an error.
-		return nil, false
-	}
-	dir := c.diskPath(key)
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) == 0 {
-		return nil, false
-	}
-	names, err := c.verify(dir, entries)
-	if err != nil {
-		c.quarantine(key, err)
-		return nil, false
-	}
-	return names, true
-}
-
-// verify checks every artifact in dir against its manifest and returns
-// the sorted artifact names. Any inconsistency is an error describing
-// the first corruption found.
-func (c *cache) verify(dir string, entries []os.DirEntry) ([]string, error) {
-	sums, err := readSums(filepath.Join(dir, sumsFile))
-	if err != nil {
-		return nil, fmt.Errorf("checksum manifest: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || e.Name() == sumsFile {
-			continue
-		}
-		want, ok := sums[e.Name()]
-		if !ok {
-			return nil, fmt.Errorf("%s not in checksum manifest", e.Name())
-		}
-		if got, err := fileSum(filepath.Join(dir, e.Name())); err != nil {
-			return nil, err
-		} else if got != want {
-			return nil, fmt.Errorf("%s checksum mismatch (have %.12s, manifest %.12s)", e.Name(), got, want)
-		}
-		delete(sums, e.Name())
-		names = append(names, e.Name())
-	}
-	for name := range sums {
-		return nil, fmt.Errorf("%s listed in manifest but missing", name)
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("entry holds no artifacts")
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// readSums parses a manifest of "hex  name" lines.
-func readSums(path string) (map[string]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sums := make(map[string]string)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		digest, name, ok := strings.Cut(sc.Text(), "  ")
-		if !ok || len(digest) != sha256.Size*2 || name == "" {
-			return nil, fmt.Errorf("malformed line %q", sc.Text())
-		}
-		sums[name] = digest
-	}
-	return sums, sc.Err()
-}
-
-// fileSum computes one file's sha256 hex digest.
-func fileSum(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
-}
-
-// quarantine moves a corrupt entry into the quarantine subdirectory
-// (falling back to deletion if even the move fails) and counts it. The
-// entry is preserved for post-mortem rather than destroyed.
-func (c *cache) quarantine(key string, cause error) {
-	c.onCorrupt()
-	qdir := filepath.Join(c.dir, quarantineDir)
-	if err := os.MkdirAll(qdir, 0o755); err == nil {
-		for n := 0; n < 100; n++ {
-			dst := filepath.Join(qdir, fmt.Sprintf("%s-%d", key, n))
-			if _, err := os.Stat(dst); err == nil {
-				continue
-			}
-			if os.Rename(c.diskPath(key), dst) == nil {
-				return
-			}
-			break
-		}
-	}
-	os.RemoveAll(c.diskPath(key))
-}
-
-// diskOpen opens one spilled artifact file for streaming.
-func (c *cache) diskOpen(key, name string) (io.ReadCloser, error) {
-	if c.dir == "" {
-		return nil, fmt.Errorf("server: no cache directory configured")
-	}
-	if err := c.faults.Fire(context.Background(), "cache.disk.read"); err != nil {
-		return nil, err
-	}
-	return os.Open(filepath.Join(c.diskPath(key), name))
-}
-
-// diskPath is the spill directory of one key (keys are hex fingerprints,
-// safe as path elements).
-func (c *cache) diskPath(key string) string { return filepath.Join(c.dir, key) }

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/faultinject"
+	"repro/internal/store"
 )
 
 // This file is the chaos suite: every fault point the service registers
@@ -212,7 +213,7 @@ func TestChaosCorruptDiskEntryQuarantined(t *testing.T) {
 	}
 	corrupted := false
 	for _, e := range entries {
-		if !e.IsDir() || e.Name() == quarantineDir {
+		if !e.IsDir() || e.Name() == store.QuarantineDir {
 			continue
 		}
 		target := filepath.Join(cacheDir, e.Name(), "e3.csv")
@@ -238,7 +239,7 @@ func TestChaosCorruptDiskEntryQuarantined(t *testing.T) {
 	if got := metricsSnapshot(t, ts2.URL)["cache_corrupt_quarantined"].(float64); got < 1 {
 		t.Errorf("cache_corrupt_quarantined = %v, want >= 1", got)
 	}
-	if qs, err := os.ReadDir(filepath.Join(cacheDir, quarantineDir)); err != nil || len(qs) == 0 {
+	if qs, err := os.ReadDir(filepath.Join(cacheDir, store.QuarantineDir)); err != nil || len(qs) == 0 {
 		t.Errorf("quarantine directory missing or empty (err %v)", err)
 	}
 	// The recomputed entry is a healthy disk hit for the next server.

@@ -170,8 +170,11 @@ func TestShardEndpointRejectsBuildMismatch(t *testing.T) {
 // per-worker sweep in the body; restoring quorum restores readiness.
 func TestHealthzWorkerPoolQuorum(t *testing.T) {
 	live := newWorkerPool(t, 1, nil)[0]
+	// The dead worker keeps its port for the whole test and answers 404
+	// to the liveness probe; closing it would free the port for one of
+	// the servers below to bind and answer 200.
 	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close() // connection refused from here on
+	t.Cleanup(dead.Close)
 
 	// One live worker of one registered: quorum 1, ready.
 	_, coord := newTestServer(t, Options{Workers: 1, WorkerURLs: []string{live}})

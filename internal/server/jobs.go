@@ -517,7 +517,7 @@ func (m *manager) submit(j *job) error {
 	// Cache tiers are consulted before the queue: an identical submission
 	// returns instantly, without occupying a queue slot or a worker.
 	cspan := j.trace.StartChild("cache.lookup")
-	if tables, ok := m.cache.get(j.cacheKey); ok {
+	if tables, ok := m.cache.mem.Get(j.cacheKey); ok {
 		cspan.SetAttr("tier", "memory")
 		cspan.End()
 		m.register(j)
@@ -527,7 +527,7 @@ func (m *manager) submit(j *job) error {
 		j.finish(jobDone, tables, nil, "memory", "")
 		return nil
 	}
-	if files, ok := m.cache.diskLoad(j.cacheKey); ok {
+	if files, ok := m.cache.disk.Get(j.cacheKey); ok {
 		cspan.SetAttr("tier", "disk")
 		cspan.End()
 		m.register(j)
@@ -711,9 +711,9 @@ func (m *manager) dispatch() {
 		if j == nil {
 			return
 		}
-		// The dispatcher is the queue's only consumer, so ending the
-		// queue.wait span here is race-free; its duration feeds the
-		// queue-vs-run latency attribution histogram.
+		// A popped job is the dispatcher's alone (cancelJob can no longer
+		// remove it), so ending the queue.wait span here is race-free; its
+		// duration feeds the queue-vs-run latency attribution histogram.
 		if j.queueSpan != nil {
 			j.queueSpan.End()
 			m.metrics.observeQueueWait(j.queueSpan.Duration())
@@ -898,6 +898,12 @@ func (m *manager) cancelJob(id string) (found bool, err error) {
 	j.mu.Lock()
 	switch j.state {
 	case jobQueued:
+		// Free the queue slot now, not when the dispatcher pops the dead
+		// job: admission, readiness and Retry-After all count it. Only
+		// whoever takes the job off the queue ends its queue.wait span.
+		if m.queue.remove(j) {
+			j.queueSpan.End()
+		}
 		// The transition happens inside the same critical section begin()
 		// checks, so the dispatcher can never start a job whose DELETE was
 		// acknowledged.

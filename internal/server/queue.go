@@ -127,6 +127,22 @@ func (q *laneQueue) pop(ctx context.Context) *job {
 	}
 }
 
+// remove takes j out of its lane, reporting whether it was still there
+// (the dispatcher may already have popped it; single-flight followers
+// never enter a lane).
+func (q *laneQueue) remove(j *job) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for i, qj := range q.lanes[j.lane] {
+		if qj == j {
+			q.lanes[j.lane] = append(q.lanes[j.lane][:i], q.lanes[j.lane][i+1:]...)
+			q.n--
+			return true
+		}
+	}
+	return false
+}
+
 // len reports queued jobs across all lanes.
 func (q *laneQueue) len() int {
 	q.mu.Lock()

@@ -202,19 +202,18 @@ type Server struct {
 // mid-replay leaves the previous journal intact to replay again.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
-	if opts.CacheDir != "" {
-		if err := os.MkdirAll(opts.CacheDir, 0o755); err != nil {
-			return nil, fmt.Errorf("server: cache dir: %w", err)
-		}
-	}
 	metrics := newCounters()
 	logger := opts.Logger
+	c, err := newCache(opts.CacheEntries, opts.CacheDir, opts.Faults, func() {
+		metrics.inc(&metrics.cacheCorrupt)
+		logger.Warn("corrupt disk-cache entry quarantined")
+	})
+	if err != nil {
+		return nil, fmt.Errorf("server: cache dir: %w", err)
+	}
 	s := &Server{
-		opts: opts,
-		cache: newCache(opts.CacheEntries, opts.CacheDir, opts.Faults, func() {
-			metrics.inc(&metrics.cacheCorrupt)
-			logger.Warn("corrupt disk-cache entry quarantined")
-		}),
+		opts:    opts,
+		cache:   c,
 		metrics: metrics,
 		faults:  opts.Faults,
 		logger:  logger,
@@ -569,7 +568,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if fromDisk {
-		f, err := s.cache.diskOpen(j.cacheKey, base+"."+format)
+		f, err := s.cache.disk.Open(j.cacheKey, base+"."+format)
 		if err != nil {
 			writeError(w, http.StatusNotFound, errors.New("no such artifact"))
 			return

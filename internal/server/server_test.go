@@ -388,6 +388,43 @@ func TestConcurrentSubmitIDs(t *testing.T) {
 	}
 }
 
+// TestCancelQueuedJobFreesItsSlot: cancelling a queued job frees its
+// queue slot at once, so readiness and admission never wait for the
+// dispatcher to pop the dead job. The dispatcher is stopped, as in
+// TestConcurrentSubmitIDs, so nothing else drains the queue.
+func TestCancelQueuedJobFreesItsSlot(t *testing.T) {
+	svc, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	svc.jobs.stop()
+	svc.jobs.wg.Wait()
+	healthz := func() int {
+		resp, err := http.Get(ts.URL + "/v1/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	sim := `{"cores":16,"threads":4,"hts":1,"epochs":4,"seed":%d,"workers":1}`
+	st := postJSON(t, ts.URL+"/v1/sims", fmt.Sprintf(sim, 1), http.StatusAccepted)
+	if code := healthz(); code != http.StatusServiceUnavailable {
+		t.Fatalf("full-queue healthz = %d, want 503", code)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("DELETE queued job = %d, want 202", resp.StatusCode)
+	}
+	if code := healthz(); code != http.StatusOK {
+		t.Fatalf("healthz after cancelling the only queued job = %d, want 200", code)
+	}
+	postJSON(t, ts.URL+"/v1/sims", fmt.Sprintf(sim, 2), http.StatusAccepted)
+}
+
 // TestDiskSpillSurvivesEvictionAndRestart configures a one-entry memory
 // cache with a disk tier: after eviction (and after a fresh server over
 // the same directory), an identical submission is a disk hit served

@@ -22,12 +22,13 @@ import (
 
 // This file is the distributed-execution HTTP surface. Every htserved
 // instance is a capable worker: POST /v1/shards executes one campaign
-// shard synchronously and returns its payload (raw per-cell values or a
-// whole typed table — see internal/campaign/shard.go). A server built
-// with coordinator options additionally exposes POST/GET /v1/workers so
-// workers can join the pool at runtime (`htserved -worker
-// -coordinator=URL`), and its campaign jobs execute through
-// internal/dist instead of the local builder.
+// shard synchronously and streams back its epochs and payload (raw
+// per-cell values or a whole typed table — see
+// internal/campaign/shard.go). A server built with coordinator options
+// additionally exposes POST/GET /v1/workers so workers can join the
+// pool at runtime (`htserved -worker -coordinator=URL`), and its
+// campaign jobs execute through internal/dist instead of the local
+// builder.
 
 // handleRunShard executes one shard on this worker. Execution is
 // synchronous — the coordinator holds the request open — and bounded by
@@ -37,13 +38,12 @@ import (
 // from heterogeneous builds would silently break the byte-identity
 // contract.
 //
-// A request with Stream set is answered as NDJSON: per-epoch frames
-// flushed live while the shard runs, then one terminal frame carrying
-// the result (plus this worker's span subtree, rooted under the
-// coordinator's Traceparent) or the error. Requests without Stream get
-// the legacy single-document reply. Pre-execution rejections (bad
-// request, build mismatch, gate refusal, shard.run fault) answer plain
-// HTTP errors in both modes — streaming begins only once execution does.
+// The reply is NDJSON: per-epoch frames flushed live while the shard
+// runs, then one terminal frame carrying the result (plus this worker's
+// span subtree, rooted under the coordinator's Traceparent) or the
+// error. Pre-execution rejections (bad request, build mismatch, gate
+// refusal, shard.run fault) answer plain HTTP errors — streaming begins
+// only once execution does.
 func (s *Server) handleRunShard(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
@@ -80,16 +80,6 @@ func (s *Server) handleRunShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.jobs.gate.Release()
-	if !req.Stream {
-		res, err := campaign.RunShard(r.Context(), req.Shard, s.opts.Workers, nil)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		s.metrics.inc(&s.metrics.shardsExecuted)
-		writeJSON(w, http.StatusOK, res)
-		return
-	}
 	s.streamShard(w, r, req)
 }
 
