@@ -35,8 +35,9 @@
 // adaptive p99 of observed dispatch latency) without an answer, the
 // shard is speculatively redispatched to a second worker and the first
 // byte-complete result wins; the loser is audited byte-for-byte
-// against the winner (HedgeMismatches), because shard execution is
+// against the winner (Stats.HedgeMismatches), because shard execution is
 // deterministic per build and any divergence is a bug worth counting.
+// The coordinator counts these shard events itself; Stats snapshots them.
 //
 // Chaos coverage reuses internal/faultinject: the dist.dispatch point
 // fires before every dispatch attempt (an injected error is a failed
@@ -56,13 +57,13 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"math/rand"
 	"net/http"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -117,31 +118,23 @@ type StreamFrame struct {
 	Error  string                `json:"error,omitempty"`
 }
 
-// Observe carries the coordinator's metric hooks; any field may be nil.
-// The server wires these into its counter set so shard traffic shows up
-// in /v1/metrics without this package importing the server.
-type Observe struct {
-	// Dispatched fires per dispatch attempt, labeled by worker URL.
-	Dispatched func(worker string)
-	// Retried fires per redispatch (attempt two onward).
-	Retried func()
-	// CacheHit fires when a shard is served from the shard cache.
-	CacheHit func()
-	// Checkpointed fires when a completed shard result is spilled to the
-	// checkpoint store.
-	Checkpointed func()
-	// Resumed fires when a shard is answered from the checkpoint store
-	// instead of recomputed (a resumed campaign after a restart).
-	Resumed func()
-	// Hedged fires when a straggling dispatch is speculatively
-	// redispatched to a second worker.
-	Hedged func()
-	// BreakerOpened fires on each worker circuit-breaker closed→open
-	// transition (including a failed half-open probe reopening it).
-	BreakerOpened func()
-	// ShardRTT observes each successful dispatch's round-trip time —
-	// the coordinator-side shard_rtt_seconds histogram.
-	ShardRTT func(d time.Duration)
+// Stats is a snapshot of the shard events a coordinator has counted
+// since New.
+type Stats struct {
+	// Dispatched counts dispatch attempts by worker URL.
+	Dispatched map[string]int64
+	// Retries counts redispatches (attempt two onward); CacheHits shards
+	// served from the shard cache; Checkpointed completed shard results
+	// spilled to the checkpoint store; Resumed shards answered from it
+	// instead of recomputed; Hedges straggling dispatches speculatively
+	// redispatched to a second worker; BreakerOpens worker breaker
+	// closed→open transitions, a failed half-open probe included;
+	// HedgeMismatches hedged dispatches whose two results were not
+	// byte-identical — zero unless shard determinism is broken.
+	Retries, CacheHits, Checkpointed, Resumed, Hedges, BreakerOpens, HedgeMismatches int64
+	// RTT observes each successful dispatch's round trip in seconds; its
+	// p99 drives adaptive hedging.
+	RTT *histo.Histogram
 }
 
 // Options configure a Coordinator.
@@ -189,8 +182,6 @@ type Options struct {
 	// Faults arms the dist.dispatch / dist.merge / shard.checkpoint.*
 	// chaos points.
 	Faults *faultinject.Set
-	// Observe receives metric callbacks.
-	Observe Observe
 	// Logger receives structured dispatch-lifecycle events (retries,
 	// hedges, breaker opens, audit mismatches) with shard/worker attrs;
 	// nil discards them.
@@ -282,16 +273,12 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	workers []*workerState
-	// latency observes successful dispatch wall times; its p99 drives
-	// adaptive hedging.
-	latency *histo.Histogram
+	stats   Stats
 
 	// cache memoizes completed shard results by content address; ckpt
 	// (nil without a checkpoint directory) is its disk tier.
 	cache *store.LRU[campaign.ShardResult]
 	ckpt  *store.Dir
-
-	hedgeMismatches atomic.Int64
 }
 
 // shardCacheEntries sizes the coordinator's shard-result cache.
@@ -306,15 +293,33 @@ func New(opts Options) (*Coordinator, error) {
 		return nil, fmt.Errorf("dist: checkpoint dir: %w", err)
 	}
 	c := &Coordinator{
-		opts:    opts,
-		cache:   store.NewLRU[campaign.ShardResult](shardCacheEntries),
-		ckpt:    ckpt,
-		latency: histo.Exponential(0.001, 2, 18),
+		opts:  opts,
+		cache: store.NewLRU[campaign.ShardResult](shardCacheEntries),
+		ckpt:  ckpt,
+		stats: Stats{Dispatched: map[string]int64{}, RTT: histo.Exponential(0.001, 2, 18)},
 	}
 	for _, u := range opts.Workers {
 		c.Register(u)
 	}
 	return c, nil
+}
+
+// Stats snapshots the shard-event counts; the map and the histogram are
+// copies the caller owns.
+func (c *Coordinator) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.stats
+	s.Dispatched = maps.Clone(s.Dispatched)
+	s.RTT = s.RTT.Clone()
+	return s
+}
+
+// count bumps one shard-event count under the coordinator's mutex.
+func (c *Coordinator) count(n *int64) {
+	c.mu.Lock()
+	*n++
+	c.mu.Unlock()
 }
 
 // workerID derives a worker's stable pool id from its normalised URL —
@@ -467,7 +472,7 @@ func (c *Coordinator) recordSuccess(w *workerState, d time.Duration) {
 	w.fails = 0
 	w.backoff = breakerBaseBackoff
 	w.openUntil = time.Time{}
-	c.latency.Observe(d.Seconds())
+	c.stats.RTT.Observe(d.Seconds())
 	c.mu.Unlock()
 }
 
@@ -491,14 +496,12 @@ func (c *Coordinator) recordFailure(w *workerState) {
 			w.backoff = breakerMaxBackoff
 		}
 		w.fails = 0
+		c.stats.BreakerOpens++
 		opened = true
 		openFor = wait
 	}
 	c.mu.Unlock()
 	if opened {
-		if c.opts.Observe.BreakerOpened != nil {
-			c.opts.Observe.BreakerOpened()
-		}
 		c.opts.Logger.Warn("worker circuit breaker opened", "worker", w.url, "open_for", openFor)
 	}
 }
@@ -545,10 +548,10 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.latency.Count() < hedgeMinObservations {
+	if c.stats.RTT.Count() < hedgeMinObservations {
 		return 0
 	}
-	return time.Duration(c.latency.Quantile(0.99) * float64(time.Second))
+	return time.Duration(c.stats.RTT.Quantile(0.99) * float64(time.Second))
 }
 
 // RunCampaign shards a validated spec across the pool, redispatching
@@ -678,9 +681,7 @@ func (c *Coordinator) runShard(ctx context.Context, sh campaign.Shard, planIndex
 	defer span.End()
 	key := shardKey(sh)
 	if r, ok := c.cache.Get(key); ok {
-		if c.opts.Observe.CacheHit != nil {
-			c.opts.Observe.CacheHit()
-		}
+		c.count(&c.stats.CacheHits)
 		span.SetAttr("source", "cache")
 		// The cached payload is content-addressed; the shard identity
 		// (notably ExpIndex) must be this campaign's, not the one that
@@ -691,9 +692,7 @@ func (c *Coordinator) runShard(ctx context.Context, sh campaign.Shard, planIndex
 	if r, ok := loadCheckpoint(c.ckpt, key); ok {
 		// The shard completed before a restart: resume from the
 		// checkpoint (re-warming the memory cache) instead of recomputing.
-		if c.opts.Observe.Resumed != nil {
-			c.opts.Observe.Resumed()
-		}
+		c.count(&c.stats.Resumed)
 		span.SetAttr("source", "checkpoint")
 		c.cache.Put(key, r)
 		r.Shard = sh
@@ -706,9 +705,7 @@ func (c *Coordinator) runShard(ctx context.Context, sh campaign.Shard, planIndex
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if attempt > 0 {
-			if c.opts.Observe.Retried != nil {
-				c.opts.Observe.Retried()
-			}
+			c.count(&c.stats.Retries)
 			c.opts.Logger.Info("redispatching shard", "shard", sh.String(), "attempt", attempt, "error", lastErr)
 		}
 		primary, secondary := c.placeShard(sh, planIndex, attempt)
@@ -718,8 +715,8 @@ func (c *Coordinator) runShard(ctx context.Context, sh campaign.Shard, planIndex
 		r, err := c.dispatchHedged(ctx, primary, secondary, sh, planIndex, attempt, sink)
 		if err == nil {
 			c.cache.Put(key, *r)
-			if c.ckpt != nil && saveCheckpoint(c.ckpt, key, r) == nil && c.opts.Observe.Checkpointed != nil {
-				c.opts.Observe.Checkpointed()
+			if c.ckpt != nil && saveCheckpoint(c.ckpt, key, r) == nil {
+				c.count(&c.stats.Checkpointed)
 			}
 			return r, nil
 		}
@@ -782,11 +779,7 @@ func (c *Coordinator) dispatchTo(ctx context.Context, w *workerState, sh campaig
 		}
 		return nil, fmt.Errorf("worker %s: %w", w.url, err)
 	}
-	d := time.Since(t0)
-	c.recordSuccess(w, d)
-	if c.opts.Observe.ShardRTT != nil {
-		c.opts.Observe.ShardRTT(d)
-	}
+	c.recordSuccess(w, time.Since(t0))
 	return r, nil
 }
 
@@ -796,7 +789,7 @@ func (c *Coordinator) dispatchTo(ctx context.Context, w *workerState, sh campaig
 // byte-complete success wins. The loser is not cancelled — its result
 // is audited against the winner's in the background, because shard
 // execution is deterministic per build and the two must be
-// byte-identical; any divergence bumps HedgeMismatches rather than
+// byte-identical; any divergence bumps Stats.HedgeMismatches rather than
 // silently merging whichever bytes arrived first.
 func (c *Coordinator) dispatchHedged(ctx context.Context, primary, secondary *workerState, sh campaign.Shard, planIndex, attempt int, sink *progressSink) (*campaign.ShardResult, error) {
 	delay := c.hedgeDelay()
@@ -816,9 +809,7 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, primary, secondary *wo
 	for {
 		select {
 		case <-timer.C:
-			if c.opts.Observe.Hedged != nil {
-				c.opts.Observe.Hedged()
-			}
+			c.count(&c.stats.Hedges)
 			c.opts.Logger.Info("hedging straggler dispatch", "shard", sh.String(), "worker", secondary.url, "after", delay)
 			go launch(secondary, true)
 			inflight++
@@ -853,14 +844,10 @@ func (c *Coordinator) auditLoser(ch <-chan dispatchOutcome, winner *campaign.Sha
 	wb, werr := json.Marshal(winner)
 	lb, lerr := json.Marshal(out.r)
 	if werr != nil || lerr != nil || !bytes.Equal(wb, lb) {
-		c.hedgeMismatches.Add(1)
+		c.count(&c.stats.HedgeMismatches)
 		c.opts.Logger.Error("hedge audit mismatch: shard results not byte-identical", "shard", winner.Shard.String())
 	}
 }
-
-// HedgeMismatches reports hedged dispatches whose two results were not
-// byte-identical — zero unless shard determinism is broken.
-func (c *Coordinator) HedgeMismatches() int64 { return c.hedgeMismatches.Load() }
 
 // dispatch POSTs one shard to one worker and decodes the streamed
 // result: epoch frames relay live through the sink and the worker's
@@ -871,9 +858,9 @@ func (c *Coordinator) dispatch(ctx context.Context, workerURL string, sh campaig
 	if err := c.opts.Faults.Fire(ctx, "dist.dispatch"); err != nil {
 		return nil, err
 	}
-	if c.opts.Observe.Dispatched != nil {
-		c.opts.Observe.Dispatched(workerURL)
-	}
+	c.mu.Lock()
+	c.stats.Dispatched[workerURL]++
+	c.mu.Unlock()
 	if c.opts.ShardTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.opts.ShardTimeout)

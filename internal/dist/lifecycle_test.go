@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,27 +67,23 @@ func shardWorker(t *testing.T, beforeRun func()) *httptest.Server {
 // reopening immediately on a failed half-open probe, and fully reset by
 // one success.
 func TestBreakerLifecycle(t *testing.T) {
-	opened := 0
-	c, err := New(Options{
-		BreakerFailures: 3,
-		Seed:            42,
-		Observe:         Observe{BreakerOpened: func() { opened++ }},
-	})
+	c, err := New(Options{BreakerFailures: 3, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
+	opened := func() int64 { return c.Stats().BreakerOpens }
 	c.Register("http://a:1")
 	c.Register("http://b:1")
 	wa, wb := c.workers[0], c.workers[1]
 
 	c.recordFailure(wa)
 	c.recordFailure(wa)
-	if !wa.openUntil.IsZero() || opened != 0 {
+	if !wa.openUntil.IsZero() || opened() != 0 {
 		t.Fatal("breaker opened below the consecutive-failure threshold")
 	}
 	c.recordFailure(wa)
-	if wa.openUntil.IsZero() || opened != 1 {
-		t.Fatalf("breaker not open at threshold (openUntil %v, opened %d)", wa.openUntil, opened)
+	if wa.openUntil.IsZero() || opened() != 1 {
+		t.Fatalf("breaker not open at threshold (openUntil %v, opened %d)", wa.openUntil, opened())
 	}
 	if wa.backoff != 2*breakerBaseBackoff {
 		t.Fatalf("backoff after first open = %v, want doubled %v", wa.backoff, 2*breakerBaseBackoff)
@@ -107,8 +102,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	// grace for a worker that just proved it is still sick — and doubles
 	// the window again.
 	c.recordFailure(wa)
-	if opened != 2 || wa.backoff != 4*breakerBaseBackoff {
-		t.Fatalf("failed probe: opened %d backoff %v, want 2 opens and %v", opened, wa.backoff, 4*breakerBaseBackoff)
+	if opened() != 2 || wa.backoff != 4*breakerBaseBackoff {
+		t.Fatalf("failed probe: opened %d backoff %v, want 2 opens and %v", opened(), wa.backoff, 4*breakerBaseBackoff)
 	}
 
 	// One success heals everything.
@@ -128,8 +123,7 @@ func TestBreakerLifecycle(t *testing.T) {
 
 // TestBreakerDisabled: a negative threshold turns breakers off.
 func TestBreakerDisabled(t *testing.T) {
-	opened := 0
-	c, err := New(Options{BreakerFailures: -1, Observe: Observe{BreakerOpened: func() { opened++ }}})
+	c, err := New(Options{BreakerFailures: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +131,7 @@ func TestBreakerDisabled(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.recordFailure(c.workers[0])
 	}
-	if !c.workers[0].openUntil.IsZero() || opened != 0 {
+	if !c.workers[0].openUntil.IsZero() || c.Stats().BreakerOpens != 0 {
 		t.Fatal("disabled breaker opened")
 	}
 }
@@ -263,17 +257,7 @@ func TestCheckpointResumeRecomputesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Observe callbacks fire from concurrent shard goroutines.
-	var dispatched1, checkpointed atomic.Int64
-	c1, err := New(Options{
-		Workers:       []string{worker.URL},
-		MaxShards:     4,
-		CheckpointDir: dir,
-		Observe: Observe{
-			Dispatched:   func(string) { dispatched1.Add(1) },
-			Checkpointed: func() { checkpointed.Add(1) },
-		},
-	})
+	c1, err := New(Options{Workers: []string{worker.URL}, MaxShards: 4, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,22 +265,15 @@ func TestCheckpointResumeRecomputesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dispatched1.Load() == 0 || checkpointed.Load() != dispatched1.Load() {
-		t.Fatalf("first run dispatched %d, checkpointed %d — every dispatched shard must spill", dispatched1.Load(), checkpointed.Load())
+	st1 := c1.Stats()
+	dispatched1 := dispatches(st1)
+	if dispatched1 == 0 || st1.Checkpointed != dispatched1 {
+		t.Fatalf("first run dispatched %d, checkpointed %d — every dispatched shard must spill", dispatched1, st1.Checkpointed)
 	}
 
 	worker.Close() // the pool is now dead; only checkpoints can answer
 
-	var dispatched2, resumed atomic.Int64
-	c2, err := New(Options{
-		Workers:       []string{worker.URL},
-		MaxShards:     4,
-		CheckpointDir: dir,
-		Observe: Observe{
-			Dispatched: func(string) { dispatched2.Add(1) },
-			Resumed:    func() { resumed.Add(1) },
-		},
-	})
+	c2, err := New(Options{Workers: []string{worker.URL}, MaxShards: 4, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +281,12 @@ func TestCheckpointResumeRecomputesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed campaign failed against a dead pool: %v", err)
 	}
-	if dispatched2.Load() != 0 {
-		t.Fatalf("resumed campaign dispatched %d shards, want 0 (all from checkpoints)", dispatched2.Load())
+	st2 := c2.Stats()
+	if n := dispatches(st2); n != 0 {
+		t.Fatalf("resumed campaign dispatched %d shards, want 0 (all from checkpoints)", n)
 	}
-	if resumed.Load() != checkpointed.Load() {
-		t.Fatalf("resumed %d shards, want all %d checkpointed ones", resumed.Load(), checkpointed.Load())
+	if st2.Resumed != st1.Checkpointed {
+		t.Fatalf("resumed %d shards, want all %d checkpointed ones", st2.Resumed, st1.Checkpointed)
 	}
 	b1, _ := json.Marshal(tables1)
 	b2, _ := json.Marshal(tables2)
@@ -325,11 +303,7 @@ func TestHedgedDispatchFirstCompleteWins(t *testing.T) {
 	slow := shardWorker(t, func() { time.Sleep(600 * time.Millisecond) })
 	fast := shardWorker(t, nil)
 
-	hedges := 0
-	c, err := New(Options{
-		HedgeDelay: 50 * time.Millisecond,
-		Observe:    Observe{Hedged: func() { hedges++ }},
-	})
+	c, err := New(Options{HedgeDelay: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +328,7 @@ func TestHedgedDispatchFirstCompleteWins(t *testing.T) {
 	if elapsed := time.Since(t0); elapsed >= 600*time.Millisecond {
 		t.Fatalf("hedged dispatch took %v — it waited out the straggler", elapsed)
 	}
-	if hedges != 1 {
+	if hedges := c.Stats().Hedges; hedges != 1 {
 		t.Fatalf("hedges = %d, want 1", hedges)
 	}
 	if r == nil || r.Shard.Experiment.ID != shards[0].Experiment.ID {
@@ -363,9 +337,18 @@ func TestHedgedDispatchFirstCompleteWins(t *testing.T) {
 	// Let the straggler finish so the detached audit runs; determinism
 	// means the loser must be byte-identical, never a counted mismatch.
 	time.Sleep(700 * time.Millisecond)
-	if n := c.HedgeMismatches(); n != 0 {
+	if n := c.Stats().HedgeMismatches; n != 0 {
 		t.Fatalf("hedge audit counted %d mismatches on a deterministic shard", n)
 	}
+}
+
+// dispatches sums a snapshot's dispatch attempts over every worker.
+func dispatches(s Stats) int64 {
+	var n int64
+	for _, d := range s.Dispatched {
+		n += d
+	}
+	return n
 }
 
 // TestAwaitWorkersBridgesLateRegistration: a coordinator whose pool is

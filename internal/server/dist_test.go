@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -99,22 +98,25 @@ func TestDistributedRedispatchByteIdentity(t *testing.T) {
 		}
 		return nil
 	})
-	svc, coord := newTestServer(t, Options{Workers: 1, WorkerURLs: pool, MaxShards: 5})
+	_, coord := newTestServer(t, Options{Workers: 1, WorkerURLs: pool, MaxShards: 5})
 	got := runCampaignArtifacts(t, coord.URL, distSpec, distArtifacts)
 	for _, name := range distArtifacts {
 		if string(got[name]) != string(want[name]) {
 			t.Errorf("%s differs after worker failure + redispatch", name)
 		}
 	}
-	svc.metrics.mu.Lock()
-	retries := svc.metrics.shardRetries
-	dispatched := len(svc.metrics.shardsDispatched)
-	svc.metrics.mu.Unlock()
+	doc := scrapePrometheus(t, coord.URL)
+	if problems := lintPrometheus(doc); len(problems) > 0 {
+		t.Fatalf("coordinator scrape failed lint:\n  %s", strings.Join(problems, "\n  "))
+	}
+	m := promSamples(t, doc)
+	retries := m["htserved_shard_retries_total"]
+	_, dispatched := sumSeries(m, "htserved_shards_dispatched_total")
 	if retries == 0 {
-		t.Error("shardRetries = 0, want > 0: every shard on the broken worker must redispatch")
+		t.Error("shard_retries_total = 0, want > 0: every shard on the broken worker must redispatch")
 	}
 	if dispatched != 2 {
-		t.Errorf("shardsDispatched has %d workers, want both pool members attempted", dispatched)
+		t.Errorf("shards_dispatched_total has %d worker series, want both pool members attempted", dispatched)
 	}
 }
 
@@ -123,14 +125,18 @@ func TestDistributedRedispatchByteIdentity(t *testing.T) {
 // coordinator's content-addressed shard cache, not redispatched.
 func TestDistributedShardCacheReuse(t *testing.T) {
 	pool := newWorkerPool(t, 1, nil)
-	svc, coord := newTestServer(t, Options{Workers: 1, WorkerURLs: pool, MaxShards: 2})
+	_, coord := newTestServer(t, Options{Workers: 1, WorkerURLs: pool, MaxShards: 2})
 
 	runCampaignArtifacts(t, coord.URL, distSpec, nil)
-	svc.metrics.mu.Lock()
-	coldHits := svc.metrics.shardCacheHits
-	svc.metrics.mu.Unlock()
-	if coldHits != 0 {
-		t.Fatalf("cold run had %d shard cache hits, want 0", coldHits)
+	cold := promSamples(t, scrapePrometheus(t, coord.URL))
+	if coldHits := cold["htserved_shard_cache_hits_total"]; coldHits != 0 {
+		t.Fatalf("cold run had %v shard cache hits, want 0", coldHits)
+	}
+	// One worker never hedges and never fails here, so every dispatch is
+	// one successful round trip in the coordinator's RTT histogram.
+	dispatched, _ := sumSeries(cold, "htserved_shards_dispatched_total")
+	if rtts := cold["htserved_shard_rtt_seconds_count"]; dispatched == 0 || rtts != dispatched {
+		t.Errorf("cold run: shard_rtt_seconds_count %v, shards_dispatched_total sum %v; want equal and nonzero", rtts, dispatched)
 	}
 
 	// Same campaign with E3 changed (trials 3 → 4): E1's and E5's shards
@@ -140,12 +146,10 @@ func TestDistributedShardCacheReuse(t *testing.T) {
 		t.Fatal("spec rewrite failed")
 	}
 	runCampaignArtifacts(t, coord.URL, changed, nil)
-	svc.metrics.mu.Lock()
-	warmHits := svc.metrics.shardCacheHits
-	svc.metrics.mu.Unlock()
+	warmHits := promSamples(t, scrapePrometheus(t, coord.URL))["htserved_shard_cache_hits_total"]
 	// E1 plans one atomic shard; E5 plans two trial shards at MaxShards=2.
 	if warmHits != 3 {
-		t.Errorf("re-run with one changed experiment had %d shard cache hits, want 3 (E1 + E5's two shards)", warmHits)
+		t.Errorf("re-run with one changed experiment had %v shard cache hits, want 3 (E1 + E5's two shards)", warmHits)
 	}
 }
 
@@ -344,9 +348,10 @@ func TestPriorityHeaderValidation(t *testing.T) {
 
 // TestTenantQuota checks the per-tenant admission cap: a tenant at its
 // quota sheds with 429 + Retry-After and a tenant-labeled counter, while
-// other tenants are unaffected.
+// other tenants are unaffected. X-Tenant is client input, so a tenant
+// name of any bytes must still render as a valid label value.
 func TestTenantQuota(t *testing.T) {
-	svc, ts := newTestServer(t, Options{Workers: 1, Jobs: 1, QueueDepth: 8, TenantQuota: 1})
+	_, ts := newTestServer(t, Options{Workers: 1, Jobs: 1, QueueDepth: 8, TenantQuota: 1})
 
 	slow := `{"cores":256,"threads":16,"hts":8,"epochs":200,"seed":911,"workers":1}`
 	resp, aliceSt := postWithHeaders(t, ts.URL+"/v1/sims", slow, map[string]string{"X-Tenant": "alice"})
@@ -373,26 +378,44 @@ func TestTenantQuota(t *testing.T) {
 
 	// The shed shows up tenant-labeled in the Prometheus exposition and in
 	// the aggregate jobs_rejected.
-	mresp, err := http.Get(ts.URL + "/v1/metrics?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prom, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mresp.Body.Close()
-	if !strings.Contains(string(prom), `htserved_tenant_shed_total{tenant="alice"} 1`) {
+	prom := scrapePrometheus(t, ts.URL)
+	if !strings.Contains(prom, `htserved_tenant_shed_total{tenant="alice"} 1`) {
 		t.Error("Prometheus exposition is missing the alice tenant_shed sample")
 	}
-	svc.metrics.mu.Lock()
-	rejected := svc.metrics.jobsRejected
-	svc.metrics.mu.Unlock()
-	if rejected != 1 {
-		t.Errorf("jobsRejected = %d, want 1 (the quota shed counts as a rejection)", rejected)
+	if rejected := promSamples(t, prom)["htserved_jobs_rejected_total"]; rejected != 1 {
+		t.Errorf("jobs_rejected_total = %v, want 1 (the quota shed counts as a rejection)", rejected)
 	}
 
-	for _, id := range []string{aliceSt.ID, bobSt.ID} {
+	// Tenants whose names need the text format's escapes, or are not even
+	// UTF-8: each one's second job sheds, and the scrape stays valid.
+	// Every job gets its own seed: an identical body would coalesce onto
+	// an in-flight job, which bypasses the quota.
+	sim := func(seed int) string {
+		return fmt.Sprintf(`{"cores":16,"threads":4,"hts":1,"epochs":20,"seed":%d,"workers":1}`, seed)
+	}
+	ids := []string{aliceSt.ID, bobSt.ID}
+	for i, tc := range []struct{ tenant, label string }{
+		{"a\tb\u00a0c", "a\tb\u00a0c"},
+		{"d\xffe", "d\uFFFDe"},
+		{`q"u,o\te`, `q\"u,o\\te`},
+	} {
+		resp, st := postWithHeaders(t, ts.URL+"/v1/sims", sim(920+2*i), map[string]string{"X-Tenant": tc.tenant})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("first job of tenant %q = %d, want 202", tc.tenant, resp.StatusCode)
+		}
+		ids = append(ids, st.ID)
+		if resp, _ := postWithHeaders(t, ts.URL+"/v1/sims", sim(921+2*i), map[string]string{"X-Tenant": tc.tenant}); resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("over-quota job of tenant %q = %d, want 429", tc.tenant, resp.StatusCode)
+		}
+		if want := `htserved_tenant_shed_total{tenant="` + tc.label + `"} 1`; !strings.Contains(scrapePrometheus(t, ts.URL), want) {
+			t.Errorf("exposition is missing %q", want)
+		}
+	}
+	if problems := lintPrometheus(scrapePrometheus(t, ts.URL)); len(problems) > 0 {
+		t.Fatalf("scrape with hostile tenant names failed lint:\n  %s", strings.Join(problems, "\n  "))
+	}
+
+	for _, id := range ids {
 		if st := waitState(t, ts.URL, id); st.State != jobDone {
 			t.Fatalf("job %s: %s: %s", id, st.State, st.Error)
 		}

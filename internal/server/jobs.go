@@ -268,7 +268,7 @@ func (j *job) finishLocked(state jobState, tables []results.Table, diskFiles []s
 	// under j.mu is safe.
 	j.journal.appendTerminal(j.jseq, string(state))
 	if j.metrics != nil {
-		j.metrics.observeJobDuration(j.finished.Sub(j.created))
+		j.metrics.observe(j.metrics.jobDuration, j.finished.Sub(j.created))
 	}
 	j.events.publish("state", stateEvent{State: state, Cache: cacheTier, Error: errMsg})
 	j.events.close()
@@ -381,7 +381,7 @@ func (m *manager) shutdown() {
 		case jobQueued, jobRunning:
 			j.finishLocked(jobCancelled, nil, nil, "", "server shutting down")
 			j.mu.Unlock()
-			m.metrics.inc(&m.metrics.jobsCancelled)
+			m.metrics.inc(jobsCancelled)
 		default:
 			j.mu.Unlock()
 		}
@@ -430,37 +430,22 @@ func (m *manager) retryAfterSeconds() int {
 	return s
 }
 
-// sseSubscribers sums live SSE subscribers across every job — the
-// fan-out gauge the Prometheus rendering exposes.
-func (m *manager) sseSubscribers() int {
-	m.mu.Lock()
-	jobs := make([]*job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	m.mu.Unlock()
-	n := 0
-	for _, j := range jobs {
-		n += j.events.subscribers()
-	}
-	return n
-}
-
-// queueDepths reports (queued, running) gauges for /v1/metrics.
-func (m *manager) queueDepths() (queued, running int) {
+// sampleGauges fills the job table's gauges for /v1/metrics: queued and
+// running jobs, and live SSE subscribers summed across every job.
+func (m *manager) sampleGauges(g *gauges) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, j := range m.jobs {
 		j.mu.Lock()
 		switch j.state {
 		case jobQueued:
-			queued++
+			g.queued++
 		case jobRunning:
-			running++
+			g.running++
 		}
 		j.mu.Unlock()
+		g.subscribers += j.events.subscribers()
 	}
-	return queued, running
 }
 
 // submit registers a job, answers it from the content-addressed cache or
@@ -493,7 +478,7 @@ func (m *manager) submit(j *job) error {
 	// skips it — the job already passed admission once.
 	if !j.replay {
 		if err := m.faults.Fire(m.base, "queue.admit"); err != nil {
-			m.metrics.inc(&m.metrics.jobsRejected)
+			m.metrics.inc(jobsRejected)
 			m.logger.Warn("job admission fault rejected submission",
 				"fault_point", "queue.admit", "kind", j.kind, "tenant", j.tenant, "error", err)
 			return fmt.Errorf("server: admission failed: %w", err)
@@ -508,7 +493,7 @@ func (m *manager) submit(j *job) error {
 	// job never resurrects at boot.
 	jspan := j.trace.StartChild("journal.append")
 	if err := m.journal.appendAccept(j); err != nil {
-		m.metrics.inc(&m.metrics.jobsRejected)
+		m.metrics.inc(jobsRejected)
 		m.logger.Error("journal append failed; submission rejected", "kind", j.kind, "error", err)
 		return fmt.Errorf("server: %w", err)
 	}
@@ -521,7 +506,7 @@ func (m *manager) submit(j *job) error {
 		cspan.SetAttr("tier", "memory")
 		cspan.End()
 		m.register(j)
-		m.metrics.inc(&m.metrics.jobsSubmitted, &m.metrics.cacheHits)
+		m.metrics.inc(jobsSubmitted, cacheHits)
 		m.logJobAccepted(j, "memory")
 		j.events.publish("state", stateEvent{State: jobQueued})
 		j.finish(jobDone, tables, nil, "memory", "")
@@ -531,7 +516,7 @@ func (m *manager) submit(j *job) error {
 		cspan.SetAttr("tier", "disk")
 		cspan.End()
 		m.register(j)
-		m.metrics.inc(&m.metrics.jobsSubmitted, &m.metrics.cacheDiskHits)
+		m.metrics.inc(jobsSubmitted, cacheDiskHits)
 		m.logJobAccepted(j, "disk")
 		j.events.publish("state", stateEvent{State: jobQueued})
 		j.finish(jobDone, nil, files, "disk", "")
@@ -550,7 +535,7 @@ func (m *manager) submit(j *job) error {
 		m.registerLocked(j)
 		m.followers[leader.id] = append(m.followers[leader.id], j)
 		m.mu.Unlock()
-		m.metrics.inc(&m.metrics.jobsSubmitted, &m.metrics.singleFlight)
+		m.metrics.inc(jobsSubmitted, singleFlight)
 		j.trace.SetAttr("single_flight_leader", leader.id)
 		m.logJobAccepted(j, "single-flight")
 		j.events.publish("state", stateEvent{State: jobQueued})
@@ -582,14 +567,14 @@ func (m *manager) submit(j *job) error {
 	} else if !m.queue.push(j) {
 		m.unregisterLastLocked(j)
 		m.mu.Unlock()
-		m.metrics.inc(&m.metrics.jobsRejected)
+		m.metrics.inc(jobsRejected)
 		m.journal.appendTerminal(j.jseq, stateRejected)
 		m.logger.Warn("job rejected: queue full", "kind", j.kind, "tenant", j.tenant)
 		return errQueueFull
 	}
 	m.inflight[j.cacheKey] = j
 	m.mu.Unlock()
-	m.metrics.inc(&m.metrics.jobsSubmitted, &m.metrics.cacheMisses)
+	m.metrics.inc(jobsSubmitted, cacheMisses)
 	m.logJobAccepted(j, "")
 	j.events.publish("state", stateEvent{State: jobQueued})
 	return nil
@@ -614,7 +599,7 @@ func (m *manager) logJobAccepted(j *job, cache string) {
 
 // tenantActiveLocked counts a tenant's queued and running jobs; m.mu
 // held. Job states are read under each job's own lock, the same nesting
-// queueDepths uses.
+// sampleGauges uses.
 func (m *manager) tenantActiveLocked(tenant string) int {
 	n := 0
 	for _, j := range m.jobs {
@@ -663,12 +648,12 @@ func (m *manager) settle(leader *job) {
 		case jobDone:
 			f.finishLocked(jobDone, tables, diskFiles, "single-flight", "")
 			f.mu.Unlock()
-			m.metrics.inc(&m.metrics.jobsDone)
+			m.metrics.inc(jobsDone)
 		default:
 			f.finishLocked(jobFailed, nil, nil, "",
 				fmt.Sprintf("coalesced onto job %s which was %s: %s", leader.id, state, errMsg))
 			f.mu.Unlock()
-			m.metrics.inc(&m.metrics.jobsFailed)
+			m.metrics.inc(jobsFailed)
 		}
 	}
 }
@@ -716,14 +701,14 @@ func (m *manager) dispatch() {
 		// duration feeds the queue-vs-run latency attribution histogram.
 		if j.queueSpan != nil {
 			j.queueSpan.End()
-			m.metrics.observeQueueWait(j.queueSpan.Duration())
+			m.metrics.observe(m.metrics.queueWait, j.queueSpan.Duration())
 		}
 		gspan := j.trace.StartChild("gate.wait")
 		err := m.gate.AcquireWithin(m.base, m.jobTimeout)
 		gspan.RecordError(err)
 		gspan.End()
 		if gspan != nil {
-			m.metrics.observeGateWait(gspan.Duration())
+			m.metrics.observe(m.metrics.gateWait, gspan.Duration())
 		}
 		if err != nil {
 			if errors.Is(err, exp.ErrAcquireTimeout) {
@@ -748,7 +733,7 @@ func (m *manager) timeOutQueued(j *job) {
 	if j.state == jobQueued {
 		j.finishLocked(jobFailed, nil, nil, "", fmt.Sprintf("job timed out after %v waiting for a job slot", m.jobTimeout))
 		j.mu.Unlock()
-		m.metrics.inc(&m.metrics.jobsFailed, &m.metrics.jobsTimedOut)
+		m.metrics.inc(jobsFailed, jobsTimedOut)
 		m.logger.Warn("job timed out waiting for a job slot", "job_id", j.id, "timeout", m.jobTimeout.String())
 	} else {
 		j.mu.Unlock()
@@ -777,7 +762,7 @@ func (m *manager) run(j *job) {
 		// Cancelled while queued; cancelJob already finalised it.
 		return
 	}
-	m.metrics.inc(&m.metrics.jobsStarted)
+	m.metrics.inc(jobsStarted)
 	m.logger.Info("job started", "job_id", j.id, "kind", j.kind, "trace_id", j.trace.TraceID())
 
 	// The run span covers the simulation itself — everything between the
@@ -799,13 +784,13 @@ func (m *manager) run(j *job) {
 
 	switch {
 	case err != nil && errors.Is(ctx.Err(), context.DeadlineExceeded):
-		m.metrics.inc(&m.metrics.jobsFailed, &m.metrics.jobsTimedOut)
+		m.metrics.inc(jobsFailed, jobsTimedOut)
 		j.finish(jobFailed, nil, nil, "", fmt.Sprintf("job deadline (%v) exceeded: %s", m.jobTimeout, err))
 	case err != nil && (ctx.Err() != nil || errors.Is(err, context.Canceled)):
-		m.metrics.inc(&m.metrics.jobsCancelled)
+		m.metrics.inc(jobsCancelled)
 		j.finish(jobCancelled, nil, nil, "", err.Error())
 	case err != nil:
-		m.metrics.inc(&m.metrics.jobsFailed)
+		m.metrics.inc(jobsFailed)
 		j.finish(jobFailed, nil, nil, "", err.Error())
 	default:
 		if cerr := m.cache.put(j.cacheKey, tables); cerr != nil {
@@ -813,7 +798,7 @@ func (m *manager) run(j *job) {
 			// result is still served from memory.
 			j.events.publish("experiment", experimentEvent{ID: "cache", Status: "failed", Error: cerr.Error()})
 		}
-		m.metrics.inc(&m.metrics.jobsDone)
+		m.metrics.inc(jobsDone)
 		j.finish(jobDone, tables, nil, "", "")
 	}
 }
@@ -826,7 +811,7 @@ func (m *manager) run(j *job) {
 func (m *manager) execute(ctx context.Context, j *job) (tables []results.Table, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			m.metrics.inc(&m.metrics.panicsRecovered)
+			m.metrics.inc(panicsRecovered)
 			tables = nil
 			err = fmt.Errorf("panic in job %s: %v\n%s", j.id, r, firstStackLines(debug.Stack(), 8))
 		}
@@ -909,7 +894,7 @@ func (m *manager) cancelJob(id string) (found bool, err error) {
 		// acknowledged.
 		j.finishLocked(jobCancelled, nil, nil, "", "cancelled while queued")
 		j.mu.Unlock()
-		m.metrics.inc(&m.metrics.jobsCancelled)
+		m.metrics.inc(jobsCancelled)
 		// The job may have been a single-flight leader (followers fail
 		// with a resubmittable error) or a follower (settle on itself is a
 		// no-op; its leader's settle skips it, already terminal).

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 )
 
 // This file pins the two /v1/metrics renderings: a promlint-style
@@ -24,14 +26,14 @@ import (
 var (
 	metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 	labelNameRE  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
-	sampleRE     = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{([^}]*)\})? (\S+)$`)
 )
 
 // lintPrometheus validates a text exposition document the way promlint
-// does, returning every problem found (empty means clean). Checks: HELP
-// then TYPE precede a family's samples, each exactly once; TYPE is
-// counter|gauge|histogram; counter families end in _total; metric and
-// label names match the identifier grammar; values parse as floats; no
+// does, returning every problem found (empty means clean). Checks: every
+// line is UTF-8; HELP then TYPE precede a family's samples, each exactly
+// once; TYPE is counter|gauge|histogram; counter families end in _total;
+// metric and label names match the identifier grammar; label values are
+// quoted with no escapes but \\, \" and \n; values parse as floats; no
 // duplicate series; histogram bucket counts are non-decreasing in le
 // order and the +Inf bucket equals the family's _count sample.
 func lintPrometheus(doc string) []string {
@@ -65,6 +67,9 @@ func lintPrometheus(doc string) []string {
 	for _, line := range strings.Split(doc, "\n") {
 		if line == "" {
 			continue
+		}
+		if !utf8.ValidString(line) {
+			bad("line %q is not valid UTF-8", line)
 		}
 		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
 			name, _, ok := strings.Cut(rest, " ")
@@ -104,12 +109,11 @@ func lintPrometheus(doc string) []string {
 			continue
 		}
 
-		m := sampleRE.FindStringSubmatch(line)
-		if m == nil {
-			bad("unparseable sample line %q", line)
+		name, labels, pairs, value, err := parseSample(line)
+		if err != nil {
+			bad("sample line %q: %v", line, err)
 			continue
 		}
-		name, labels, value := m[1], m[2], m[3]
 		if !metricNameRE.MatchString(name) {
 			bad("invalid metric name %q", name)
 		}
@@ -124,14 +128,9 @@ func lintPrometheus(doc string) []string {
 		}
 		var le string
 		var hasLe bool
-		for _, pair := range splitLabels(labels) {
-			k, v, ok := strings.Cut(pair, "=")
-			if !ok || !labelNameRE.MatchString(k) || len(v) < 2 || v[0] != '"' || v[len(v)-1] != '"' {
-				bad("sample %s has malformed label %q", name, pair)
-				continue
-			}
-			if k == "le" {
-				le, hasLe = v[1:len(v)-1], true
+		for _, p := range pairs {
+			if p[0] == "le" {
+				le, hasLe = p[1], true
 			}
 		}
 		series := name + "{" + labels + "}"
@@ -195,14 +194,111 @@ func lintPrometheus(doc string) []string {
 	return problems
 }
 
-// splitLabels splits a label body on commas (no escaped quotes appear in
-// this codebase's label values, and the linter's negative cases don't
-// need them).
-func splitLabels(labels string) []string {
-	if labels == "" {
-		return nil
+// parseSample splits a sample line into its metric name, its label body
+// as written (the series identity), the unescaped label pairs, and its
+// value.
+func parseSample(line string) (name, labels string, pairs [][2]string, value string, err error) {
+	end := strings.IndexAny(line, "{ ")
+	if end < 0 {
+		return "", "", nil, "", errors.New("no value")
 	}
-	return strings.Split(labels, ",")
+	name, rest := line[:end], line[end:]
+	if body, ok := strings.CutPrefix(rest, "{"); ok {
+		if pairs, rest, err = parseLabels(body); err != nil {
+			return "", "", nil, "", err
+		}
+		labels = body[:len(body)-len(rest)-1]
+	}
+	value, ok := strings.CutPrefix(rest, " ")
+	if !ok || value == "" || strings.Contains(value, " ") {
+		return "", "", nil, "", errors.New("want one space-separated value")
+	}
+	return name, labels, pairs, value, nil
+}
+
+// parseLabels reads name="value" pairs from body, the text after a
+// sample's opening brace, through the closing brace, unescaping each
+// value by the text format's rules: \\, \" and \n are the only escapes.
+// rest is what follows the closing brace.
+func parseLabels(body string) (pairs [][2]string, rest string, err error) {
+	s := body
+	for !strings.HasPrefix(s, "}") {
+		k, v, ok := strings.Cut(s, "=")
+		if !ok || !labelNameRE.MatchString(k) || !strings.HasPrefix(v, `"`) {
+			return nil, "", fmt.Errorf("malformed label %q", s)
+		}
+		var val strings.Builder
+		s = v[1:]
+		for {
+			if s == "" {
+				return nil, "", fmt.Errorf("label %s has an unterminated value", k)
+			}
+			c := s[0]
+			s = s[1:]
+			if c == '"' {
+				break
+			}
+			if c == '\\' {
+				if s == "" {
+					return nil, "", fmt.Errorf("label %s has an unterminated value", k)
+				}
+				switch s[0] {
+				case '\\', '"':
+					val.WriteByte(s[0])
+				case 'n':
+					val.WriteByte('\n')
+				default:
+					return nil, "", fmt.Errorf("label %s has invalid escape \\%c", k, s[0])
+				}
+				s = s[1:]
+				continue
+			}
+			val.WriteByte(c)
+		}
+		pairs = append(pairs, [2]string{k, val.String()})
+		if r, ok := strings.CutPrefix(s, ","); ok {
+			s = r
+		} else if !strings.HasPrefix(s, "}") {
+			return nil, "", fmt.Errorf("malformed label %q: want , or } after the value", k)
+		}
+	}
+	return pairs, s[1:], nil
+}
+
+// promSamples parses a text exposition into series → value, keyed by
+// each sample's name and label body as written.
+func promSamples(t *testing.T, doc string) map[string]float64 {
+	t.Helper()
+	out := make(map[string]float64)
+	for _, line := range strings.Split(doc, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, labels, _, value, err := parseSample(line)
+		if err != nil {
+			t.Fatalf("sample line %q: %v", line, err)
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("sample line %q: %v", line, err)
+		}
+		if labels != "" {
+			name += "{" + labels + "}"
+		}
+		out[name] = v
+	}
+	return out
+}
+
+// sumSeries adds up every series of one family in a promSamples map.
+func sumSeries(m map[string]float64, family string) (sum float64, series int) {
+	for k, v := range m {
+		if k == family || strings.HasPrefix(k, family+"{") {
+			sum += v
+			series++
+		}
+	}
+	return sum, series
 }
 
 // scrapePrometheus fetches /v1/metrics?format=prometheus and asserts the
@@ -334,6 +430,16 @@ func TestPrometheusLintCatchesBadDocuments(t *testing.T) {
 			name: "malformed label",
 			doc:  "# HELP x_up U.\n# TYPE x_up gauge\n" + `x_up{9bad="v"} 1` + "\n",
 			want: "malformed label",
+		},
+		{
+			name: "label escape outside the text format",
+			doc:  "# HELP x_up U.\n# TYPE x_up gauge\n" + `x_up{tenant="a\tb"} 1` + "\n",
+			want: `invalid escape \t`,
+		},
+		{
+			name: "label value not UTF-8",
+			doc:  "# HELP x_up U.\n# TYPE x_up gauge\n" + "x_up{tenant=\"a\xffb\"} 1\n",
+			want: "not valid UTF-8",
 		},
 	}
 	for _, tc := range cases {

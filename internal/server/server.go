@@ -205,7 +205,7 @@ func New(opts Options) (*Server, error) {
 	metrics := newCounters()
 	logger := opts.Logger
 	c, err := newCache(opts.CacheEntries, opts.CacheDir, opts.Faults, func() {
-		metrics.inc(&metrics.cacheCorrupt)
+		metrics.inc(cacheCorrupt)
 		logger.Warn("corrupt disk-cache entry quarantined")
 	})
 	if err != nil {
@@ -228,16 +228,6 @@ func New(opts Options) (*Server, error) {
 			HedgeDelay:    opts.HedgeDelay,
 			Faults:        opts.Faults,
 			Logger:        logger,
-			Observe: dist.Observe{
-				Dispatched:    metrics.shardDispatched,
-				Retried:       func() { metrics.inc(&metrics.shardRetries) },
-				CacheHit:      func() { metrics.inc(&metrics.shardCacheHits) },
-				Checkpointed:  func() { metrics.inc(&metrics.shardsCheckpointed) },
-				Resumed:       func() { metrics.inc(&metrics.shardsResumed) },
-				Hedged:        func() { metrics.inc(&metrics.shardHedges) },
-				BreakerOpened: func() { metrics.inc(&metrics.breakerOpens) },
-				ShardRTT:      metrics.observeShardRTT,
-			},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: coordinator: %w", err)
@@ -258,7 +248,7 @@ func New(opts Options) (*Server, error) {
 			return nil, fmt.Errorf("server: journal: %w", err)
 		}
 		pending = pendingRecords(recs)
-		if jn, err = openJournal(newPath, opts.Faults, func() { metrics.inc(&metrics.journalAppends) }); err != nil {
+		if jn, err = openJournal(newPath, opts.Faults, func() { metrics.inc(journalAppends) }); err != nil {
 			return nil, fmt.Errorf("server: journal: %w", err)
 		}
 	}
@@ -351,7 +341,7 @@ func (s *Server) replayJournal(pending []journalRecord) error {
 		if err := s.jobs.submit(j); err != nil {
 			return fmt.Errorf("server: journal replay: %w", err)
 		}
-		s.metrics.inc(&s.metrics.journalReplayed)
+		s.metrics.inc(journalReplayed)
 	}
 	return nil
 }
@@ -409,7 +399,7 @@ func (s *Server) Handler() http.Handler {
 					// The stdlib's deliberate abort sentinel keeps its meaning.
 					panic(rec)
 				}
-				s.metrics.inc(&s.metrics.panicsRecovered)
+				s.metrics.inc(panicsRecovered)
 				// If the handler already started its response the header is
 				// gone; the broken stream is the remaining signal.
 				writeError(w, http.StatusInternalServerError, fmt.Errorf("internal panic (recovered): %v", rec))
@@ -641,23 +631,29 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, body)
 }
 
-// handleMetrics snapshots the counters — once, in a single lock
-// acquisition — and renders the snapshot in the requested format: the
-// original expvar-style JSON object (default, byte-compatible with every
-// earlier release) or Prometheus text exposition (?format=prometheus,
-// adding the job-duration histogram and the gauges a scraper wants).
+// handleMetrics samples every metric family once — the counters in one
+// lock acquisition, a coordinator's shard events from dist.Stats, and the
+// gauges — and renders them as the original expvar-style JSON object
+// (default, byte-compatible with every earlier release) or as Prometheus
+// text exposition (?format=prometheus, adding histograms and gauges).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	format := r.URL.Query().Get("format")
 	if format != "" && format != "prometheus" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown metrics format %q (known: prometheus)", format))
 		return
 	}
-	queued, running := s.jobs.queueDepths()
-	v := s.metrics.view(queued, running, s.jobs.sseSubscribers(), s.faults.Counts())
+	g := gauges{uptime: time.Since(s.metrics.start).Seconds(), faults: s.faults.Counts()}
+	s.jobs.sampleGauges(&g)
+	g.sampleRuntime()
+	d := dist.Stats{RTT: jobDurationBuckets()} // a plain server's zero shard series
+	if s.coord != nil {
+		d = s.coord.Stats()
+	}
+	fs := s.metrics.families(g, d)
 	if format == "prometheus" {
 		w.Header().Set("Content-Type", promContentType)
-		v.writePrometheus(w)
+		fs.writePrometheus(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, v.json())
+	writeJSON(w, http.StatusOK, fs.json())
 }

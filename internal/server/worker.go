@@ -132,7 +132,7 @@ func (s *Server) streamShard(w http.ResponseWriter, r *http.Request, req dist.Sh
 		writeFrame(dist.StreamFrame{Error: err.Error(), Trace: root.Tree()})
 		return
 	}
-	s.metrics.inc(&s.metrics.shardsExecuted)
+	s.metrics.inc(shardsExecuted)
 	root.End()
 	writeFrame(dist.StreamFrame{Result: res, Trace: root.Tree()})
 }

@@ -1,17 +1,4 @@
-// Placement optimisation: the attacker-side workflow of Section IV-C and
-// Eqns 9–11, driven through the pkg/htsim SDK. The example samples random
-// Trojan fleets, measures the attack effect Q of each by simulation, fits
-// the linear model
-//
-//	Q ≈ a1·ρ + a2·η + a3·m + Σ bj·Φγj + Σ ck·Φδk + a0,
-//
-// then enumerates candidate placements exhaustively (the paper's own
-// solving strategy) and verifies the winner by simulation.
-//
-// Run with:
-//
-//	go run ./examples/placement_opt
-package main
+package htsim_test
 
 import (
 	"context"
@@ -23,7 +10,20 @@ import (
 	"repro/pkg/htsim"
 )
 
-func main() {
+// Example_placementOpt is the attacker-side workflow of Section IV-C and
+// Eqns 9–11, driven through the SDK. It samples random Trojan fleets,
+// measures the attack effect Q of each by simulation, fits the linear
+// model
+//
+//	Q ≈ a1·ρ + a2·η + a3·m + Σ bj·Φγj + Σ ck·Φδk + a0,
+//
+// then enumerates candidate placements exhaustively (the paper's own
+// solving strategy) and verifies the winner by simulation.
+//
+// Run with:
+//
+//	go test ./pkg/htsim -run Example_placementOpt -v
+func Example_placementOpt() {
 	sim, err := htsim.New(htsim.WithCores(64), htsim.WithMemTraffic(false))
 	if err != nil {
 		log.Fatal(err)
@@ -101,4 +101,23 @@ func main() {
 	}
 	fmt.Printf("\nsimulated Q of optimised placement: %.3f (random mean was %.3f, %+.0f%%)\n",
 		cmp.Q, mean, (cmp.Q-mean)/mean*100)
+	// Output:
+	// training campaigns (random placements):
+	//   ρ= 1.50 η= 2.50 m= 2 → Q=1.036
+	//   ρ= 1.33 η= 4.89 m= 3 → Q=1.016
+	//   ρ= 1.00 η= 4.00 m= 4 → Q=1.115
+	//   ρ= 1.40 η= 3.68 m= 5 → Q=1.646
+	//   ρ= 1.67 η= 3.17 m= 6 → Q=1.114
+	//   ρ= 2.29 η= 2.98 m= 7 → Q=1.749
+	//   ρ= 0.62 η= 4.12 m= 8 → Q=1.749
+	//   ρ= 1.89 η= 2.96 m= 9 → Q=1.749
+	//   ρ= 1.50 η= 3.64 m=10 → Q=1.749
+	//   ρ= 1.45 η= 4.13 m=11 → Q=1.269
+	//   ρ= 3.50 η= 3.50 m= 2 → Q=1.000
+	//   ρ= 0.67 η= 3.56 m= 3 → Q=1.178
+	//
+	// Eqn 9 fit: Q ≈ -0.043·ρ + -0.113·η + 0.073·m + 1.414   (R²=0.52)
+	// enumerated 3200 placements; best predicted Q = 1.933 at ρ=0.40 η=1.68 m=10
+	//
+	// simulated Q of optimised placement: 3.119 (random mean was 1.364, +129%)
 }

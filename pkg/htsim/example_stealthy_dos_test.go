@@ -1,16 +1,4 @@
-// Stealthy DoS: the Section III-B attack process end to end, on the
-// pkg/htsim SDK. The hacker broadcasts CONFIG_CMD packets to duty-cycle
-// the Trojans' activation signal ON and OFF across budgeting epochs — the
-// paper's suggestion for evading detection — and the example shows how
-// the victim's performance and the infection rate respond to different
-// duty cycles. The payload rewrite is a custom trojan.Strategy value:
-// plugins resolve by name, but hand-built instances drop in wherever a
-// registered one would.
-//
-// Run with:
-//
-//	go run ./examples/stealthy_dos
-package main
+package htsim_test
 
 import (
 	"context"
@@ -21,7 +9,19 @@ import (
 	"repro/pkg/htsim"
 )
 
-func main() {
+// Example_stealthyDoS runs the Section III-B attack process end to end on
+// the SDK. The hacker broadcasts CONFIG_CMD packets to duty-cycle the
+// Trojans' activation signal ON and OFF across budgeting epochs — the
+// paper's suggestion for evading detection — and the example shows how
+// the victim's performance and the infection rate respond to different
+// duty cycles. The payload rewrite is a custom trojan.Strategy value:
+// plugins resolve by name, but hand-built instances drop in wherever a
+// registered one would.
+//
+// Run with:
+//
+//	go test ./pkg/htsim -run Example_stealthyDoS -v
+func Example_stealthyDoS() {
 	sim, err := htsim.New(
 		htsim.WithCores(64),
 		htsim.WithMemTraffic(false),
@@ -101,4 +101,29 @@ func main() {
 	}
 	fmt.Println("\nshorter ON phases trade attack strength for stealth — the Trojan")
 	fmt.Println("only rewrites packets while the activation register is set.")
+	// Output:
+	// duty cycle (ON/OFF epochs) vs infection rate and victim performance
+	//       duty    infection     victim Θ          Q
+	//  always-on        0.906        0.441      2.589
+	//        3/1        0.680        0.553      2.014
+	//        1/1        0.453        0.721      1.487
+	//        1/3        0.227        0.888      1.158
+	//
+	// epoch trace of the 1/1 duty cycle:
+	//   epoch   active   tampered  victim-level  attacker-lvl
+	//       0       ON         29          0.00          0.00
+	//       1      off          0          0.94          5.00
+	//       2       ON         29          4.00          4.00
+	//       3      off          0          0.94          5.00
+	//       4       ON         29          4.00          4.00
+	//       5      off          0          0.94          5.00
+	//       6       ON         29          4.00          4.00
+	//       7      off          0          0.94          5.00
+	//       8       ON         29          4.00          4.00
+	//       9      off          0          0.94          5.00
+	//      10       ON         29          4.00          4.00
+	//      11      off          0          0.94          5.00
+	//
+	// shorter ON phases trade attack strength for stealth — the Trojan
+	// only rewrites packets while the activation register is set.
 }
