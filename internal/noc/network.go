@@ -37,11 +37,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxVCs is the most virtual channels per input port a router supports:
+// a router's per-stage VC masks are 32-bit words indexed by the flattened
+// (port, VC) index port*VCs+vc, so all 5×VCs input VCs must fit in 32 bits.
+const maxVCs = 32 / int(numDirections)
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
 	case c.VCs < 1:
 		return errors.New("noc: config needs at least one virtual channel")
+	case c.VCs > maxVCs:
+		return fmt.Errorf("noc: config has %d virtual channels per port, the limit is %d", c.VCs, maxVCs)
 	case c.BufDepth < 1:
 		return errors.New("noc: config needs buffer depth of at least one flit")
 	case c.RouterCycles < 1 || c.LinkCycles < 0:

@@ -22,6 +22,7 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{name: "default ok", mutate: func(*Config) {}, wantOK: true},
 		{name: "zero VCs", mutate: func(c *Config) { c.VCs = 0 }},
+		{name: "more VCs than the masks hold", mutate: func(c *Config) { c.VCs = maxVCs + 1 }},
 		{name: "zero depth", mutate: func(c *Config) { c.BufDepth = 0 }},
 		{name: "zero router cycles", mutate: func(c *Config) { c.RouterCycles = 0 }},
 		{name: "negative link", mutate: func(c *Config) { c.LinkCycles = -1 }},
