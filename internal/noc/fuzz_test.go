@@ -351,6 +351,7 @@ func runOracleCase(t *testing.T, c oracleCase) {
 		}
 		net.Step()
 		checkNetworkInvariants(t, net)
+		checkRouterMasks(t, net)
 		if want != nil {
 			want.net.Step()
 			if net.Busy() != want.net.Busy() {
@@ -405,6 +406,51 @@ func checkNetworkInvariants(t *testing.T, n *Network) {
 	}
 	if live != n.liveFlits {
 		t.Fatalf("cycle %d: %d flits in the network, live-flit counter says %d", n.now, live, n.liveFlits)
+	}
+}
+
+// checkRouterMasks recomputes every router's VC masks and the busy bitset
+// from a scan of the VC state and fails on any difference, or on a
+// switch-allocation pointer outside the router's VCs.
+func checkRouterMasks(t *testing.T, n *Network) {
+	t.Helper()
+	for i := range n.routers {
+		r := &n.routers[i]
+		var occupied, waiting uint32
+		var req [numDirections]uint32
+		for v := range r.vcs {
+			vc := &r.vcs[v]
+			bit := uint32(1) << v
+			if int(vc.idx) != v {
+				t.Fatalf("router %d VC %d has index %d", i, v, vc.idx)
+			}
+			if vc.n > 0 {
+				occupied |= bit
+			}
+			if vc.routeValid {
+				req[vc.route] |= bit
+				if vc.route != Local && !vc.outVCValid {
+					waiting |= bit
+				}
+			}
+		}
+		if r.occupied != occupied || r.waiting != waiting || r.req != req {
+			t.Fatalf("cycle %d: router %d masks occupied=%#x waiting=%#x req=%#x, VC state says %#x %#x %#x",
+				n.now, i, r.occupied, r.waiting, r.req, occupied, waiting, req)
+		}
+		if busy := n.busy[i/64]>>(i%64)&1 != 0; busy != (occupied != 0) {
+			t.Fatalf("cycle %d: router %d busy bit %v with occupied mask %#x", n.now, i, busy, occupied)
+		}
+		for out, ptr := range r.saPtr {
+			if int(ptr) >= len(r.vcs) {
+				t.Fatalf("cycle %d: router %d saPtr[%d] = %d of %d VCs", n.now, i, out, ptr, len(r.vcs))
+			}
+		}
+	}
+	for id := len(n.routers); id < 64*len(n.busy); id++ {
+		if n.busy[id/64]>>(id%64)&1 != 0 {
+			t.Fatalf("busy bit %d set past the last router", id)
+		}
 	}
 }
 

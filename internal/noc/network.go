@@ -3,6 +3,7 @@ package noc
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -138,10 +139,11 @@ type Handler func(p *Packet)
 // vcState is one input virtual channel of a router. The flit buffer is a
 // fixed-capacity ring of BufDepth slots carved out of the network's flit
 // slab, so steady-state traffic neither re-slices nor reallocates. The
-// struct is kept small (int32 counters, byte-sized route) because the
-// per-cycle stages scan every VC of every active router.
+// struct is kept small (int32 counters, byte-sized route and index)
+// because a network holds 5×VCs of them per router.
 type vcState struct {
-	rt *router // owning router, for buffered-flit accounting
+	rt  *router // owning router, whose VC masks mirror this VC's state
+	idx uint8   // flattened index port*VCs+vc in rt.vcs, and rt's mask bit
 
 	// owner is the packet holding this VC (wormhole allocation). It is set
 	// when an upstream VC allocation reserves this channel and cleared when
@@ -163,7 +165,12 @@ type vcState struct {
 	dropping   bool // consume this packet's flits instead of routing them
 }
 
+// reset releases the VC when its packet's tail has left or been eaten,
+// clearing the VC's bits from the router's route masks.
 func (v *vcState) reset() {
+	bit := uint32(1) << v.idx
+	v.rt.req[v.route] &^= bit
+	v.rt.waiting &^= bit
 	v.owner = nil
 	v.route = Local
 	v.routeValid = false
@@ -181,18 +188,34 @@ func (v *vcState) space(depth int32) bool { return v.n+v.inflight < depth }
 
 // router is one mesh router. Input VCs are flattened into a single slice —
 // the VC for (input port d, channel v) sits at index d*VCs+v — which is
-// both the cache-friendly layout for the per-cycle scans and exactly the
-// candidate order of the round-robin switch allocator.
+// exactly the candidate order of the round-robin switch allocator.
+//
+// The pipeline stages never scan the VCs. Each router mirrors the VC state
+// the stages test in bitmasks over the flattened indices (Config.Validate
+// caps 5×VCs at 32), and a stage visits only the set bits, in ascending
+// order — the order the scans visited them in:
+//
+//	occupied  VCs holding at least one flit (n > 0)
+//	req[out]  VCs whose packet is routed to output out (routeValid)
+//	waiting   VCs routed to a neighbour whose packet has no downstream VC
+//	          yet (routeValid, route != Local, !outVCValid)
+//
+// vcPush and vcPop keep occupied; route compute sets req and waiting, VC
+// allocation clears waiting, and vcState.reset clears both.
 type router struct {
-	id  NodeID
-	vcs []vcState
-	// saPtr is the round-robin switch-allocation pointer per output port,
-	// indexing the flattened (input port, VC) candidate list.
-	saPtr [numDirections]int
-	// buffered counts flits currently held in this router's input VCs; a
-	// router leaves the active worklist when it reaches zero.
-	buffered int
-	active   bool
+	id       NodeID
+	vcs      []vcState
+	occupied uint32
+	waiting  uint32
+	req      [numDirections]uint32
+	// saPtr is the round-robin switch-allocation pointer per output port:
+	// the flattened index the next arbitration for that output starts at.
+	saPtr [numDirections]uint8
+}
+
+// routed returns the mask of VCs whose packet has a route.
+func (r *router) routed() uint32 {
+	return r.req[Local] | r.req[North] | r.req[East] | r.req[South] | r.req[West]
 }
 
 // inflightFlit is a flit traversing the router pipeline + link toward a
@@ -247,13 +270,14 @@ func (s *Stats) AvgLatency(t PacketType) float64 {
 // Network is the cycle-stepped NoC. It is not safe for concurrent use; one
 // simulation owns one network.
 //
-// Stepping is worklist-driven: a router is scanned by the RC/VA/SA stages
-// only while flits sit in its input buffers, and a network interface only
-// while its source queue is non-empty. The worklists are kept sorted by
-// node ID, so a Step visits exactly the routers a full scan would have
-// found non-idle, in the same order — cycle-for-cycle identical behaviour
-// to the exhaustive sweep, without the O(nodes × ports × VCs) cost on a
-// nearly-empty network.
+// Stepping is worklist-driven: the RC/VA/SA stages visit a router only
+// while flits sit in its input buffers (the busy bitset), and within it
+// only the VCs its masks select; a network interface is visited only while
+// its source queue is non-empty. Both are visited in ascending node ID, so
+// a Step makes the same decisions in the same order as the exhaustive
+// sweep it replaced — cycle-for-cycle identical behaviour (checked against
+// that sweep by FuzzStepperOracle), without the O(nodes × ports × VCs)
+// cost.
 type Network struct {
 	mesh      Mesh
 	cfg       Config
@@ -274,12 +298,14 @@ type Network struct {
 	// buffers, link pipeline), making Busy O(1).
 	liveFlits int
 
-	// Active worklists, sorted ascending; the dirty flags note unsorted
-	// appends since the last Step.
-	activeRouters []int32
-	routersDirty  bool
-	activeNIs     []int32
-	nisDirty      bool
+	// busy holds one bit per router with a flit in its input VCs (bit
+	// id%64 of word id/64); iterating it yields the ascending router
+	// worklist of the pipeline stages.
+	busy []uint64
+	// activeNIs lists the nodes with a non-empty source queue, sorted
+	// ascending; nisDirty notes unsorted appends since the last Step.
+	activeNIs []int32
+	nisDirty  bool
 
 	// flitSlab backs every input VC's ring buffer: VC k of the network
 	// owns flitSlab[k*depth : (k+1)*depth]. Routers, NIs and VC state are
@@ -288,9 +314,10 @@ type Network struct {
 	flitSlab []*Flit
 	depth    int32 // cfg.BufDepth
 
-	// saDir maps a flattened VC index to its input port, hoisting the
-	// divide/modulo out of the switch-allocation loop.
-	saDir []Direction
+	// portVCs maps a flattened VC index to the mask of every VC on the same
+	// input port: switch allocation masks them out once the port has sent
+	// its flit for the cycle.
+	portVCs []uint32
 
 	// dateline flags the traffic classes whose routing traverses
 	// wraparound links; VC allocation then bands the class's VC range into
@@ -334,6 +361,7 @@ func New(mesh Mesh, cfg Config) (*Network, error) {
 		handlers: make([]Handler, nodes),
 		flitSlab: make([]*Flit, nodes*vcsPerRouter*cfg.BufDepth),
 		depth:    int32(cfg.BufDepth),
+		busy:     make([]uint64, (nodes+63)/64),
 	}
 	vcs := make([]vcState, nodes*vcsPerRouter)
 	for i := range n.routers {
@@ -342,12 +370,14 @@ func New(mesh Mesh, cfg Config) (*Network, error) {
 		r.vcs = vcs[i*vcsPerRouter : (i+1)*vcsPerRouter]
 		for v := range r.vcs {
 			r.vcs[v].rt = r
+			r.vcs[v].idx = uint8(v)
 			r.vcs[v].ring = int32((i*vcsPerRouter + v) * cfg.BufDepth)
 		}
 	}
-	n.saDir = make([]Direction, vcsPerRouter)
-	for i := range n.saDir {
-		n.saDir[i] = Direction(i / cfg.VCs)
+	n.portVCs = make([]uint32, vcsPerRouter)
+	for i := range n.portVCs {
+		port := i / cfg.VCs
+		n.portVCs[i] = (1<<cfg.VCs - 1) << (port * cfg.VCs)
 	}
 	for class := 0; class < 2; class++ {
 		_, n.dateline[class] = cfg.classRouting(class).(WrapRouting)
@@ -450,14 +480,9 @@ func (n *Network) Step() {
 	n.now++
 	n.deliverArrivals()
 	n.injectFromNIs()
-	if n.routersDirty {
-		slices.Sort(n.activeRouters)
-		n.routersDirty = false
-	}
 	n.routeCompute()
 	n.vcAllocate()
 	n.switchTraversal()
-	n.sweepIdleRouters()
 }
 
 // RunUntilIdle steps until no flits remain or maxCycles elapse. It returns
@@ -476,8 +501,8 @@ func (n *Network) RunUntilIdle(maxCycles uint64) (uint64, bool) {
 // peek returns a VC's head-of-line flit; the caller must know vc.n > 0.
 func (n *Network) peek(vc *vcState) *Flit { return n.flitSlab[vc.ring+vc.head] }
 
-// vcPush appends a flit to a VC's ring buffer and puts the owning router on
-// the active worklist.
+// vcPush appends a flit to a VC's ring buffer, marking the VC occupied and
+// its router busy.
 func (n *Network) vcPush(vc *vcState, f *Flit) {
 	i := vc.head + vc.n
 	if i >= n.depth {
@@ -485,12 +510,10 @@ func (n *Network) vcPush(vc *vcState, f *Flit) {
 	}
 	n.flitSlab[vc.ring+i] = f
 	vc.n++
-	rt := vc.rt
-	rt.buffered++
-	if !rt.active {
-		rt.active = true
-		n.activeRouters = append(n.activeRouters, int32(rt.id))
-		n.routersDirty = true
+	if vc.n == 1 {
+		rt := vc.rt
+		rt.occupied |= 1 << vc.idx
+		n.busy[rt.id>>6] |= 1 << (rt.id & 63)
 	}
 }
 
@@ -504,7 +527,13 @@ func (n *Network) vcPop(vc *vcState) *Flit {
 		vc.head = 0
 	}
 	vc.n--
-	vc.rt.buffered--
+	if vc.n == 0 {
+		rt := vc.rt
+		rt.occupied &^= 1 << vc.idx
+		if rt.occupied == 0 {
+			n.busy[rt.id>>6] &^= 1 << (rt.id & 63)
+		}
+	}
 	return f
 }
 
@@ -610,53 +639,61 @@ func (n *Network) injectOne(id NodeID, ni *nodeNI) {
 	}
 }
 
-// routeCompute runs the RC stage: for every active router's input VC whose
-// head-of-line flit opens a packet and has no route yet, inspect (Trojan
-// hook) and route.
+// routeCompute runs the RC stage: for every busy router's occupied,
+// unrouted input VC (its head-of-line flit opens a packet, or it is eating
+// a dropped one), inspect (Trojan hook) and route.
 func (n *Network) routeCompute() {
-	for _, id := range n.activeRouters {
-		r := &n.routers[id]
-		if r.buffered == 0 {
+	for w, word := range n.busy {
+		for ; word != 0; word &= word - 1 {
+			n.routeComputeAt(&n.routers[w<<6|bits.TrailingZeros64(word)])
+		}
+	}
+}
+
+// routeComputeAt runs the RC stage at one router. A stage changes the VC
+// state of the router it visits and no other, so the ascending walk over a
+// word of the busy bitset, read once, sees every router a full sweep would
+// find busy.
+func (n *Network) routeComputeAt(r *router) {
+	for m := r.occupied &^ r.routed(); m != 0; m &= m - 1 {
+		vc := &r.vcs[bits.TrailingZeros32(m)]
+		if vc.dropping {
+			n.consumeDropped(vc)
 			continue
 		}
-		for i := range r.vcs {
-			vc := &r.vcs[i]
-			if vc.dropping {
-				n.consumeDropped(vc)
-				continue
-			}
-			if vc.n == 0 || vc.routeValid {
-				continue
-			}
-			head := n.peek(vc)
-			if !head.IsHead() {
-				continue
-			}
-			p := head.Packet
-			if !vc.inspected {
-				// Fig 2(b): the HT sits between the input buffer and
-				// the routing-computation module.
-				if n.inspector != nil {
-					switch n.inspector.InspectRC(r.id, p) {
-					case VerdictDrop:
-						vc.dropping = true
-						vc.inspected = true
-						n.consumeDropped(vc)
-						continue
-					case VerdictLoopback:
-						// The malicious router bounces the packet back
-						// to its source; the route below targets the
-						// rewritten destination.
-						p.Dst = p.Src
-						p.LoopedBack = true
-					}
+		head := n.peek(vc)
+		if !head.IsHead() {
+			continue
+		}
+		p := head.Packet
+		if !vc.inspected {
+			// Fig 2(b): the HT sits between the input buffer and
+			// the routing-computation module.
+			if n.inspector != nil {
+				switch n.inspector.InspectRC(r.id, p) {
+				case VerdictDrop:
+					vc.dropping = true
+					vc.inspected = true
+					n.consumeDropped(vc)
+					continue
+				case VerdictLoopback:
+					// The malicious router bounces the packet back
+					// to its source; the route below targets the
+					// rewritten destination.
+					p.Dst = p.Src
+					p.LoopedBack = true
 				}
-				vc.inspected = true
-				p.Hops++
 			}
-			n.freeFrom, n.freeClass = r.id, p.Class
-			vc.route = n.cfg.classRouting(p.Class).Route(n.mesh, r.id, p.Dst, n.freeFn)
-			vc.routeValid = true
+			vc.inspected = true
+			p.Hops++
+		}
+		n.freeFrom, n.freeClass = r.id, p.Class
+		vc.route = n.cfg.classRouting(p.Class).Route(n.mesh, r.id, p.Dst, n.freeFn)
+		vc.routeValid = true
+		bit := uint32(1) << vc.idx
+		r.req[vc.route] |= bit
+		if vc.route != Local {
+			r.waiting |= bit
 		}
 	}
 }
@@ -698,126 +735,133 @@ func (n *Network) downstreamHasFreeVC(id NodeID, dir Direction, class int) bool 
 	return false
 }
 
-// vcAllocate runs the VA stage: routed head packets at active routers
-// reserve a free VC in the downstream router's input port.
+// vcAllocate runs the VA stage: routed head packets at busy routers that
+// still wait for a downstream VC reserve a free one in the neighbour's
+// input port.
 func (n *Network) vcAllocate() {
-	for _, id := range n.activeRouters {
-		r := &n.routers[id]
-		if r.buffered == 0 {
+	for w, word := range n.busy {
+		for ; word != 0; word &= word - 1 {
+			n.vcAllocateAt(&n.routers[w<<6|bits.TrailingZeros64(word)])
+		}
+	}
+}
+
+// vcAllocateAt runs the VA stage at one router.
+func (n *Network) vcAllocateAt(r *router) {
+	for m := r.waiting & r.occupied; m != 0; m &= m - 1 {
+		vc := &r.vcs[bits.TrailingZeros32(m)]
+		if !n.peek(vc).IsHead() {
 			continue
 		}
-		for i := range r.vcs {
-			vc := &r.vcs[i]
-			if !vc.routeValid || vc.outVCValid || vc.route == Local {
-				continue
+		nb, ok := n.mesh.Neighbor(r.id, vc.route)
+		if !ok {
+			// Routing algorithms never route off-mesh; defensive.
+			continue
+		}
+		p := n.peek(vc).Packet
+		base := int(vc.route.Opposite()) * n.cfg.VCs
+		lo, hi := n.cfg.classVCRange(p.Class)
+		dim, crossed, wrap := int8(0), false, false
+		if n.dateline[p.Class] {
+			// Dateline banding: the class's VC range splits into a
+			// pre-dateline lower half and a post-dateline upper half.
+			// A packet rides the lower band until its hop crosses the
+			// current dimension's wraparound link, then the upper band
+			// for the rest of that dimension; switching dimensions
+			// resets it. Each unidirectional ring's dependency chain is
+			// therefore acyclic, which keeps the torus deadlock-free.
+			dim = dimOf(vc.route)
+			crossed = p.dlCrossed && p.dlDim == dim
+			wrap = n.mesh.wrapsAt(r.id, vc.route)
+			half := (hi - lo) / 2
+			if crossed || wrap {
+				lo += half
+			} else {
+				hi = lo + half
 			}
-			if vc.n == 0 || !n.peek(vc).IsHead() {
-				continue
-			}
-			nb, ok := n.mesh.Neighbor(r.id, vc.route)
-			if !ok {
-				// Routing algorithms never route off-mesh; defensive.
-				continue
-			}
-			p := n.peek(vc).Packet
-			base := int(vc.route.Opposite()) * n.cfg.VCs
-			lo, hi := n.cfg.classVCRange(p.Class)
-			dim, crossed, wrap := int8(0), false, false
-			if n.dateline[p.Class] {
-				// Dateline banding: the class's VC range splits into a
-				// pre-dateline lower half and a post-dateline upper half.
-				// A packet rides the lower band until its hop crosses the
-				// current dimension's wraparound link, then the upper band
-				// for the rest of that dimension; switching dimensions
-				// resets it. Each unidirectional ring's dependency chain is
-				// therefore acyclic, which keeps the torus deadlock-free.
-				dim = dimOf(vc.route)
-				crossed = p.dlCrossed && p.dlDim == dim
-				wrap = n.mesh.wrapsAt(r.id, vc.route)
-				half := (hi - lo) / 2
-				if crossed || wrap {
-					lo += half
-				} else {
-					hi = lo + half
+		}
+		dvcs := n.routers[nb].vcs
+		for out := lo; out < hi; out++ {
+			if dvc := &dvcs[base+out]; dvc.free() {
+				dvc.owner = p
+				vc.outVCValid = true
+				vc.reservedDst = dvc
+				r.waiting &^= 1 << vc.idx
+				if n.dateline[p.Class] {
+					p.dlDim, p.dlCrossed = dim, crossed || wrap
 				}
-			}
-			dvcs := n.routers[nb].vcs
-			for out := lo; out < hi; out++ {
-				if dvc := &dvcs[base+out]; dvc.free() {
-					dvc.owner = p
-					vc.outVCValid = true
-					vc.reservedDst = dvc
-					if n.dateline[p.Class] {
-						p.dlDim, p.dlCrossed = dim, crossed || wrap
-					}
-					break
-				}
+				break
 			}
 		}
 	}
 }
 
-// switchTraversal runs SA+ST: per output port of each active router, one
+// switchTraversal runs SA+ST: per output port of each busy router, one
 // flit crosses the switch, respecting one-flit-per-input-port bandwidth,
 // then either ejects locally or enters the link pipeline.
 func (n *Network) switchTraversal() {
-	for _, id := range n.activeRouters {
-		r := &n.routers[id]
-		if r.buffered == 0 {
-			continue
-		}
-		var usedInput [numDirections]bool
-		for out := 0; out < int(numDirections); out++ {
-			n.arbitrateOutput(r, Direction(out), &usedInput)
+	for w, word := range n.busy {
+		for ; word != 0; word &= word - 1 {
+			r := &n.routers[w<<6|bits.TrailingZeros64(word)]
+			var usedInputs uint32 // VCs of the input ports that sent this cycle
+			for out := Local; out < numDirections; out++ {
+				n.arbitrateOutput(r, out, &usedInputs)
+			}
 		}
 	}
 }
 
-// arbitrateOutput picks one eligible (input, VC) for output port out using
-// a round-robin pointer and moves its head-of-line flit.
-func (n *Network) arbitrateOutput(r *router, out Direction, usedInput *[numDirections]bool) {
-	total := len(r.vcs)
-	idx := r.saPtr[out]
-	for k := 0; k < total; k++ {
-		if idx >= total {
-			idx -= total
-		}
-		vc := &r.vcs[idx]
-		d := n.saDir[idx]
-		idx++
-		if usedInput[d] || vc.n == 0 || !vc.routeValid || vc.route != out {
-			continue
-		}
-		if out != Local {
-			if !vc.outVCValid || !vc.reservedDst.space(n.depth) {
+// arbitrateOutput picks one eligible (input, VC) for output port out and
+// moves its head-of-line flit. Eligible VCs hold a flit routed to out on
+// an input port that has not sent this cycle, and for a neighbour output
+// they hold a downstream VC with space. Round robin takes the lowest
+// eligible index at or after saPtr[out], else the lowest below it.
+func (n *Network) arbitrateOutput(r *router, out Direction, usedInputs *uint32) {
+	cand := r.req[out] & r.occupied &^ r.waiting &^ *usedInputs
+	if cand == 0 {
+		return
+	}
+	atOrAfter := cand >> r.saPtr[out] << r.saPtr[out]
+	for _, m := range [2]uint32{atOrAfter, cand &^ atOrAfter} {
+		for ; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			vc := &r.vcs[i]
+			if out != Local && !vc.reservedDst.space(n.depth) {
 				continue
 			}
+			n.traverse(r, vc, out)
+			*usedInputs |= n.portVCs[i]
+			r.saPtr[out] = uint8(i + 1)
+			if i+1 == len(r.vcs) {
+				r.saPtr[out] = 0
+			}
+			return
 		}
-		f := n.vcPop(vc)
-		usedInput[d] = true
-		r.saPtr[out] = idx
-		if idx == total {
-			r.saPtr[out] = 0
-		}
+	}
+}
 
-		// Read the flit kind before eject: ejection frees the flit to the
-		// pool, and a delivery handler may synchronously Inject a new
-		// packet that recycles (and rewrites) it.
-		tail := f.IsTail()
-		if out == Local {
-			n.eject(r.id, f)
-		} else {
-			vc.reservedDst.inflight++
-			n.linkPush(inflightFlit{
-				arriveAt: n.now + uint64(n.cfg.RouterCycles+n.cfg.LinkCycles),
-				flit:     f,
-				dst:      vc.reservedDst,
-			})
-		}
-		if tail {
-			vc.reset()
-		}
-		return
+// traverse moves vc's head-of-line flit across r's switch to output out:
+// ejection at the local port, otherwise the link pipeline toward the
+// reserved downstream VC.
+func (n *Network) traverse(r *router, vc *vcState, out Direction) {
+	f := n.vcPop(vc)
+
+	// Read the flit kind before eject: ejection frees the flit to the
+	// pool, and a delivery handler may synchronously Inject a new
+	// packet that recycles (and rewrites) it.
+	tail := f.IsTail()
+	if out == Local {
+		n.eject(r.id, f)
+	} else {
+		vc.reservedDst.inflight++
+		n.linkPush(inflightFlit{
+			arriveAt: n.now + uint64(n.cfg.RouterCycles+n.cfg.LinkCycles),
+			flit:     f,
+			dst:      vc.reservedDst,
+		})
+	}
+	if tail {
+		vc.reset()
 	}
 }
 
@@ -832,22 +876,6 @@ func dimOf(d Direction) int8 {
 	default:
 		return 0
 	}
-}
-
-// sweepIdleRouters retires routers whose input buffers drained this cycle.
-// Compaction preserves the ascending order of the worklist.
-func (n *Network) sweepIdleRouters() {
-	k := 0
-	for _, id := range n.activeRouters {
-		r := &n.routers[id]
-		if r.buffered > 0 {
-			n.activeRouters[k] = id
-			k++
-		} else {
-			r.active = false
-		}
-	}
-	n.activeRouters = n.activeRouters[:k]
 }
 
 // eject consumes a flit at its destination; delivering the tail flit
