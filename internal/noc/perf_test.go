@@ -71,37 +71,66 @@ func TestAvgLatencyOutOfRangeType(t *testing.T) {
 }
 
 // TestStepSteadyStateZeroAllocs is the allocation-regression gate for the
-// hot path: once an 8×8 mesh is warm (flit pool primed, link-pipeline ring
-// at its high-water mark), stepping the network through sustained
-// many-to-one traffic must not allocate at all.
+// hot path: once an 8×8 network is warm (flit pool primed, link-pipeline
+// ring at its high-water mark), stepping it through sustained many-to-one
+// traffic must not allocate at all — under every registered routing
+// algorithm (torus-xy on a torus) and under the dual-class xy+yx split.
 func TestStepSteadyStateZeroAllocs(t *testing.T) {
-	n := newTestNetwork(t, 8, 8)
-	gm := n.Mesh().Center()
-	n.Attach(gm, func(p *Packet) {})
-	// Deep source queues keep every NI busy for thousands of cycles.
-	for round := 0; round < 40; round++ {
-		for id := NodeID(0); id < NodeID(n.Mesh().Nodes()); id++ {
-			if id == gm {
-				continue
-			}
-			if err := n.Inject(&Packet{Src: id, Dst: gm, Type: TypePowerReq}); err != nil {
-				t.Fatalf("Inject: %v", err)
-			}
+	type variant struct {
+		name string
+		mesh Mesh
+		cfg  Config
+	}
+	var variants []variant
+	for _, name := range Routings.Names() {
+		alg, err := RoutingByName(name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		cfg := DefaultConfig()
+		cfg.Routing = alg
+		_, wraps := alg.(WrapRouting)
+		variants = append(variants, variant{name, Mesh{Width: 8, Height: 8, Wrap: wraps}, cfg})
 	}
-	// Warm up: pools and rings reach their steady-state capacity.
-	for i := 0; i < 200; i++ {
-		n.Step()
-	}
-	if !n.Busy() {
-		t.Fatal("network drained during warmup; steady state not reached")
-	}
-	allocs := testing.AllocsPerRun(500, func() { n.Step() })
-	if !n.Busy() {
-		t.Fatal("network drained during measurement; steady state not reached")
-	}
-	if allocs != 0 {
-		t.Errorf("steady-state Step allocates %v times per cycle, want 0", allocs)
+	variants = append(variants, variant{"xy+yx", Mesh{Width: 8, Height: 8}, dualClassConfig()})
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			n, err := New(v.mesh, v.cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			gm := n.Mesh().Center()
+			n.Attach(gm, func(p *Packet) {})
+			// Deep source queues keep every NI busy for thousands of cycles.
+			for round := 0; round < 40; round++ {
+				for id := NodeID(0); id < NodeID(n.Mesh().Nodes()); id++ {
+					if id == gm {
+						continue
+					}
+					p := &Packet{Src: id, Dst: gm, Type: TypePowerReq}
+					if v.cfg.AltRouting != nil {
+						p.Class = round % 2
+					}
+					if err := n.Inject(p); err != nil {
+						t.Fatalf("Inject: %v", err)
+					}
+				}
+			}
+			// Warm up: pools and rings reach their steady-state capacity.
+			for i := 0; i < 200; i++ {
+				n.Step()
+			}
+			if !n.Busy() {
+				t.Fatal("network drained during warmup; steady state not reached")
+			}
+			allocs := testing.AllocsPerRun(500, func() { n.Step() })
+			if !n.Busy() {
+				t.Fatal("network drained during measurement; steady state not reached")
+			}
+			if allocs != 0 {
+				t.Errorf("steady-state Step allocates %v times per cycle, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -91,16 +91,22 @@ func (WestFirstRouting) Route(m Mesh, cur, dst NodeID, free func(Direction) bool
 	if cc.X > cd.X {
 		return West
 	}
-	var candidates []Direction
+	// At most two minimal productive directions remain, so a fixed array
+	// holds them: routing a packet must not allocate.
+	var candidates [2]Direction
+	k := 0
 	if cc.X < cd.X {
-		candidates = append(candidates, East)
+		candidates[k] = East
+		k++
 	}
 	if cc.Y < cd.Y {
-		candidates = append(candidates, South)
+		candidates[k] = South
+		k++
 	} else if cc.Y > cd.Y {
-		candidates = append(candidates, North)
+		candidates[k] = North
+		k++
 	}
-	if len(candidates) == 1 {
+	if k == 1 {
 		return candidates[0]
 	}
 	// Adaptive choice between the two minimal productive directions:
