@@ -83,15 +83,18 @@ const ShardPath = "/v1/shards"
 // StreamFrame objects.
 const NDJSONContentType = "application/x-ndjson"
 
-// ShardRequest is the wire form of one shard dispatch. Revision and Go
-// fingerprint the coordinator's build; a worker on a different build
+// ShardRequest is the wire form of one shard dispatch. Revision, Go and
+// Arch fingerprint the coordinator's build; a worker on a different build
 // must reject the shard rather than contribute bytes from a divergent
-// simulator. Traceparent, when set, names the coordinator's dispatch
+// simulator. Arch is GOARCH because the compiler fuses multiply-adds into
+// FMA instructions on some architectures and not on others, so the same
+// source can round differently. Traceparent, when set, names the coordinator's dispatch
 // span so the worker's spans stitch into the same trace. The worker
 // answers with an NDJSON stream of StreamFrames.
 type ShardRequest struct {
 	Revision    string         `json:"revision"`
 	Go          string         `json:"go"`
+	Arch        string         `json:"arch"`
 	Shard       campaign.Shard `json:"shard"`
 	Traceparent string         `json:"traceparent,omitempty"`
 }
@@ -869,6 +872,7 @@ func (c *Coordinator) dispatch(ctx context.Context, workerURL string, sh campaig
 	body, err := json.Marshal(ShardRequest{
 		Revision:    results.Revision(),
 		Go:          runtime.Version(),
+		Arch:        runtime.GOARCH,
 		Shard:       sh,
 		Traceparent: span.Traceparent(),
 	})

@@ -1,16 +1,22 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
+	"repro/internal/dist"
 	"repro/internal/faultinject"
+	"repro/internal/results"
 )
 
 // distSpec exercises every shard shape in one campaign: E1 is atomic
@@ -154,19 +160,55 @@ func TestDistributedShardCacheReuse(t *testing.T) {
 }
 
 // TestShardEndpointRejectsBuildMismatch checks the homogeneous-build
-// guard: a shard stamped with a different revision answers 409, never
-// bytes from a divergent simulator.
+// guard: a shard stamped with a different revision, Go version or GOARCH
+// answers 409, never bytes from a divergent simulator. Each row
+// mismatches one field against a matching request the worker runs, so
+// each check is tested on its own.
 func TestShardEndpointRejectsBuildMismatch(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	body := `{"revision":"somebody-else","go":"gofuture","shard":{"exp_index":0,"experiment":{"id":"E1"},"seed":1,"index":0,"count":1}}`
-	resp, err := http.Post(ts.URL+"/v1/shards", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	for _, tt := range []struct {
+		name   string
+		mutate func(*dist.ShardRequest)
+		want   int
+	}{
+		{"matching build", func(*dist.ShardRequest) {}, http.StatusOK},
+		{"revision", func(r *dist.ShardRequest) { r.Revision = "somebody-else" }, http.StatusConflict},
+		{"go", func(r *dist.ShardRequest) { r.Go = "gofuture" }, http.StatusConflict},
+		{"arch", func(r *dist.ShardRequest) { r.Arch = otherArch() }, http.StatusConflict},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			req := dist.ShardRequest{
+				Revision: results.Revision(),
+				Go:       runtime.Version(),
+				Arch:     runtime.GOARCH,
+				Shard:    campaign.Shard{Experiment: campaign.ExperimentSpec{ID: "E1"}, Seed: 1, Count: 1},
+			}
+			tt.mutate(&req)
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/shards", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tt.want {
+				t.Fatalf("shard request (%s) = %d, want %d", tt.name, resp.StatusCode, tt.want)
+			}
+		})
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("mismatched build shard = %d, want 409", resp.StatusCode)
+}
+
+// otherArch names a GOARCH other than the running one.
+func otherArch() string {
+	if runtime.GOARCH == "arm64" {
+		return "amd64"
 	}
+	return "arm64"
 }
 
 // TestHealthzWorkerPoolQuorum checks the coordinator's readiness

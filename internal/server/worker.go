@@ -57,10 +57,10 @@ func (s *Server) handleRunShard(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("shard request: %w", err))
 		return
 	}
-	if req.Revision != results.Revision() || req.Go != runtime.Version() {
+	if req.Revision != results.Revision() || req.Go != runtime.Version() || req.Arch != runtime.GOARCH {
 		writeError(w, http.StatusConflict, fmt.Errorf(
-			"build mismatch: worker is %s/%s, coordinator is %s/%s — distributed byte-identity requires homogeneous builds",
-			results.Revision(), runtime.Version(), req.Revision, req.Go))
+			"build mismatch: worker is %s/%s/%s, coordinator is %s/%s/%s — distributed byte-identity requires homogeneous builds",
+			results.Revision(), runtime.Version(), runtime.GOARCH, req.Revision, req.Go, req.Arch))
 		return
 	}
 	// The shard.run fault point models a worker that accepts shards but
