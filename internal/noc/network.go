@@ -142,8 +142,7 @@ type Handler func(p *Packet)
 // struct is kept small (int32 counters, byte-sized route and index)
 // because a network holds 5×VCs of them per router.
 type vcState struct {
-	rt  *router // owning router, whose VC masks mirror this VC's state
-	idx uint8   // flattened index port*VCs+vc in rt.vcs, and rt's mask bit
+	rt *router // owning router, whose VC masks mirror this VC's state
 
 	// owner is the packet holding this VC (wormhole allocation). It is set
 	// when an upstream VC allocation reserves this channel and cleared when
@@ -162,7 +161,8 @@ type vcState struct {
 	routeValid bool
 	outVCValid bool
 	inspected  bool
-	dropping   bool // consume this packet's flits instead of routing them
+	dropping   bool  // consume this packet's flits instead of routing them
+	idx        uint8 // flattened index port*VCs+vc in rt.vcs, and rt's mask bit
 }
 
 // reset releases the VC when its packet's tail has left or been eaten,
