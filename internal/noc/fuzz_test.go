@@ -16,8 +16,9 @@ import (
 // of the last injection (which covers dateline deadlock freedom); and
 // every packet is delivered once, at its destination, or condemned by a
 // drop verdict. Loopback verdicts are the exception to draining: a
-// routing loop may wedge the network, so such a case ends once nothing
-// has been delivered or dropped for oracleStallWindow cycles.
+// routing loop may wedge the network, so once a packet has been looped
+// back the case ends after oracleStallWindow cycles in which nothing was
+// delivered or dropped.
 func FuzzStepperOracle(f *testing.F) {
 	for _, seed := range oracleSeedCorpus() {
 		f.Add(seed)
@@ -35,7 +36,7 @@ func FuzzStepperOracle(f *testing.F) {
 const oracleDrainBound = 50_000
 
 // oracleStallWindow is how many cycles without a delivery or a drop end
-// a case whose Trojans loop packets back (see runOracleCase).
+// a case in which a Trojan looped a packet back (see runOracleCase).
 const oracleStallWindow = 2_000
 
 // oracleMaxPackets caps the scheduled traffic of one fuzzed case.
@@ -205,16 +206,6 @@ func (c *oracleCase) verdict(r NodeID, p *Packet) Verdict {
 	return VerdictForward
 }
 
-// loopsBack reports whether any of the case's Trojans loops packets back.
-func (c *oracleCase) loopsBack() bool {
-	for _, tj := range c.trojans {
-		if tj.kind == 3 {
-			return true
-		}
-	}
-	return false
-}
-
 // stepper is the surface the harness drives, common to the production
 // network and the seed stepper.
 type stepper interface {
@@ -235,6 +226,7 @@ type oracleRun struct {
 	injected    map[uint64]bool // every packet ID injected
 	delivered   map[uint64]bool
 	condemned   map[uint64]bool // packets a drop verdict discarded
+	loopedBack  bool            // a loopback verdict turned some packet around
 }
 
 // attach wires the case's inspector and delivery handlers to net.
@@ -248,8 +240,11 @@ func (c *oracleCase) attach(t *testing.T, net stepper) *oracleRun {
 	net.SetInspector(inspectorFunc(func(r NodeID, p *Packet) Verdict {
 		v := c.verdict(r, p)
 		run.inspections = append(run.inspections, oracleEvent{cycle: net.Now(), node: r, id: p.ID, payload: p.Payload, tampered: p.Tampered})
-		if v == VerdictDrop {
+		switch v {
+		case VerdictDrop:
 			run.condemned[p.ID] = true
+		case VerdictLoopback:
+			run.loopedBack = true
 		}
 		return v
 	}))
@@ -339,7 +334,7 @@ func runOracleCase(t *testing.T, c oracleCase) {
 		}
 		if s := net.Stats(); s.Delivered+s.DroppedPackets != retired {
 			retired, stalled = s.Delivered+s.DroppedPackets, 0
-		} else if stalled++; cycle > last && stalled > oracleStallWindow && c.loopsBack() {
+		} else if stalled++; cycle > last && stalled > oracleStallWindow && got.loopedBack {
 			// A routing loop turns packets around, which can wedge a
 			// wormhole network for good: that is the attack working,
 			// not a stepper bug, so the case ends without draining.
@@ -409,11 +404,12 @@ func checkNetworkInvariants(t *testing.T, n *Network) {
 	}
 }
 
-// checkRouterMasks recomputes every router's VC masks and the busy bitset
-// from a scan of the VC state and fails on any difference, or on a
-// switch-allocation pointer outside the router's VCs.
+// checkRouterMasks recomputes every router's VC masks, the busy bitset and
+// its count from a scan of the VC state and fails on any difference, or
+// on a switch-allocation pointer outside the router's VCs.
 func checkRouterMasks(t *testing.T, n *Network) {
 	t.Helper()
+	busyRouters := 0
 	for i := range n.routers {
 		r := &n.routers[i]
 		var occupied, waiting uint32
@@ -441,6 +437,9 @@ func checkRouterMasks(t *testing.T, n *Network) {
 		if busy := n.busy[i/64]>>(i%64)&1 != 0; busy != (occupied != 0) {
 			t.Fatalf("cycle %d: router %d busy bit %v with occupied mask %#x", n.now, i, busy, occupied)
 		}
+		if occupied != 0 {
+			busyRouters++
+		}
 		for out, ptr := range r.saPtr {
 			if int(ptr) >= len(r.vcs) {
 				t.Fatalf("cycle %d: router %d saPtr[%d] = %d of %d VCs", n.now, i, out, ptr, len(r.vcs))
@@ -451,6 +450,9 @@ func checkRouterMasks(t *testing.T, n *Network) {
 		if n.busy[id/64]>>(id%64)&1 != 0 {
 			t.Fatalf("busy bit %d set past the last router", id)
 		}
+	}
+	if n.busyRouters != busyRouters {
+		t.Fatalf("cycle %d: busyRouters = %d, %d routers hold flits", n.now, n.busyRouters, busyRouters)
 	}
 }
 

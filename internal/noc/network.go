@@ -300,8 +300,12 @@ type Network struct {
 
 	// busy holds one bit per router with a flit in its input VCs (bit
 	// id%64 of word id/64); iterating it yields the ascending router
-	// worklist of the pipeline stages.
-	busy []uint64
+	// worklist of the pipeline stages. A stage adds or removes buffered
+	// flits only at the router it visits, so a stage that reads each word
+	// once still visits every router that holds flits when its turn comes.
+	// busyRouters counts the set bits, so an idle cycle skips the stages.
+	busy        []uint64
+	busyRouters int
 	// activeNIs lists the nodes with a non-empty source queue, sorted
 	// ascending; nisDirty notes unsorted appends since the last Step.
 	activeNIs []int32
@@ -480,9 +484,11 @@ func (n *Network) Step() {
 	n.now++
 	n.deliverArrivals()
 	n.injectFromNIs()
-	n.routeCompute()
-	n.vcAllocate()
-	n.switchTraversal()
+	if n.busyRouters > 0 {
+		n.routeCompute()
+		n.vcAllocate()
+		n.switchTraversal()
+	}
 }
 
 // RunUntilIdle steps until no flits remain or maxCycles elapse. It returns
@@ -512,8 +518,11 @@ func (n *Network) vcPush(vc *vcState, f *Flit) {
 	vc.n++
 	if vc.n == 1 {
 		rt := vc.rt
+		if rt.occupied == 0 {
+			n.busy[rt.id>>6] |= 1 << (rt.id & 63)
+			n.busyRouters++
+		}
 		rt.occupied |= 1 << vc.idx
-		n.busy[rt.id>>6] |= 1 << (rt.id & 63)
 	}
 }
 
@@ -532,6 +541,7 @@ func (n *Network) vcPop(vc *vcState) *Flit {
 		rt.occupied &^= 1 << vc.idx
 		if rt.occupied == 0 {
 			n.busy[rt.id>>6] &^= 1 << (rt.id & 63)
+			n.busyRouters--
 		}
 	}
 	return f
@@ -650,10 +660,7 @@ func (n *Network) routeCompute() {
 	}
 }
 
-// routeComputeAt runs the RC stage at one router. A stage changes the VC
-// state of the router it visits and no other, so the ascending walk over a
-// word of the busy bitset, read once, sees every router a full sweep would
-// find busy.
+// routeComputeAt runs the RC stage at one router.
 func (n *Network) routeComputeAt(r *router) {
 	for m := r.occupied &^ r.routed(); m != 0; m &= m - 1 {
 		vc := &r.vcs[bits.TrailingZeros32(m)]
