@@ -141,13 +141,14 @@ func decodeOracleCase(data []byte) oracleCase {
 	if alt := routings[r.intn(len(routings))]; twoClasses {
 		c.cfg.AltRouting = alt
 	}
-	need := 1
+	// Each class needs a VC, and a wrap-routed class two (dateline bands).
+	need, wrapNeed := 1, 2
 	if twoClasses {
-		need = 2
+		need, wrapNeed = 2, 4
 	}
 	for class := 0; class < 2; class++ {
 		if _, wraps := c.cfg.classRouting(class).(WrapRouting); wraps {
-			need = 2 * (1 + btoi(twoClasses))
+			need = wrapNeed
 		}
 	}
 	c.cfg.VCs = need + r.intn(maxVCs+1-need)
@@ -176,13 +177,6 @@ func decodeOracleCase(data []byte) oracleCase {
 		c.traffic = append(c.traffic, inj)
 	}
 	return c
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // verdict is the fuzzed Trojan fleet's decision for p at router r.
