@@ -15,6 +15,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/defense"
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/trojan"
@@ -396,7 +397,7 @@ func BenchmarkDefenseAblation(b *testing.B) {
 	}
 	var undefended, defended float64
 	for i := 0; i < b.N; i++ {
-		results, err := core.DefenseStudy(context.Background(), cfg, "mix-1", 16, placement)
+		results, err := core.DefenseStudy(context.Background(), cfg, "mix-1", 16, placement, defense.Registry.Names())
 		if err != nil {
 			b.Fatal(err)
 		}

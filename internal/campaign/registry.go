@@ -7,18 +7,20 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 
+	"repro/internal/budget"
 	"repro/internal/core"
+	"repro/internal/defense"
 	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/pkg/htsim"
 )
 
-// This file maps experiment IDs to their core table drivers and runs a
-// validated spec: experiments fan out over the internal/exp pool and each
-// produces one typed results table.
+// This file maps experiment IDs to their cell spaces (shard.go) and runs a
+// validated spec: each experiment runs as one shard covering its whole
+// cell space, the shards fan out over the internal/exp pool, and each
+// experiment produces one typed results table.
 
 // runCtx carries one experiment's resolved execution context.
 type runCtx struct {
@@ -36,8 +38,6 @@ type runCtx struct {
 	// results; analytic experiments (E3–E6) run no epochs and stream
 	// nothing.
 	obs core.Observer
-	// effects memoizes the Fig 5/6 sweep shared by E7 and E8.
-	effects *effectCache
 }
 
 // entry is one registered experiment.
@@ -49,8 +49,13 @@ type entry struct {
 	title string
 	// defaults are the paper-scale parameters; spec params overlay them.
 	defaults Params
-	// run executes the experiment.
-	run func(rc runCtx) (results.Table, error)
+	// work names the computation behind the cells when experiments share
+	// one: E7 and E8 both take their rows from the Fig 5/6 sweep, so
+	// their shards share keys (Shard.Key) and run once. Empty means the
+	// experiment ID.
+	work string
+	// cells is the experiment's cell space.
+	cells cellHooks
 }
 
 // paperSizes is the Fig 4 system-size sweep.
@@ -97,58 +102,13 @@ func simConfig(rc runCtx) (core.Config, error) {
 	return htsim.BuildConfig(opts...)
 }
 
-// effectCache memoizes core.EffectTables per resolved parameter set, so a
-// spec naming both E7 and E8 runs the expensive Fig 5/6 sweep once even
-// when the two experiments execute concurrently.
-type effectCache struct {
-	mu sync.Mutex
-	m  map[string]*effectPair
-}
+// mixCount sizes the per-mix spaces of E7–E9.
+func mixCount(p Params) int { return len(p.Mixes) }
 
-// effectPair is one memoized sweep.
-type effectPair struct {
-	once   sync.Once
-	effect *results.EffectTable
-	apps   *results.AppEffectTable
-	err    error
-}
-
-// tables returns the memoized sweep for the given resolved parameters,
-// running it on first use.
-func (c *effectCache) tables(rc runCtx) (*results.EffectTable, *results.AppEffectTable, error) {
-	key := results.HashConfig(struct {
-		Size      int       `json:"size"`
-		Mixes     []string  `json:"mixes"`
-		Threads   int       `json:"threads"`
-		Epochs    int       `json:"epochs"`
-		Targets   []float64 `json:"targets"`
-		Mem       bool      `json:"mem"`
-		Seed      int64     `json:"seed"`
-		Topology  string    `json:"topology"`
-		Routing   string    `json:"routing"`
-		Allocator string    `json:"allocator"`
-		Defense   string    `json:"defense"`
-	}{rc.p.Size, rc.p.Mixes, rc.p.Threads, rc.p.Epochs, rc.p.Targets, rc.p.Mem != nil && *rc.p.Mem, rc.seed,
-		rc.p.Topology, rc.p.Routing, rc.p.Allocator, rc.p.Defense})
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[string]*effectPair)
-	}
-	pair := c.m[key]
-	if pair == nil {
-		pair = &effectPair{}
-		c.m[key] = pair
-	}
-	c.mu.Unlock()
-	pair.once.Do(func() {
-		cfg, err := simConfig(rc)
-		if err != nil {
-			pair.err = err
-			return
-		}
-		pair.effect, pair.apps, pair.err = core.EffectTables(rc.ctx, cfg, rc.p.Mixes, rc.p.Threads, rc.p.Targets)
-	})
-	return pair.effect, pair.apps, pair.err
+// sweepCells runs the Fig 5/6 sweep over mixes [lo, hi): the one run
+// function behind E7 and E8.
+func sweepCells(rc runCtx, cfg core.Config, lo, hi int) ([]core.EffectCell, error) {
+	return core.EffectCells(rc.ctx, cfg, rc.p.Mixes[lo:hi], rc.p.Threads, rc.p.Targets)
 }
 
 var registry = map[string]entry{
@@ -156,118 +116,112 @@ var registry = map[string]entry{
 		order:    1,
 		title:    "Table I system configuration",
 		defaults: Params{Size: 256},
-		run: func(rc runCtx) (results.Table, error) {
+		cells: oneCell(func(rc runCtx) (*results.ConfigTable, error) {
 			cfg, err := simConfig(rc)
 			if err != nil {
 				return nil, err
 			}
 			return core.ConfigTableFor(cfg)
-		},
+		}),
 	},
 	"E2": {
 		order: 2,
 		title: "Section III-D Trojan area/power accounting",
-		run: func(rc runCtx) (results.Table, error) {
-			return core.AreaPowerTableFor(), nil
-		},
+		cells: oneCell(func(runCtx) (*results.AreaPowerTable, error) { return core.AreaPowerTableFor(), nil }),
 	},
 	"E3": {
 		order:    3,
 		title:    "Fig 3(a): infection rate vs HT count, 64 cores",
 		defaults: Params{Size: 64, HTCounts: Counts(30, 7), Trials: 50},
-		// Routed through the shard hooks (whole space as one shard) so the
-		// local path and the distributed merge share one construction.
-		run: func(rc runCtx) (results.Table, error) { return runWholeShard("E3", rc) },
+		cells:    curveCells("E3", "3(a)"),
 	},
 	"E4": {
 		order:    4,
 		title:    "Fig 3(b): infection rate vs HT count, 512 cores",
 		defaults: Params{Size: 512, HTCounts: Counts(60, 7), Trials: 50},
-		run:      func(rc runCtx) (results.Table, error) { return runWholeShard("E4", rc) },
+		cells:    curveCells("E4", "3(b)"),
 	},
 	"E5": {
 		order:    5,
 		title:    "Fig 4(a): infection rate by HT distribution, HTs = size/16",
 		defaults: Params{Sizes: paperSizes(), Denominator: 16, Trials: 50},
-		run:      func(rc runCtx) (results.Table, error) { return runWholeShard("E5", rc) },
+		cells:    distCells("E5", "4(a)"),
 	},
 	"E6": {
 		order:    6,
 		title:    "Fig 4(b): infection rate by HT distribution, HTs = size/8",
 		defaults: Params{Sizes: paperSizes(), Denominator: 8, Trials: 50},
-		run:      func(rc runCtx) (results.Table, error) { return runWholeShard("E6", rc) },
+		cells:    distCells("E6", "4(b)"),
 	},
 	"E7": {
 		order:    7,
 		title:    "Fig 5: attack effect Q vs infection rate",
 		defaults: Params{Size: 256, Mixes: paperMixes(), Threads: 64, Epochs: 10, Targets: paperTargets()},
-		run: func(rc runCtx) (results.Table, error) {
-			effect, _, err := rc.effects.tables(rc)
-			if err != nil {
-				return nil, err
-			}
-			return effect, nil
-		},
+		work:     "fig5-6-sweep",
+		cells: simCells(mixCount, sweepCells, func(rc runCtx, cfg core.Config, cells []core.EffectCell) results.Table {
+			effect, _ := core.EffectTables(cfg, rc.p.Mixes, rc.p.Threads, rc.p.Targets, cells)
+			return effect
+		}),
 	},
 	"E8": {
 		order:    8,
 		title:    "Fig 6: per-application performance change vs infection rate",
 		defaults: Params{Size: 256, Mixes: paperMixes(), Threads: 64, Epochs: 10, Targets: paperTargets()},
-		run: func(rc runCtx) (results.Table, error) {
-			_, apps, err := rc.effects.tables(rc)
-			if err != nil {
-				return nil, err
-			}
-			return apps, nil
-		},
+		work:     "fig5-6-sweep",
+		cells: simCells(mixCount, sweepCells, func(rc runCtx, cfg core.Config, cells []core.EffectCell) results.Table {
+			_, apps := core.EffectTables(cfg, rc.p.Mixes, rc.p.Threads, rc.p.Targets, cells)
+			return apps
+		}),
 	},
 	"E9": {
 		order:    9,
 		title:    "Section V-C: optimal vs random Trojan placement",
 		defaults: Params{Size: 256, Mixes: paperMixes(), Threads: 64, Epochs: 10, HTs: 16, Samples: 16},
-		run: func(rc runCtx) (results.Table, error) {
-			cfg, err := simConfig(rc)
-			if err != nil {
-				return nil, err
-			}
-			return core.PlacementTableFor(rc.ctx, cfg, rc.p.Mixes, rc.p.Threads, rc.p.HTs, rc.p.Samples, rc.seed)
-		},
+		cells: simCells(mixCount,
+			func(rc runCtx, cfg core.Config, lo, hi int) ([]results.PlacementRow, error) {
+				return core.PlacementRows(rc.ctx, cfg, rc.p.Mixes[lo:hi], rc.p.Threads, rc.p.HTs, rc.p.Samples, rc.seed)
+			},
+			func(rc runCtx, cfg core.Config, rows []results.PlacementRow) results.Table {
+				return core.PlacementTable(cfg, rc.p.Mixes, rc.p.Threads, rc.p.HTs, rc.p.Samples, rc.seed, rows)
+			}),
 	},
 	"E10": {
 		order:    10,
 		title:    "Allocator ablation: Q under each budgeting algorithm",
 		defaults: Params{Size: 256, Mix: "mix-1", Threads: 64, Epochs: 10, TargetInfection: 0.7},
-		run: func(rc runCtx) (results.Table, error) {
-			cfg, err := simConfig(rc)
-			if err != nil {
-				return nil, err
-			}
-			return core.AblationTableFor(rc.ctx, cfg, rc.p.Mix, rc.p.Threads, rc.p.TargetInfection)
-		},
+		cells: simCells(func(Params) int { return len(budget.All()) },
+			func(rc runCtx, cfg core.Config, lo, hi int) ([]results.AblationRow, error) {
+				return core.AllocatorAblation(rc.ctx, cfg, rc.p.Mix, rc.p.Threads, rc.p.TargetInfection, budget.All()[lo:hi])
+			},
+			func(rc runCtx, cfg core.Config, rows []results.AblationRow) results.Table {
+				return core.AblationTable(cfg, rc.p.Mix, rc.p.Threads, rc.p.TargetInfection, rows)
+			}),
 	},
 	"X1": {
 		order:    11,
 		title:    "DoS attack-class comparison (false-data / drop / loopback)",
 		defaults: Params{Size: 256, Mix: "mix-1", Threads: 64, Epochs: 10, HTs: 16},
-		run: func(rc runCtx) (results.Table, error) {
+		// One cell: the three attack modes compare against one shared
+		// baseline run, which per-mode cells would each repeat.
+		cells: oneCell(func(rc runCtx) (*results.VariantTable, error) {
 			cfg, err := simConfig(rc)
 			if err != nil {
 				return nil, err
 			}
 			return core.VariantTableFor(rc.ctx, cfg, rc.p.Mix, rc.p.Threads, rc.p.HTs)
-		},
+		}),
 	},
 	"X2": {
 		order:    12,
 		title:    "Manager-side defense study (duty-cycled attack)",
 		defaults: Params{Size: 256, Mix: "mix-1", Threads: 64, Epochs: 10, HTs: 16},
-		run: func(rc runCtx) (results.Table, error) {
-			cfg, err := simConfig(rc)
-			if err != nil {
-				return nil, err
-			}
-			return core.DefenseTableFor(rc.ctx, cfg, rc.p.Mix, rc.p.Threads, rc.p.HTs)
-		},
+		cells: simCells(func(Params) int { return len(defense.Registry.Names()) },
+			func(rc runCtx, cfg core.Config, lo, hi int) ([]results.DefenseRow, error) {
+				return core.DefenseRows(rc.ctx, cfg, rc.p.Mix, rc.p.Threads, rc.p.HTs, defense.Registry.Names()[lo:hi])
+			},
+			func(rc runCtx, cfg core.Config, rows []results.DefenseRow) results.Table {
+				return core.DefenseTable(cfg, rc.p.Mix, rc.p.Threads, rc.p.HTs, rows)
+			}),
 	},
 }
 
@@ -326,9 +280,9 @@ type Progress struct {
 	ExperimentDone func(id string, t results.Table, err error)
 	// Epoch streams one sample per budgeting epoch of every cycle-simulated
 	// campaign an experiment runs, tagged with the experiment ID. Analytic
-	// experiments (E1–E6) simulate no epochs and stream nothing. The E7/E8
-	// sweep is shared: its epochs are tagged with whichever of the two
-	// experiments claimed the memoized sweep first.
+	// experiments (E1–E6) simulate no epochs and stream nothing. E7 and E8
+	// with equal overrides share one Fig 5/6 sweep, which runs once: its
+	// epochs are tagged with whichever of the two comes first in the spec.
 	Epoch func(id string, s core.EpochSample)
 }
 
@@ -343,50 +297,72 @@ func (p Progress) observerFor(id string) core.Observer {
 
 // BuildTables executes a validated spec and returns the produced tables in
 // spec order without writing anything — the job-granular entry point the
-// simulation service runs queued campaigns through. Experiments fan out
-// over the exp pool with the given worker count (0 = one per CPU; results
-// are identical for any value); ctx cancels the whole campaign promptly;
-// prog reports per-experiment lifecycle and per-epoch samples as the run
-// progresses. Each returned table's metadata records the spec's
-// declarative worker count, exactly as the written artifacts do.
+// simulation service runs queued campaigns through. Each experiment runs
+// as one shard covering its whole cell space, through RunShard and the
+// per-experiment merge MergeShards uses, so a local run and a distributed
+// merge share one construction. Shards with one key run once (E7 and E8
+// share the Fig 5/6 sweep). The shards fan out over the exp pool with the
+// given worker count (0 = one per CPU; results are identical for any
+// value); ctx cancels the whole campaign promptly; prog reports
+// per-experiment lifecycle and per-epoch samples as the run progresses.
+// Each returned table's metadata records the spec's declarative worker
+// count, exactly as the written artifacts do.
 func BuildTables(ctx context.Context, spec *Spec, workers int, prog Progress) ([]results.Table, error) {
-	if err := spec.Validate(); err != nil {
+	shards, err := PlanShards(spec, 1)
+	if err != nil {
 		return nil, err
 	}
-	effects := &effectCache{}
-	return exp.Run(ctx, workers, len(spec.Experiments), func(ctx context.Context, i int) (results.Table, error) {
-		e := spec.Experiments[i]
-		ent := registry[e.ID]
-		p := merge(ent.defaults, e.Params)
-		if prog.ExperimentStarted != nil {
-			prog.ExperimentStarted(e.ID)
-		}
-		// One span per experiment; a context without a trace makes this
-		// (and every span call below it) a free no-op.
-		ectx, span := obs.StartSpan(ctx, "experiment")
-		span.SetAttr("experiment", e.ID)
-		t, err := ent.run(runCtx{
-			ctx:     ectx,
-			p:       p,
-			seed:    spec.seedFor(p),
-			workers: workers,
-			obs:     prog.observerFor(e.ID),
-			effects: effects,
-		})
-		span.RecordError(err)
-		span.End()
-		if prog.ExperimentDone != nil {
-			prog.ExperimentDone(e.ID, t, err)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", e.ID, err)
-		}
-		// The table records the spec's declarative worker count, never the
-		// execution pool size — byte-identity across -parallel values
-		// depends on it.
-		t.TableMeta().Workers = spec.Workers
-		return t, nil
+	groups := GroupShards(shards)
+	tables := make([]results.Table, len(shards))
+	_, err = exp.Run(ctx, workers, len(groups), func(ctx context.Context, g int) (struct{}, error) {
+		return struct{}{}, buildGroup(ctx, spec, shards, groups[g], workers, prog, tables)
 	})
+	if err != nil {
+		return nil, err
+	}
+	return tables, nil
+}
+
+// buildGroup runs the first shard of one key group and builds from its
+// cells the table of every experiment in the group, into tables (indexed
+// by spec position, which equals plan position in a one-shard-per-
+// experiment plan).
+func buildGroup(ctx context.Context, spec *Spec, shards []Shard, group []int, workers int, prog Progress, tables []results.Table) error {
+	lead := shards[group[0]]
+	for _, i := range group {
+		if prog.ExperimentStarted != nil {
+			prog.ExperimentStarted(shards[i].Experiment.ID)
+		}
+	}
+	// One span per run; a context without a trace makes this (and every
+	// span call below it) a free no-op.
+	ectx, span := obs.StartSpan(ctx, "experiment")
+	span.SetAttr("experiment", lead.Experiment.ID)
+	defer span.End()
+	r, err := RunShard(ectx, lead, workers, prog.observerFor(lead.Experiment.ID))
+	var firstErr error
+	for _, i := range group {
+		sh := shards[i]
+		var t results.Table
+		terr := err
+		if terr == nil {
+			t, terr = mergeExperiment(ectx, spec, i, sh.Experiment, []ShardResult{{Shard: sh, Cells: r.Cells}})
+		}
+		if terr == nil {
+			// The table records the spec's declarative worker count, never
+			// the execution pool size — byte-identity across -parallel
+			// values depends on it.
+			t.TableMeta().Workers = spec.Workers
+			tables[i] = t
+		} else if firstErr == nil {
+			firstErr = terr
+		}
+		if prog.ExperimentDone != nil {
+			prog.ExperimentDone(sh.Experiment.ID, t, terr)
+		}
+	}
+	span.RecordError(firstErr)
+	return firstErr
 }
 
 // Run executes a validated spec: experiments fan out over the exp pool

@@ -12,29 +12,32 @@ import (
 
 // This file partitions a campaign into shards a coordinator can dispatch
 // to remote workers and merges the shard results back into exactly the
-// tables BuildTables produces single-process. Two shard flavours exist:
+// tables BuildTables produces single-process. Every experiment exposes one
+// cell space through the same hooks: its size for resolved parameters, a
+// runner for any contiguous [lo, hi) range of it, and a builder that
+// assembles the published table from all of its cells in order. A cell's
+// value is the table rows it contributes:
 //
-//   - Trial shards cover a contiguous [Lo, Hi) range of a shardable
-//     experiment's flat trial space (E3–E6; see internal/core/shard.go)
-//     and return raw per-cell float64 values. Aggregation happens once,
-//     coordinator-side, over the reassembled vector — never inside a
-//     shard — because floating-point addition is not associative and the
-//     merge contract is byte-identity with a local run.
-//   - Atomic shards run a whole experiment whose driver cannot be
-//     partitioned (sequential internal RNG, model fits: E1/E2/E7–E10,
-//     X1/X2) and return the finished typed table as JSON. Go's
-//     encoding/json round-trips float64 exactly (shortest
-//     representation), so decode-and-re-encode preserves artifact bytes.
+//   - E3–E6: one float64 per trial (see internal/core/shard.go), aggregated
+//     once, over the reassembled vector — never inside a shard — because
+//     floating-point addition is not associative and the merge contract is
+//     byte-identity with a local run;
+//   - E7/E8 and E9: one cell per mix; E10: one per allocator; X2: one per
+//     defense;
+//   - E1, E2 and X1: a single cell holding the whole table. X1's three
+//     attack modes compare against one shared baseline run, which
+//     per-mode cells would each repeat.
 //
-// The single-process registry entries for shardable experiments run
-// through the same hooks (runWholeShard), so the local path and the
-// distributed merge share one construction — titles, params, aggregation
-// — by code identity rather than by convention.
+// A shard result's payload is one JSON array of cells. Go's encoding/json
+// round-trips float64 exactly (shortest representation), so decoding
+// preserves artifact bytes. BuildTables runs each experiment as one shard
+// over its whole space through RunShard and the merge MergeShards uses, so
+// the local path and the distributed merge share one construction — titles,
+// params, aggregation — by code identity rather than by convention.
 
-// Shard is one self-contained unit of distributed campaign work: the
-// experiment spec it belongs to, the spec-level seed context it resolves
-// against, and — for trial shards — the [Lo, Hi) range of the flat trial
-// space it covers. Atomic shards have Lo == Hi == 0.
+// Shard is one self-contained unit of campaign work: the experiment spec it
+// belongs to, the spec-level seed context it resolves against, and the
+// [Lo, Hi) range of the experiment's cell space it covers.
 type Shard struct {
 	// ExpIndex is the experiment's position in the originating spec;
 	// the merge reassembles results by position, so a spec naming the
@@ -49,144 +52,214 @@ type Shard struct {
 	// Index and Count locate this shard among its experiment's shards.
 	Index int `json:"index"`
 	Count int `json:"count"`
-	// Lo and Hi bound the trial-space range for trial shards.
+	// Lo and Hi bound the range of cells the shard computes.
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
 }
 
-// atomic reports whether the shard runs a whole experiment rather than a
-// trial range.
-func (s Shard) atomic() bool { return s.Lo == 0 && s.Hi == 0 }
-
 // String renders a compact shard label for logs and metrics.
 func (s Shard) String() string {
-	if s.atomic() {
-		return fmt.Sprintf("%s#%d", s.Experiment.ID, s.ExpIndex)
-	}
 	return fmt.Sprintf("%s#%d[%d:%d)", s.Experiment.ID, s.ExpIndex, s.Lo, s.Hi)
 }
 
-// ShardResult carries one executed shard's payload back to the merge:
-// raw per-cell values for trial shards, the typed table as JSON for
-// atomic shards.
+// Key fingerprints the shard's work for the shard cache, the checkpoint
+// store and deduplication: the work its experiment names (E7 and E8 share
+// one), the spec entry's overrides, the seed context, the cell range and
+// the build — never its position in a particular campaign, so an unchanged
+// experiment resubmitted in a different spec still hits. Overrides are
+// hashed as written, so E7 and E8 share keys only when their overrides are
+// equal.
+func (s Shard) Key() string { return s.keyFor(results.ThisBuild()) }
+
+// keyFor is Key for the given build.
+func (s Shard) keyFor(b results.Build) string {
+	work := registry[s.Experiment.ID].work
+	if work == "" {
+		work = s.Experiment.ID
+	}
+	return results.HashConfig(struct {
+		Work   string        `json:"work"`
+		Params Params        `json:"params"`
+		Seed   int64         `json:"seed"`
+		Lo     int           `json:"lo"`
+		Hi     int           `json:"hi"`
+		Count  int           `json:"count"`
+		Build  results.Build `json:"build"`
+	}{work, s.Experiment.Params, s.Seed, s.Lo, s.Hi, s.Count, b})
+}
+
+// ShardResult carries one executed shard's payload back to the merge: a
+// JSON array of the cells [Lo, Hi) of its experiment's cell space.
 type ShardResult struct {
 	Shard Shard           `json:"shard"`
-	Raw   []float64       `json:"raw,omitempty"`
-	Table json.RawMessage `json:"table,omitempty"`
+	Cells json.RawMessage `json:"cells"`
 }
 
-// shardHooks describes how a shardable experiment exposes its trial
-// space. space sizes the flat space for resolved params; run computes
-// raw values for a range of it; build assembles the published table from
-// the full raw vector.
-type shardHooks struct {
-	space func(p Params) int
-	run   func(rc runCtx, lo, hi int) ([]float64, error)
-	build func(rc runCtx, id string, raw []float64) (results.Table, error)
+// Check verifies that r answers sh — it names a shard with sh's key — and
+// that its payload decodes into exactly one cell of sh's experiment per
+// position of [Lo, Hi). The coordinator checks every answer before it
+// caches, checkpoints or merges it, and every checkpoint before it
+// trusts it.
+func (r *ShardResult) Check(sh Shard) error {
+	if r.Shard.Key() != sh.Key() {
+		return fmt.Errorf("campaign: answer for shard %s names %s", sh, r.Shard)
+	}
+	ent, ok := registry[sh.Experiment.ID]
+	if !ok {
+		return fmt.Errorf("campaign: unknown experiment %q", sh.Experiment.ID)
+	}
+	if err := ent.cells.check(r.Cells, sh.Hi-sh.Lo); err != nil {
+		return fmt.Errorf("campaign: shard %s: %w", sh, err)
+	}
+	return nil
 }
 
-// curveHooks builds the E3/E4 hook set (Fig 3 infection curves).
-func curveHooks(fig string) shardHooks {
-	return shardHooks{
-		space: func(p Params) int { return core.InfectionCurveSpace(p.HTCounts, p.Trials) },
-		run: func(rc runCtx, lo, hi int) ([]float64, error) {
+// cellHooks is the type-erased face of one experiment's cell space: size
+// counts its cells for resolved parameters, run computes cells [lo, hi)
+// as a JSON array, check decodes a payload that must hold n cells, and
+// build assembles the published table from the results of a full cover
+// of the space, in cell order.
+type cellHooks interface {
+	size(p Params) int
+	run(rc runCtx, lo, hi int) (json.RawMessage, error)
+	check(payload json.RawMessage, n int) error
+	build(rc runCtx, rs []ShardResult) (results.Table, error)
+}
+
+// cellSpace implements cellHooks for cells of type C.
+type cellSpace[C any] struct {
+	count func(p Params) int
+	cells func(rc runCtx, lo, hi int) ([]C, error)
+	table func(rc runCtx, all []C) (results.Table, error)
+}
+
+func (s cellSpace[C]) size(p Params) int { return s.count(p) }
+
+func (s cellSpace[C]) run(rc runCtx, lo, hi int) (json.RawMessage, error) {
+	cells, err := s.cells(rc, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(cells)
+}
+
+// decode reads a payload that must hold exactly n cells.
+func (s cellSpace[C]) decode(payload json.RawMessage, n int) ([]C, error) {
+	var cells []C
+	if err := json.Unmarshal(payload, &cells); err != nil {
+		return nil, fmt.Errorf("decode cells: %w", err)
+	}
+	if len(cells) != n {
+		return nil, fmt.Errorf("payload holds %d cells, range covers %d", len(cells), n)
+	}
+	return cells, nil
+}
+
+func (s cellSpace[C]) check(payload json.RawMessage, n int) error {
+	_, err := s.decode(payload, n)
+	return err
+}
+
+func (s cellSpace[C]) build(rc runCtx, rs []ShardResult) (results.Table, error) {
+	var all []C
+	for _, r := range rs {
+		cells, err := s.decode(r.Cells, r.Shard.Hi-r.Shard.Lo)
+		if err != nil {
+			return nil, fmt.Errorf("shard %s: %w", r.Shard, err)
+		}
+		all = append(all, cells...)
+	}
+	return s.table(rc, all)
+}
+
+// oneCell is the space of an experiment that runs as a whole: its single
+// cell is the finished table. Cells are table values, not pointers, so a
+// null cell decodes to an empty table rather than a nil one.
+func oneCell[T any, PT interface {
+	*T
+	results.Table
+}](run func(rc runCtx) (PT, error)) cellSpace[T] {
+	return cellSpace[T]{
+		count: func(Params) int { return 1 },
+		cells: func(rc runCtx, _, _ int) ([]T, error) {
+			t, err := run(rc)
+			if err != nil {
+				return nil, err
+			}
+			return []T{*t}, nil
+		},
+		table: func(_ runCtx, all []T) (results.Table, error) { return PT(&all[0]), nil },
+	}
+}
+
+// simCells is the space of a cycle-simulated experiment with one cell per
+// entry of a list (mixes, allocators, defenses): run simulates entries
+// [lo, hi) and table assembles the artifact from every entry's cells, both
+// on the configuration the experiment's parameters resolve to.
+func simCells[C any](count func(p Params) int,
+	run func(rc runCtx, cfg core.Config, lo, hi int) ([]C, error),
+	table func(rc runCtx, cfg core.Config, all []C) results.Table) cellSpace[C] {
+	return cellSpace[C]{
+		count: count,
+		cells: func(rc runCtx, lo, hi int) ([]C, error) {
+			cfg, err := simConfig(rc)
+			if err != nil {
+				return nil, err
+			}
+			return run(rc, cfg, lo, hi)
+		},
+		table: func(rc runCtx, all []C) (results.Table, error) {
+			cfg, err := simConfig(rc)
+			if err != nil {
+				return nil, err
+			}
+			return table(rc, cfg, all), nil
+		},
+	}
+}
+
+// curveCells is the E3/E4 space (Fig 3 infection curves).
+func curveCells(id, fig string) cellSpace[float64] {
+	return cellSpace[float64]{
+		count: func(p Params) int { return core.InfectionCurveSpace(p.HTCounts, p.Trials) },
+		cells: func(rc runCtx, lo, hi int) ([]float64, error) {
 			return core.InfectionCurveShard(rc.ctx, rc.p.Size, rc.p.HTCounts, rc.p.Trials, rc.seed, rc.workers, lo, hi)
 		},
-		build: func(rc runCtx, id string, raw []float64) (results.Table, error) {
+		table: func(rc runCtx, raw []float64) (results.Table, error) {
 			title := fmt.Sprintf("Fig %s: infection rate vs HT count, %d cores", fig, rc.p.Size)
 			return core.InfectionCurveTableFromRaw(id, title, rc.p.Size, rc.p.HTCounts, rc.p.Trials, rc.seed, raw)
 		},
 	}
 }
 
-// distHooks builds the E5/E6 hook set (Fig 4 distribution bars).
-func distHooks(fig string) shardHooks {
-	return shardHooks{
-		space: func(p Params) int { return core.DistributionSpace(p.Sizes, p.Trials) },
-		run: func(rc runCtx, lo, hi int) ([]float64, error) {
+// distCells is the E5/E6 space (Fig 4 distribution bars).
+func distCells(id, fig string) cellSpace[float64] {
+	return cellSpace[float64]{
+		count: func(p Params) int { return core.DistributionSpace(p.Sizes, p.Trials) },
+		cells: func(rc runCtx, lo, hi int) ([]float64, error) {
 			return core.DistributionShard(rc.ctx, rc.p.Sizes, rc.p.Denominator, rc.p.Trials, rc.seed, rc.workers, lo, hi)
 		},
-		build: func(rc runCtx, id string, raw []float64) (results.Table, error) {
+		table: func(rc runCtx, raw []float64) (results.Table, error) {
 			title := fmt.Sprintf("Fig %s: infection rate by HT distribution, HTs = size/%d", fig, rc.p.Denominator)
 			return core.DistributionTableFromRaw(id, title, rc.p.Sizes, rc.p.Denominator, rc.p.Trials, rc.seed, raw)
 		},
 	}
 }
 
-// shardableHooks maps the experiments whose trial space partitions.
-// Everything else ships as an atomic shard. E7/E8 stay atomic even
-// though they share a memoized sweep locally: distributed, each runs its
-// own sweep on its worker (a documented 2× cost, DESIGN.md §11).
-var shardableHooks = map[string]shardHooks{
-	"E3": curveHooks("3(a)"),
-	"E4": curveHooks("3(b)"),
-	"E5": distHooks("4(a)"),
-	"E6": distHooks("4(b)"),
-}
-
-// blankTables constructs an empty typed table per experiment ID, so an
-// atomic shard's JSON payload decodes back into the concrete type the
-// artifact writers switch on. A registry entry without a blank cannot be
-// distributed; a test pins full coverage.
-var blankTables = map[string]func() results.Table{
-	"E1":  func() results.Table { return &results.ConfigTable{} },
-	"E2":  func() results.Table { return &results.AreaPowerTable{} },
-	"E3":  func() results.Table { return &results.InfectionTable{} },
-	"E4":  func() results.Table { return &results.InfectionTable{} },
-	"E5":  func() results.Table { return &results.InfectionTable{} },
-	"E6":  func() results.Table { return &results.InfectionTable{} },
-	"E7":  func() results.Table { return &results.EffectTable{} },
-	"E8":  func() results.Table { return &results.AppEffectTable{} },
-	"E9":  func() results.Table { return &results.PlacementTable{} },
-	"E10": func() results.Table { return &results.AblationTable{} },
-	"X1":  func() results.Table { return &results.VariantTable{} },
-	"X2":  func() results.Table { return &results.DefenseTable{} },
-}
-
-// runWholeShard executes a shardable experiment's entire trial space as
-// one shard and assembles its table — the single-process path through
-// the exact code the distributed merge uses. The registry routes E3–E6
-// through it, so byte-identity between local and merged runs is enforced
-// by sharing the construction, not by hoping two copies agree.
-func runWholeShard(id string, rc runCtx) (results.Table, error) {
-	h := shardableHooks[id]
-	raw, err := h.run(rc, 0, h.space(rc.p))
-	if err != nil {
-		return nil, err
-	}
-	return h.build(rc, id, raw)
-}
-
-// PlanShards partitions a spec's experiments into at most maxPerExp
-// shards each (values below 1 mean 1): shardable experiments split into
-// balanced contiguous trial ranges, everything else becomes one atomic
-// shard. Shards are returned in spec order, ranges ascending — a
-// deterministic plan for a given (spec, maxPerExp), so coordinator-side
-// shard cache keys are stable across re-submissions.
+// PlanShards partitions each of a spec's experiments into at most
+// maxPerExp shards (values below 1 mean 1): balanced contiguous ranges
+// tiling its cell space. Shards are returned in spec order, ranges
+// ascending — a deterministic plan for a given (spec, maxPerExp), so shard
+// keys are stable across re-submissions.
 func PlanShards(spec *Spec, maxPerExp int) ([]Shard, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if maxPerExp < 1 {
-		maxPerExp = 1
-	}
 	var shards []Shard
 	for i, e := range spec.Experiments {
 		ent := registry[e.ID]
-		p := merge(ent.defaults, e.Params)
-		h, ok := shardableHooks[e.ID]
-		if !ok {
-			shards = append(shards, Shard{ExpIndex: i, Experiment: e, Seed: spec.Seed, Count: 1})
-			continue
-		}
-		space := h.space(p)
-		n := maxPerExp
-		if n > space {
-			n = space
-		}
-		if n < 1 {
-			n = 1
-		}
+		size := ent.cells.size(merge(ent.defaults, e.Params))
+		n := min(max(maxPerExp, 1), size)
 		for s := 0; s < n; s++ {
 			shards = append(shards, Shard{
 				ExpIndex:   i,
@@ -194,83 +267,81 @@ func PlanShards(spec *Spec, maxPerExp int) ([]Shard, error) {
 				Seed:       spec.Seed,
 				Index:      s,
 				Count:      n,
-				Lo:         s * space / n,
-				Hi:         (s + 1) * space / n,
+				Lo:         s * size / n,
+				Hi:         (s + 1) * size / n,
 			})
 		}
 	}
 	return shards, nil
 }
 
-// shardRunCtx resolves a shard's execution context exactly as BuildTables
-// resolves the same experiment locally: defaults merged under the spec
-// entry's overrides, the effective seed from the per-experiment override,
-// then the spec seed, then the campaign default.
-func shardRunCtx(ctx context.Context, sh Shard, workers int) (runCtx, error) {
+// GroupShards groups a plan's positions by shard key, in plan order. The
+// shards of one group compute the same cells — E7 and E8 share the Fig 5/6
+// sweep — so running the first answers them all.
+func GroupShards(shards []Shard) [][]int {
+	at := make(map[string]int, len(shards))
+	var groups [][]int
+	for i, sh := range shards {
+		k := sh.Key()
+		g, ok := at[k]
+		if !ok {
+			g = len(groups)
+			at[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups
+}
+
+// shardRunCtx resolves a shard's experiment and execution context exactly
+// as a local run does: defaults merged under the spec entry's overrides,
+// the effective seed from the per-experiment override, then the spec
+// seed, then the campaign default.
+func shardRunCtx(ctx context.Context, sh Shard, workers int) (runCtx, cellHooks, error) {
 	ent, ok := registry[sh.Experiment.ID]
 	if !ok {
-		return runCtx{}, fmt.Errorf("campaign: unknown experiment %q (known: %s)", sh.Experiment.ID, knownIDs())
+		return runCtx{}, nil, fmt.Errorf("campaign: unknown experiment %q (known: %s)", sh.Experiment.ID, knownIDs())
 	}
 	p := merge(ent.defaults, sh.Experiment.Params)
 	if err := p.validate(); err != nil {
-		return runCtx{}, fmt.Errorf("campaign: experiment %s: %w", sh.Experiment.ID, err)
+		return runCtx{}, nil, fmt.Errorf("campaign: experiment %s: %w", sh.Experiment.ID, err)
 	}
 	spec := &Spec{Seed: sh.Seed}
-	return runCtx{
-		ctx:     ctx,
-		p:       p,
-		seed:    spec.seedFor(p),
-		workers: workers,
-		effects: &effectCache{},
-	}, nil
+	return runCtx{ctx: ctx, p: p, seed: spec.seedFor(p), workers: workers}, ent.cells, nil
 }
 
 // RunShard executes one shard on this process — the worker side of the
-// distributed protocol. Trial shards return raw per-cell values; atomic
-// shards run the experiment's registry driver and return its table as
-// JSON. Worker-count changes never change payloads, exactly as for local
-// runs.
+// distributed protocol, and the whole-space run of every local
+// experiment. It rejects a range outside 0 ≤ Lo < Hi ≤ size before
+// running anything. Worker-count changes never change payloads, exactly
+// as for local runs.
 //
 // o, when non-nil, receives one sample per simulated epoch — the worker
-// half of distributed live progress. Only atomic shards simulate epochs
-// (trial shards are analytic and observe nothing); the observer never
-// influences the result payload, so observed and unobserved runs stay
-// byte-identical.
+// half of distributed live progress. Only cycle-simulated experiments
+// simulate epochs; the observer never influences the payload, so observed
+// and unobserved runs stay byte-identical.
 func RunShard(ctx context.Context, sh Shard, workers int, o core.Observer) (*ShardResult, error) {
-	rc, err := shardRunCtx(ctx, sh, workers)
+	rc, h, err := shardRunCtx(ctx, sh, workers)
 	if err != nil {
 		return nil, err
 	}
+	if size := h.size(rc.p); sh.Lo < 0 || sh.Lo >= sh.Hi || sh.Hi > size {
+		return nil, fmt.Errorf("campaign: shard %s: range invalid for %d cells", sh, size)
+	}
 	rc.obs = o
-	if sh.atomic() {
-		ent := registry[sh.Experiment.ID]
-		t, err := ent.run(rc)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", sh.Experiment.ID, err)
-		}
-		b, err := json.Marshal(t)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: encode table: %w", sh.Experiment.ID, err)
-		}
-		return &ShardResult{Shard: sh, Table: b}, nil
-	}
-	h, ok := shardableHooks[sh.Experiment.ID]
-	if !ok {
-		return nil, fmt.Errorf("campaign: experiment %s has no trial shards", sh.Experiment.ID)
-	}
-	raw, err := h.run(rc, sh.Lo, sh.Hi)
+	cells, err := h.run(rc, sh.Lo, sh.Hi)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %s: %w", sh.Experiment.ID, err)
 	}
-	return &ShardResult{Shard: sh, Raw: raw}, nil
+	return &ShardResult{Shard: sh, Cells: cells}, nil
 }
 
 // MergeShards reassembles executed shards into the tables BuildTables
 // would produce single-process, in spec order, byte-identical for any
-// shard partition. It validates coverage strictly — every trial cell
-// exactly once, every atomic experiment exactly one result — and fails
-// loudly on gaps, overlaps, or payload/range mismatches rather than
-// publishing a silently wrong artifact.
+// shard partition. It validates coverage strictly — every cell exactly
+// once — and fails loudly on gaps, overlaps, or payload/range mismatches
+// rather than publishing a silently wrong artifact.
 func MergeShards(ctx context.Context, spec *Spec, shardResults []ShardResult) ([]results.Table, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -306,51 +377,27 @@ func MergeShards(ctx context.Context, spec *Spec, shardResults []ShardResult) ([
 // mergeExperiment reassembles one experiment's shard results into its
 // table.
 func mergeExperiment(ctx context.Context, spec *Spec, pos int, e ExperimentSpec, got []ShardResult) (results.Table, error) {
-	h, shardable := shardableHooks[e.ID]
-	if !shardable {
-		if len(got) != 1 {
-			return nil, fmt.Errorf("campaign: atomic experiment %s (position %d) has %d shard results, want 1", e.ID, pos, len(got))
-		}
-		r := got[0]
-		if len(r.Table) == 0 {
-			return nil, fmt.Errorf("campaign: shard %s: missing table payload", r.Shard)
-		}
-		blank, ok := blankTables[e.ID]
-		if !ok {
-			return nil, fmt.Errorf("campaign: experiment %s has no table decoder", e.ID)
-		}
-		t := blank()
-		if err := json.Unmarshal(r.Table, t); err != nil {
-			return nil, fmt.Errorf("campaign: shard %s: decode table: %w", r.Shard, err)
-		}
-		return t, nil
-	}
-	rc, err := shardRunCtx(ctx, Shard{Experiment: e, Seed: spec.Seed}, 0)
+	rc, h, err := shardRunCtx(ctx, Shard{Experiment: e, Seed: spec.Seed}, 0)
 	if err != nil {
 		return nil, err
 	}
-	space := h.space(rc.p)
+	size := h.size(rc.p)
 	sort.Slice(got, func(a, b int) bool { return got[a].Shard.Lo < got[b].Shard.Lo })
-	raw := make([]float64, 0, space)
 	next := 0
 	for _, r := range got {
 		sh := r.Shard
 		if sh.Lo != next {
 			return nil, fmt.Errorf("campaign: experiment %s (position %d): shard coverage broken at cell %d (next shard is %s)", e.ID, pos, next, sh)
 		}
-		if sh.Hi <= sh.Lo || sh.Hi > space {
-			return nil, fmt.Errorf("campaign: shard %s: range invalid for trial space %d", sh, space)
+		if sh.Hi <= sh.Lo || sh.Hi > size {
+			return nil, fmt.Errorf("campaign: shard %s: range invalid for %d cells", sh, size)
 		}
-		if len(r.Raw) != sh.Hi-sh.Lo {
-			return nil, fmt.Errorf("campaign: shard %s: payload holds %d cells, range covers %d", sh, len(r.Raw), sh.Hi-sh.Lo)
-		}
-		raw = append(raw, r.Raw...)
 		next = sh.Hi
 	}
-	if next != space {
-		return nil, fmt.Errorf("campaign: experiment %s (position %d): shard coverage ends at cell %d of %d", e.ID, pos, next, space)
+	if next != size {
+		return nil, fmt.Errorf("campaign: experiment %s (position %d): shard coverage ends at cell %d of %d", e.ID, pos, next, size)
 	}
-	t, err := h.build(rc, e.ID, raw)
+	t, err := h.build(rc, got)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %s: %w", e.ID, err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/mathx"
 	"repro/internal/noc"
+	"repro/internal/results"
 	"repro/internal/workload"
 )
 
@@ -124,32 +125,15 @@ func QVsInfection(ctx context.Context, cfg Config, mixName string, threads int, 
 	return out, nil
 }
 
-// PlacementStudy is the Section V-C optimal-vs-random comparison for one
-// mix.
-type PlacementStudy struct {
-	Mix string
-	// HTs is the fleet size (the paper uses 16).
-	HTs int
-	// RandomQMean and RandomQStd summarise Q over random placements.
-	RandomQMean, RandomQStd float64
-	// OptimalQ is the simulated Q of the model-optimised placement.
-	OptimalQ float64
-	// ImprovementPct is (OptimalQ − RandomQMean)/RandomQMean × 100.
-	ImprovementPct float64
-	// ModelR2 is the Eqn 9 fit quality on the random training samples.
-	ModelR2 float64
-	// Evaluated counts the Eqn 10 enumeration size.
-	Evaluated int
-}
-
 // OptimalVsRandom regenerates the Section V-C experiment for one mix:
 // sample random fleets, fit the Eqn 9 model on the measured Q values,
 // solve Eqn 10 by enumeration, simulate the winning placement, and compare
-// against the random mean. The training and shortlist campaigns — the
-// expensive cycle simulations — fan out over cfg.Workers; every random
-// fleet is drawn from its own (seed, sample index) RNG, so the study is
-// bit-identical for every worker count. ctx cancels both pools.
-func OptimalVsRandom(ctx context.Context, cfg Config, mixName string, threads, nHTs, samples int, seed int64) (*PlacementStudy, error) {
+// against the random mean, as the mix's E9 row. The training and
+// shortlist campaigns — the expensive cycle simulations — fan out over
+// cfg.Workers; every random fleet is drawn from its own (seed, sample
+// index) RNG, so the study is bit-identical for every worker count. ctx
+// cancels both pools.
+func OptimalVsRandom(ctx context.Context, cfg Config, mixName string, threads, nHTs, samples int, seed int64) (*results.PlacementRow, error) {
 	if samples < 4 {
 		return nil, fmt.Errorf("core: need at least 4 samples to fit Eqn 9")
 	}
@@ -255,7 +239,7 @@ func OptimalVsRandom(ctx context.Context, cfg Config, mixName string, threads, n
 		}
 	}
 	mean := mathx.Mean(qValues)
-	study := &PlacementStudy{
+	study := &results.PlacementRow{
 		Mix:         mixName,
 		HTs:         nHTs,
 		RandomQMean: mean,

@@ -7,6 +7,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/defense"
 	"repro/internal/exp"
+	"repro/internal/results"
 	"repro/internal/trojan"
 	"repro/internal/workload"
 )
@@ -94,28 +95,15 @@ func DoSVariantStudy(ctx context.Context, cfg Config, mixName string, threads in
 	})
 }
 
-// DefenseResult is one row of the defense study.
-type DefenseResult struct {
-	// Defense names the filter configuration ("none" for the undefended
-	// chip).
-	Defense string
-	// Q is the attack effect that survives the defense.
-	Q float64
-	// Flagged counts requests the filter marked suspect.
-	Flagged uint64
-	// Repaired counts flagged requests that really were tampered.
-	Repaired uint64
-	// FalsePositives counts flags raised on untampered requests — the cost
-	// of anomaly detection on workloads with legitimate demand phases.
-	FalsePositives uint64
-}
-
-// DefenseStudy measures how much of the attack effect each manager-side
-// request filter removes, under the same campaign. The attack duty-cycles
-// its activation (the paper's stealth recommendation), which is exactly
-// the transition signature history-based detection needs. ctx cancels
-// the per-defense pool and each configuration's paired runs.
-func DefenseStudy(ctx context.Context, cfg Config, mixName string, threads int, placement attack.Placement) ([]DefenseResult, error) {
+// DefenseStudy measures how much of the attack effect each of the named
+// manager-side request filters (defense.Registry names; "none" is the
+// undefended chip) removes, under the same campaign. The attack
+// duty-cycles its activation (the paper's stealth recommendation), which
+// is exactly the transition signature history-based detection needs. A
+// row's FalsePositives counts flags raised on untampered requests — the
+// cost of anomaly detection on workloads with legitimate demand phases.
+// ctx cancels the per-defense pool and each configuration's paired runs.
+func DefenseStudy(ctx context.Context, cfg Config, mixName string, threads int, placement attack.Placement, names []string) ([]results.DefenseRow, error) {
 	mix, err := workload.MixByName(mixName)
 	if err != nil {
 		return nil, err
@@ -136,37 +124,36 @@ func DefenseStudy(ctx context.Context, cfg Config, mixName string, threads int, 
 	for i := range levelsMW {
 		levelsMW[i] = cfg.Power.PowerMW(i)
 	}
-	names := defense.Registry.Names()
-	// Every registered defense configuration is an independent chip: fan
-	// out over cfg.Workers. Stateful filters are cloned per run inside
-	// setup, so concurrent configurations never share detector state.
-	return exp.Run(ctx, cfg.Workers, len(names), func(ctx context.Context, i int) (DefenseResult, error) {
+	// Every defense configuration is an independent chip: fan out over
+	// cfg.Workers. Stateful filters are cloned per run inside setup, so
+	// concurrent configurations never share detector state.
+	return exp.Run(ctx, cfg.Workers, len(names), func(ctx context.Context, i int) (results.DefenseRow, error) {
 		name := names[i]
 		dcfg, err := defense.ByName(name)
 		if err != nil {
-			return DefenseResult{}, err
+			return results.DefenseRow{}, err
 		}
 		c := cfg
 		c.Filter = nil
 		if dcfg.Filter != nil {
 			if c.Filter, err = dcfg.Filter(levelsMW); err != nil {
-				return DefenseResult{}, err
+				return results.DefenseRow{}, err
 			}
 		}
 		c.DualPathRequests = dcfg.DualPath
 		sys, err := NewSystem(c)
 		if err != nil {
-			return DefenseResult{}, err
+			return results.DefenseRow{}, err
 		}
 		attacked, baseline, err := sys.RunPairContext(ctx, baseScenario, nil)
 		if err != nil {
-			return DefenseResult{}, fmt.Errorf("core: defense %s: %w", name, err)
+			return results.DefenseRow{}, fmt.Errorf("core: defense %s: %w", name, err)
 		}
 		cmp, err := Compare(attacked, baseline)
 		if err != nil {
-			return DefenseResult{}, err
+			return results.DefenseRow{}, err
 		}
-		res := DefenseResult{
+		res := results.DefenseRow{
 			Defense:        name,
 			Q:              cmp.Q,
 			Flagged:        attacked.FlaggedRequests,

@@ -8,6 +8,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/defense"
 	"repro/internal/noc"
+	"repro/internal/results"
 	"repro/internal/trojan"
 )
 
@@ -117,12 +118,12 @@ func TestDefenseStudyReducesQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	placement := campaignPlacement(t, sys)
-	results, err := DefenseStudy(context.Background(), cfg, "mix-1", 16, placement)
+	rows, err := DefenseStudy(context.Background(), cfg, "mix-1", 16, placement, defense.Registry.Names())
 	if err != nil {
 		t.Fatalf("DefenseStudy: %v", err)
 	}
-	byName := make(map[string]DefenseResult, len(results))
-	for _, r := range results {
+	byName := make(map[string]results.DefenseRow, len(rows))
+	for _, r := range rows {
 		byName[r.Defense] = r
 	}
 	undefended := byName["none"]

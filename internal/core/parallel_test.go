@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/defense"
+	"repro/internal/results"
 )
 
 // The parallel-runner determinism contract: every experiment driver must
@@ -113,7 +114,7 @@ func TestDoSVariantStudyParallelDeterminism(t *testing.T) {
 }
 
 func TestDefenseStudyParallelDeterminism(t *testing.T) {
-	run := func(workers int) []DefenseResult {
+	run := func(workers int) []results.DefenseRow {
 		cfg := fastConfig()
 		cfg.Epochs = 8
 		cfg.Workers = workers
@@ -121,11 +122,11 @@ func TestDefenseStudyParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := DefenseStudy(context.Background(), cfg, "mix-1", 16, campaignPlacement(t, sys))
+		rows, err := DefenseStudy(context.Background(), cfg, "mix-1", 16, campaignPlacement(t, sys), defense.Registry.Names())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return results
+		return rows
 	}
 	seq, par := run(1), run(8)
 	for i := range seq {
@@ -140,7 +141,7 @@ func TestOptimalVsRandomParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full placement study in -short mode")
 	}
-	run := func(workers int) *PlacementStudy {
+	run := func(workers int) *results.PlacementRow {
 		cfg := fastConfig()
 		cfg.Workers = workers
 		study, err := OptimalVsRandom(context.Background(), cfg, "mix-1", 8, 8, 6, 3)

@@ -20,6 +20,9 @@ import (
 // share one code path by construction — the merge contract ("any
 // partition of the trial space reassembles bit-identically") is not a
 // property tests chase after the fact, it is how the tables are built.
+// These are the E3–E6 cell spaces of internal/campaign/shard.go; the
+// cycle-simulated experiments' cells (a mix, an allocator, a defense)
+// come from the table layer in tables.go.
 //
 // Two rules keep the contract honest:
 //
@@ -211,8 +214,8 @@ func DistributionTableFromRaw(id, title string, sizes []int, denominator, trials
 }
 
 // checkShardRange validates a [lo, hi) shard range against a trial space.
-// An empty range (lo == hi) is permitted: it arises when a single-process
-// run covers an empty space in one call, and runs zero trials.
+// An empty range (lo == hi) runs zero trials; the campaign engine never
+// plans one.
 func checkShardRange(lo, hi, space int) error {
 	if lo < 0 || hi > space || lo > hi {
 		return fmt.Errorf("core: shard range [%d, %d) invalid for trial space %d", lo, hi, space)

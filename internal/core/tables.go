@@ -13,10 +13,14 @@ import (
 )
 
 // This file is the table layer of the experiment drivers: every DESIGN.md
-// §2 experiment has a function here that runs the underlying driver and
-// returns its typed results table. htcampaign prints and serializes these
-// tables, so human text and machine JSON/CSV come from one code path. The
-// Fig 3/4 tables are assembled from raw shard values in shard.go.
+// §2 experiment has functions here that run the underlying driver and
+// return its typed results table. An experiment whose work splits into
+// independent cells (a mix, an allocator, a defense) has a cell runner
+// for any subset of its list and an assembler that builds the table from
+// every cell's rows, so the campaign engine can shard it. htcampaign
+// prints and serializes these tables, so human text and machine JSON/CSV
+// come from one code path. The Fig 3/4 tables are assembled from raw
+// shard values in shard.go.
 
 // ConfigTableFor builds the E1 artifact: the Table I configuration of one
 // chip as key/value rows.
@@ -93,32 +97,28 @@ type effectParams struct {
 	Seed    int64     `json:"seed"`
 }
 
-// EffectTables builds the E7 and E8 artifacts from one sweep: for every
-// mix, Q versus target infection rate (Fig 5) and the per-application
-// performance changes behind it (Fig 6). Mixes fan out over cfg.Workers;
-// each mix's sweep is an independent campaign with its own baseline.
-// ctx cancels the mix pool and every campaign beneath it.
-func EffectTables(ctx context.Context, cfg Config, mixNames []string, threads int, targets []float64) (*results.EffectTable, *results.AppEffectTable, error) {
-	series, err := exp.Run(ctx, cfg.Workers, len(mixNames), func(ctx context.Context, i int) ([]QPoint, error) {
-		pts, err := QVsInfection(ctx, cfg, mixNames[i], threads, targets)
+// EffectCell is one mix's share of the Fig 5/6 sweep: its E7 rows and its
+// E8 rows.
+type EffectCell struct {
+	Effect []results.EffectRow    `json:"effect"`
+	Apps   []results.AppEffectRow `json:"apps"`
+}
+
+// EffectCells runs the Fig 5/6 sweep for each of mixNames: Q versus target
+// infection rate and the per-application performance changes behind it,
+// one cell per mix. Mixes fan out over cfg.Workers; each mix's sweep is an
+// independent campaign with its own baseline. ctx cancels the mix pool and
+// every campaign beneath it.
+func EffectCells(ctx context.Context, cfg Config, mixNames []string, threads int, targets []float64) ([]EffectCell, error) {
+	return exp.Run(ctx, cfg.Workers, len(mixNames), func(ctx context.Context, i int) (EffectCell, error) {
+		name := mixNames[i]
+		pts, err := QVsInfection(ctx, cfg, name, threads, targets)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", mixNames[i], err)
+			return EffectCell{}, fmt.Errorf("%s: %w", name, err)
 		}
-		return pts, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	params := effectParams{cfg.Cores, mixNames, threads, cfg.Epochs, targets, cfg.MemTraffic, cfg.Seed}
-	effect := &results.EffectTable{
-		Meta: results.NewMeta("E7", "Fig 5: attack effect Q vs infection rate", cfg.Seed, 0, params),
-	}
-	apps := &results.AppEffectTable{
-		Meta: results.NewMeta("E8", "Fig 6: per-application performance change vs infection rate", cfg.Seed, 0, params),
-	}
-	for mi, name := range mixNames {
-		for _, p := range series[mi] {
-			effect.Rows = append(effect.Rows, results.EffectRow{
+		var c EffectCell
+		for _, p := range pts {
+			c.Effect = append(c.Effect, results.EffectRow{
 				Mix:               name,
 				TargetInfection:   p.TargetInfection,
 				MeasuredInfection: p.MeasuredInfection,
@@ -126,7 +126,7 @@ func EffectTables(ctx context.Context, cfg Config, mixNames []string, threads in
 				Q:                 p.Q,
 			})
 			for _, app := range p.PerApp {
-				apps.Rows = append(apps.Rows, results.AppEffectRow{
+				c.Apps = append(c.Apps, results.AppEffectRow{
 					Mix:             name,
 					TargetInfection: p.TargetInfection,
 					App:             app.Name,
@@ -136,14 +136,44 @@ func EffectTables(ctx context.Context, cfg Config, mixNames []string, threads in
 				})
 			}
 		}
-	}
-	return effect, apps, nil
+		return c, nil
+	})
 }
 
-// PlacementTableFor builds the E9 artifact: the Section V-C optimal versus
-// random placement study, one row per mix. ctx cancels each mix's
-// training and shortlist pools.
-func PlacementTableFor(ctx context.Context, cfg Config, mixNames []string, threads, nHTs, samples int, seed int64) (*results.PlacementTable, error) {
+// EffectTables assembles the E7 and E8 artifacts from the cells of every
+// mix, in mix order.
+func EffectTables(cfg Config, mixNames []string, threads int, targets []float64, cells []EffectCell) (*results.EffectTable, *results.AppEffectTable) {
+	params := effectParams{cfg.Cores, mixNames, threads, cfg.Epochs, targets, cfg.MemTraffic, cfg.Seed}
+	effect := &results.EffectTable{
+		Meta: results.NewMeta("E7", "Fig 5: attack effect Q vs infection rate", cfg.Seed, 0, params),
+	}
+	apps := &results.AppEffectTable{
+		Meta: results.NewMeta("E8", "Fig 6: per-application performance change vs infection rate", cfg.Seed, 0, params),
+	}
+	for _, c := range cells {
+		effect.Rows = append(effect.Rows, c.Effect...)
+		apps.Rows = append(apps.Rows, c.Apps...)
+	}
+	return effect, apps
+}
+
+// PlacementRows runs the Section V-C optimal versus random placement
+// study for each of mixNames in turn, one row per mix. ctx cancels each
+// mix's training and shortlist pools.
+func PlacementRows(ctx context.Context, cfg Config, mixNames []string, threads, nHTs, samples int, seed int64) ([]results.PlacementRow, error) {
+	rows := make([]results.PlacementRow, 0, len(mixNames))
+	for _, name := range mixNames {
+		row, err := OptimalVsRandom(ctx, cfg, name, threads, nHTs, samples, seed)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		rows = append(rows, *row)
+	}
+	return rows, nil
+}
+
+// PlacementTable assembles the E9 artifact from every mix's row.
+func PlacementTable(cfg Config, mixNames []string, threads, nHTs, samples int, seed int64, rows []results.PlacementRow) *results.PlacementTable {
 	params := struct {
 		Cores   int      `json:"cores"`
 		Mixes   []string `json:"mixes"`
@@ -152,78 +182,49 @@ func PlacementTableFor(ctx context.Context, cfg Config, mixNames []string, threa
 		Samples int      `json:"samples"`
 		Seed    int64    `json:"seed"`
 	}{cfg.Cores, mixNames, threads, nHTs, samples, seed}
-	t := &results.PlacementTable{
+	return &results.PlacementTable{
 		Meta: results.NewMeta("E9", "Section V-C: optimal vs random Trojan placement", seed, 0, params),
+		Rows: rows,
 	}
-	for _, name := range mixNames {
-		study, err := OptimalVsRandom(ctx, cfg, name, threads, nHTs, samples, seed)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		t.Rows = append(t.Rows, results.PlacementRow{
-			Mix:            study.Mix,
-			HTs:            study.HTs,
-			RandomQMean:    study.RandomQMean,
-			RandomQStd:     study.RandomQStd,
-			OptimalQ:       study.OptimalQ,
-			ImprovementPct: study.ImprovementPct,
-			ModelR2:        study.ModelR2,
-			Evaluated:      study.Evaluated,
-		})
-	}
-	return t, nil
 }
 
-// AblationResult is one allocator's outcome under the standard attack.
-type AblationResult struct {
-	// Allocator names the budgeting algorithm.
-	Allocator string
-	// Q is the attack effect; Infection the measured rate it occurred at.
-	Q, Infection float64
-}
-
-// AllocatorAblation runs the E10 study: the same mix and target infection
-// under every budgeting algorithm, testing the paper's "irrespective of
-// the power budgeting algorithm" claim. Allocators fan out over
-// cfg.Workers; each gets its own chip. ctx cancels the allocator pool and
-// each allocator's paired runs.
-func AllocatorAblation(ctx context.Context, cfg Config, mixName string, threads int, targetInfection float64) ([]AblationResult, error) {
+// AllocatorAblation runs the E10 study for each of allocs: the same mix
+// and target infection under every budgeting algorithm, testing the
+// paper's "irrespective of the power budgeting algorithm" claim.
+// Allocators fan out over cfg.Workers; each gets its own chip. ctx cancels
+// the allocator pool and each allocator's paired runs.
+func AllocatorAblation(ctx context.Context, cfg Config, mixName string, threads int, targetInfection float64, allocs []budget.Allocator) ([]results.AblationRow, error) {
 	mix, err := workload.MixByName(mixName)
 	if err != nil {
 		return nil, err
 	}
-	allocs := budget.All()
-	return exp.Run(ctx, cfg.Workers, len(allocs), func(ctx context.Context, i int) (AblationResult, error) {
+	return exp.Run(ctx, cfg.Workers, len(allocs), func(ctx context.Context, i int) (results.AblationRow, error) {
 		c := cfg
 		c.Allocator = allocs[i]
 		sys, err := NewSystem(c)
 		if err != nil {
-			return AblationResult{}, err
+			return results.AblationRow{}, err
 		}
 		sc, err := MixScenario(mix, threads)
 		if err != nil {
-			return AblationResult{}, err
+			return results.AblationRow{}, err
 		}
 		placement, _ := attack.ForInfectionRate(sys.Mesh(), sys.ManagerNode(), targetInfection, sys.Mesh().Nodes()/4)
 		sc.Trojans = placement
 		attacked, baseline, err := sys.RunPairContext(ctx, sc, nil)
 		if err != nil {
-			return AblationResult{}, fmt.Errorf("core: ablation %s: %w", allocs[i].Name(), err)
+			return results.AblationRow{}, fmt.Errorf("core: ablation %s: %w", allocs[i].Name(), err)
 		}
 		cmp, err := Compare(attacked, baseline)
 		if err != nil {
-			return AblationResult{}, err
+			return results.AblationRow{}, err
 		}
-		return AblationResult{Allocator: allocs[i].Name(), Q: cmp.Q, Infection: attacked.InfectionMeasured}, nil
+		return results.AblationRow{Allocator: allocs[i].Name(), Q: cmp.Q, Infection: attacked.InfectionMeasured}, nil
 	})
 }
 
-// AblationTableFor builds the E10 artifact from AllocatorAblation.
-func AblationTableFor(ctx context.Context, cfg Config, mixName string, threads int, targetInfection float64) (*results.AblationTable, error) {
-	rows, err := AllocatorAblation(ctx, cfg, mixName, threads, targetInfection)
-	if err != nil {
-		return nil, err
-	}
+// AblationTable assembles the E10 artifact from every allocator's row.
+func AblationTable(cfg Config, mixName string, threads int, targetInfection float64, rows []results.AblationRow) *results.AblationTable {
 	params := struct {
 		Cores   int     `json:"cores"`
 		Mix     string  `json:"mix"`
@@ -231,28 +232,21 @@ func AblationTableFor(ctx context.Context, cfg Config, mixName string, threads i
 		Target  float64 `json:"target_infection"`
 		Seed    int64   `json:"seed"`
 	}{cfg.Cores, mixName, threads, targetInfection, cfg.Seed}
-	t := &results.AblationTable{
+	return &results.AblationTable{
 		Meta: results.NewMeta("E10", "Allocator ablation: Q under each budgeting algorithm", cfg.Seed, 0, params),
+		Rows: rows,
 	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, results.AblationRow{Allocator: r.Allocator, Q: r.Q, Infection: r.Infection})
-	}
-	return t, nil
 }
 
 // nearManagerRing builds the canonical X1/X2 fleet: nHTs Trojans ringed at
 // radius 2 around the global manager.
-func nearManagerRing(cfg Config, nHTs int) (*System, attack.Placement, error) {
+func nearManagerRing(cfg Config, nHTs int) (attack.Placement, error) {
 	sys, err := NewSystem(cfg)
 	if err != nil {
-		return nil, attack.Placement{}, err
+		return attack.Placement{}, err
 	}
 	mesh := sys.Mesh()
-	placement, err := attack.RingCluster(mesh, mesh.Coord(sys.ManagerNode()), nHTs, 2, sys.ManagerNode())
-	if err != nil {
-		return nil, attack.Placement{}, err
-	}
-	return sys, placement, nil
+	return attack.RingCluster(mesh, mesh.Coord(sys.ManagerNode()), nHTs, 2, sys.ManagerNode())
 }
 
 // studyParams fingerprints the X1/X2 campaign setup.
@@ -269,7 +263,7 @@ type studyParams struct {
 // classes (false-data, drop, loopback) under an identical near-manager
 // ring fleet of nHTs Trojans.
 func VariantTableFor(ctx context.Context, cfg Config, mixName string, threads, nHTs int) (*results.VariantTable, error) {
-	_, placement, err := nearManagerRing(cfg, nHTs)
+	placement, err := nearManagerRing(cfg, nHTs)
 	if err != nil {
 		return nil, err
 	}
@@ -294,32 +288,24 @@ func VariantTableFor(ctx context.Context, cfg Config, mixName string, threads, n
 	return t, nil
 }
 
-// DefenseTableFor builds the X2 artifact: the manager-side defense study
-// under a duty-cycled attack from a near-manager ring fleet of nHTs
-// Trojans.
-func DefenseTableFor(ctx context.Context, cfg Config, mixName string, threads, nHTs int) (*results.DefenseTable, error) {
-	_, placement, err := nearManagerRing(cfg, nHTs)
+// DefenseRows runs the X2 manager-side defense study for each of the named
+// defenses under a duty-cycled attack from a near-manager ring fleet of
+// nHTs Trojans, one row per defense.
+func DefenseRows(ctx context.Context, cfg Config, mixName string, threads, nHTs int, names []string) ([]results.DefenseRow, error) {
+	placement, err := nearManagerRing(cfg, nHTs)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := DefenseStudy(ctx, cfg, mixName, threads, placement)
-	if err != nil {
-		return nil, err
-	}
-	t := &results.DefenseTable{
+	return DefenseStudy(ctx, cfg, mixName, threads, placement, names)
+}
+
+// DefenseTable assembles the X2 artifact from every defense's row.
+func DefenseTable(cfg Config, mixName string, threads, nHTs int, rows []results.DefenseRow) *results.DefenseTable {
+	return &results.DefenseTable{
 		Meta: results.NewMeta("X2", "Manager-side defense study (duty-cycled attack)",
 			cfg.Seed, 0, studyParams{cfg.Cores, mixName, threads, cfg.Epochs, nHTs, cfg.Seed}),
+		Rows: rows,
 	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, results.DefenseRow{
-			Defense:        r.Defense,
-			Q:              r.Q,
-			Flagged:        r.Flagged,
-			Repaired:       r.Repaired,
-			FalsePositives: r.FalsePositives,
-		})
-	}
-	return t, nil
 }
 
 // CampaignTableFor builds the per-application report table of one htsim

@@ -33,11 +33,12 @@ func openCheckpoints(dir string, faults *faultinject.Set) (*store.Dir, error) {
 	return store.OpenDir(dir, faults, "shard.checkpoint.read", "shard.checkpoint.write", nil)
 }
 
-// loadCheckpoint reads one checkpointed shard result. Every failure —
-// no store, injected read fault, missing entry, torn or tampered bytes
-// — degrades to a miss; corruption is also quarantined so the recompute
-// does not trip over it again.
-func loadCheckpoint(d *store.Dir, key string) (campaign.ShardResult, bool) {
+// loadCheckpoint reads the checkpointed result of shard sh under key.
+// Every failure — no store, injected read fault, missing entry, torn or
+// tampered bytes, a result that fails sh's check — degrades to a miss;
+// corruption is also quarantined so the recompute does not trip over it
+// again.
+func loadCheckpoint(d *store.Dir, key string, sh campaign.Shard) (campaign.ShardResult, bool) {
 	var r campaign.ShardResult
 	if _, ok := d.Get(key); !ok {
 		return r, false
@@ -47,7 +48,7 @@ func loadCheckpoint(d *store.Dir, key string) (campaign.ShardResult, bool) {
 		return r, false
 	}
 	defer f.Close()
-	if err := json.NewDecoder(f).Decode(&r); err != nil {
+	if err := json.NewDecoder(f).Decode(&r); err != nil || r.Check(sh) != nil {
 		d.Quarantine(key)
 		return r, false
 	}

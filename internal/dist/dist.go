@@ -1,26 +1,31 @@
 // Package dist is the coordinator side of distributed campaign
-// execution: it shards one campaign's trial space across many htserved
+// execution: it shards one campaign's cell spaces across many htserved
 // workers over HTTP and merges the shard results into exactly the tables
 // a single-process run produces — byte-identical for any worker count,
 // any shard partition, and any interleaving of failures and retries.
 //
 // The protocol is deliberately small. The coordinator plans shards with
 // campaign.PlanShards, POSTs each one to a worker's /v1/shards endpoint
-// as a ShardRequest (the shard plus the coordinator's build fingerprint
-// — workers reject mismatched revisions or toolchains, because byte
-// identity across machines requires homogeneous builds), and reassembles
-// the replies with campaign.MergeShards. Shard payloads are raw per-cell
-// values or whole typed tables (see internal/campaign/shard.go); the
-// coordinator never aggregates floats itself, so reassembly is exact.
+// as a ShardRequest (the shard plus the coordinator's results.Build
+// fingerprint — workers reject a mismatched revision, toolchain or
+// GOARCH, because byte identity across machines requires homogeneous
+// builds), and reassembles the replies with campaign.MergeShards. Every
+// shard's payload is a JSON array of cells of its experiment's one cell
+// type (see internal/campaign/shard.go); the coordinator never aggregates
+// floats itself, so reassembly is exact. Shards with one
+// campaign.Shard.Key — E7 and E8 share the Fig 5/6 sweep — dispatch once
+// per campaign.
 //
 // Failures redispatch: a shard whose worker is unreachable, times out,
-// or answers with an error is retried on the next worker round-robin, up
-// to Options.Retries extra attempts. Completed shards land in a small
-// content-addressed cache keyed by shard content plus build fingerprint,
-// so re-running a campaign with one changed experiment recomputes only
-// that experiment's shards. Worker choice derives from exp.ShardSeed —
-// a shard-local substream of the campaign seed — keeping dispatch
-// deterministic without ever touching trial streams.
+// answers with an error, or answers with a result that fails
+// campaign.ShardResult.Check (another shard, or the wrong number of
+// cells) is retried on the next worker round-robin, up to
+// Options.Retries extra attempts. Only checked results land in a small
+// content-addressed cache keyed by Shard.Key, so re-running a campaign
+// with one changed experiment recomputes only that experiment's shards.
+// Worker choice derives from exp.ShardSeed — a shard-local substream of
+// the campaign seed — keeping dispatch deterministic without ever
+// touching trial streams.
 //
 // The durability layer extends this in three directions (DESIGN.md
 // §12). Completed shard results spill to a disk checkpoint store
@@ -60,7 +65,6 @@ import (
 	"maps"
 	"math/rand"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -83,18 +87,15 @@ const ShardPath = "/v1/shards"
 // StreamFrame objects.
 const NDJSONContentType = "application/x-ndjson"
 
-// ShardRequest is the wire form of one shard dispatch. Revision, Go and
-// Arch fingerprint the coordinator's build; a worker on a different build
-// must reject the shard rather than contribute bytes from a divergent
-// simulator. Arch is GOARCH because the compiler fuses multiply-adds into
-// FMA instructions on some architectures and not on others, so the same
-// source can round differently. Traceparent, when set, names the coordinator's dispatch
-// span so the worker's spans stitch into the same trace. The worker
-// answers with an NDJSON stream of StreamFrames.
+// ShardRequest is the wire form of one shard dispatch. The embedded Build
+// fingerprints the coordinator (its fields keep the wire names revision,
+// go and arch); a worker on a different build must reject the shard
+// rather than contribute bytes from a divergent simulator. Traceparent,
+// when set, names the coordinator's dispatch span so the worker's spans
+// stitch into the same trace. The worker answers with an NDJSON stream of
+// StreamFrames.
 type ShardRequest struct {
-	Revision    string         `json:"revision"`
-	Go          string         `json:"go"`
-	Arch        string         `json:"arch"`
+	results.Build
 	Shard       campaign.Shard `json:"shard"`
 	Traceparent string         `json:"traceparent,omitempty"`
 }
@@ -559,11 +560,12 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 
 // RunCampaign shards a validated spec across the pool, redispatching
 // failed shards, and merges the results into the exact tables
-// campaign.BuildTables produces locally. prog receives the same
-// experiment-lifecycle callbacks a local run reports (started on first
-// shard dispatch, done after the merge) and — when prog.Epoch is set —
-// the same live per-epoch samples: workers stream them back over the
-// shard response and a per-campaign sink republishes each sequence
+// campaign.BuildTables produces locally. Each distinct shard key runs
+// once per campaign and answers every shard that shares it. prog receives
+// the same experiment-lifecycle callbacks a local run reports (started on
+// first shard dispatch, done after the merge) and — when prog.Epoch is
+// set — the same live per-epoch samples: workers stream them back over
+// the shard response and a per-campaign sink republishes each sequence
 // number exactly once, however many retries or hedge twins replay it.
 func (c *Coordinator) RunCampaign(ctx context.Context, spec *campaign.Spec, prog campaign.Progress) ([]results.Table, error) {
 	shards, err := campaign.PlanShards(spec, c.opts.MaxShards)
@@ -592,17 +594,23 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec *campaign.Spec, prog
 	if conc < 1 {
 		conc = 1
 	}
-	shardResults, err := exp.Run(ctx, conc, len(shards), func(ctx context.Context, i int) (campaign.ShardResult, error) {
-		markStarted(shards[i])
-		r, err := c.runShard(ctx, shards[i], i, sink)
-		if err != nil {
-			return campaign.ShardResult{}, err
+	groups := campaign.GroupShards(shards)
+	answers, err := exp.Run(ctx, conc, len(groups), func(ctx context.Context, g int) (*campaign.ShardResult, error) {
+		for _, i := range groups[g] {
+			markStarted(shards[i])
 		}
-		return *r, nil
+		lead := groups[g][0]
+		return c.runShard(ctx, shards[lead], lead, sink)
 	})
 	if err != nil {
 		c.reportDone(prog, spec, nil, err)
 		return nil, err
+	}
+	shardResults := make([]campaign.ShardResult, len(shards))
+	for g, group := range groups {
+		for _, i := range group {
+			shardResults[i] = campaign.ShardResult{Shard: shards[i], Cells: answers[g].Cells}
+		}
 	}
 	mctx, mspan := obs.StartSpan(ctx, "dist.merge")
 	if ferr := c.opts.Faults.Fire(mctx, "dist.merge"); ferr != nil {
@@ -682,7 +690,7 @@ func (c *Coordinator) runShard(ctx context.Context, sh campaign.Shard, planIndex
 	ctx, span := obs.StartSpan(ctx, "shard")
 	span.SetAttr("shard", sh.String())
 	defer span.End()
-	key := shardKey(sh)
+	key := sh.Key()
 	if r, ok := c.cache.Get(key); ok {
 		c.count(&c.stats.CacheHits)
 		span.SetAttr("source", "cache")
@@ -692,7 +700,7 @@ func (c *Coordinator) runShard(ctx context.Context, sh campaign.Shard, planIndex
 		r.Shard = sh
 		return &r, nil
 	}
-	if r, ok := loadCheckpoint(c.ckpt, key); ok {
+	if r, ok := loadCheckpoint(c.ckpt, key, sh); ok {
 		// The shard completed before a restart: resume from the
 		// checkpoint (re-warming the memory cache) instead of recomputing.
 		c.count(&c.stats.Resumed)
@@ -870,9 +878,7 @@ func (c *Coordinator) dispatch(ctx context.Context, workerURL string, sh campaig
 		defer cancel()
 	}
 	body, err := json.Marshal(ShardRequest{
-		Revision:    results.Revision(),
-		Go:          runtime.Version(),
-		Arch:        runtime.GOARCH,
+		Build:       results.ThisBuild(),
 		Shard:       sh,
 		Traceparent: span.Traceparent(),
 	})
@@ -899,8 +905,10 @@ func (c *Coordinator) dispatch(ctx context.Context, workerURL string, sh campaig
 	if err != nil {
 		return nil, err
 	}
-	if r.Shard.Lo != sh.Lo || r.Shard.Hi != sh.Hi || r.Shard.Experiment.ID != sh.Experiment.ID {
-		return nil, fmt.Errorf("worker answered for shard %s, asked for %s", r.Shard, sh)
+	// A malformed answer is a failed attempt: it must never reach the
+	// cache, the checkpoint store or a hedge race's winner.
+	if err := r.Check(sh); err != nil {
+		return nil, err
 	}
 	// Trust the request's identity, not the echo: merges key on ExpIndex.
 	r.Shard = sh
@@ -946,20 +954,4 @@ func errorBody(r io.Reader) string {
 		return e.Error
 	}
 	return strings.TrimSpace(string(b))
-}
-
-// shardKey fingerprints a shard for the coordinator-side cache: its
-// content (experiment spec, seed context, trial range) plus the build,
-// never its position in a particular campaign — so an unchanged
-// experiment resubmitted in a different spec still hits.
-func shardKey(sh campaign.Shard) string {
-	return results.HashConfig(struct {
-		Experiment campaign.ExperimentSpec `json:"experiment"`
-		Seed       int64                   `json:"seed"`
-		Lo         int                     `json:"lo"`
-		Hi         int                     `json:"hi"`
-		Count      int                     `json:"count"`
-		Revision   string                  `json:"revision"`
-		Go         string                  `json:"go"`
-	}{sh.Experiment, sh.Seed, sh.Lo, sh.Hi, sh.Count, results.Revision(), runtime.Version()})
 }

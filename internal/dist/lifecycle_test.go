@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -162,6 +163,25 @@ func TestRegisterStableIDAndRemove(t *testing.T) {
 	}
 }
 
+// e1Result runs the one-cell E1 shard of goldenSpec for real, so the
+// checkpoint tests spill results that pass the load-side check.
+func e1Result(t *testing.T) (campaign.Shard, *campaign.ShardResult) {
+	t.Helper()
+	spec, err := campaign.ParseSpec([]byte(goldenSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := campaign.PlanShards(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := campaign.RunShard(context.Background(), shards[0], 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shards[0], r
+}
+
 // TestCheckpointStoreRoundTripAndQuarantine: a spilled shard result
 // reads back intact; tampered bytes are detected by the sha256
 // manifest, quarantined for post-mortem, and reported as a miss.
@@ -171,12 +191,12 @@ func TestCheckpointStoreRoundTripAndQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &campaign.ShardResult{Shard: campaign.Shard{Experiment: campaign.ExperimentSpec{ID: "E1"}, Lo: 0, Hi: 2}}
+	sh, r := e1Result(t)
 	if err := saveCheckpoint(s, "k1", r); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := loadCheckpoint(s, "k1")
-	if !ok || got.Shard.Experiment.ID != "E1" || got.Shard.Hi != 2 {
+	got, ok := loadCheckpoint(s, "k1", sh)
+	if !ok || got.Shard.Experiment.ID != "E1" || got.Shard.Hi != 1 {
 		t.Fatalf("round trip = (%+v, %v), want the stored result", got, ok)
 	}
 
@@ -185,27 +205,41 @@ func TestCheckpointStoreRoundTripAndQuarantine(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"shard":{}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := loadCheckpoint(s, "k1"); ok {
+	if _, ok := loadCheckpoint(s, "k1", sh); ok {
 		t.Fatal("tampered checkpoint served as trusted")
 	}
 	if _, err := os.Stat(filepath.Join(dir, store.QuarantineDir, "k1-0")); err != nil {
 		t.Fatalf("tampered entry not quarantined: %v", err)
 	}
-	if _, ok := loadCheckpoint(s, "k1"); ok {
+	if _, ok := loadCheckpoint(s, "k1", sh); ok {
 		t.Fatal("quarantined entry still readable under its key")
 	}
 	// The key is reusable after quarantine.
 	if err := saveCheckpoint(s, "k1", r); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := loadCheckpoint(s, "k1"); !ok {
+	if _, ok := loadCheckpoint(s, "k1", sh); !ok {
 		t.Fatal("re-spill after quarantine missed")
+	}
+
+	// Intact bytes that fail the shard's answer check — here, another
+	// shard's result — are quarantined as well.
+	if err := saveCheckpoint(s, "k2", r); err != nil {
+		t.Fatal(err)
+	}
+	other := sh
+	other.Seed++
+	if _, ok := loadCheckpoint(s, "k2", other); ok {
+		t.Fatal("checkpoint for another shard served as trusted")
+	}
+	if _, err := os.Stat(filepath.Join(dir, store.QuarantineDir, "k2-0")); err != nil {
+		t.Fatalf("mismatched entry not quarantined: %v", err)
 	}
 
 	// A nil store (no checkpoint dir) misses and refuses puts, never
 	// panics.
 	var nilStore *store.Dir
-	if _, ok := loadCheckpoint(nilStore, "k"); ok {
+	if _, ok := loadCheckpoint(nilStore, "k", sh); ok {
 		t.Fatal("nil store hit")
 	}
 	if err := saveCheckpoint(nilStore, "k", r); err == nil {
@@ -217,7 +251,7 @@ func TestCheckpointStoreRoundTripAndQuarantine(t *testing.T) {
 // checkpoint (put errors, shard unaffected by contract), an injected
 // read fault degrades to a miss.
 func TestCheckpointFaultPoints(t *testing.T) {
-	r := &campaign.ShardResult{Shard: campaign.Shard{Experiment: campaign.ExperimentSpec{ID: "E1"}}}
+	sh, r := e1Result(t)
 	sw, err := openCheckpoints(t.TempDir(), mustParseFaults(t, "shard.checkpoint.write:error:times=1"))
 	if err != nil {
 		t.Fatal(err)
@@ -236,10 +270,10 @@ func TestCheckpointFaultPoints(t *testing.T) {
 	if err := saveCheckpoint(sr, "k", r); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := loadCheckpoint(sr, "k"); ok {
+	if _, ok := loadCheckpoint(sr, "k", sh); ok {
 		t.Fatal("get under read fault hit")
 	}
-	if _, ok := loadCheckpoint(sr, "k"); !ok {
+	if _, ok := loadCheckpoint(sr, "k", sh); !ok {
 		t.Fatal("get after fault spent missed")
 	}
 }
@@ -378,5 +412,86 @@ func TestAwaitWorkersBridgesLateRegistration(t *testing.T) {
 	}
 	if err := fail.awaitWorkers(context.Background()); err == nil {
 		t.Fatal("awaitWorkers with waiting disabled and an empty pool succeeded")
+	}
+}
+
+// TestMalformedAnswerRedispatches: a worker that cuts its first E3 answer
+// one cell short costs one failed attempt and nothing else. The short
+// answer never reaches the shard cache or the checkpoint store, so a
+// rerun is served entirely from the cache and a coordinator restarted on
+// the same directory resumes every shard from a checkpoint that passes
+// its check — with the bytes of a local run throughout.
+func TestMalformedAnswerRedispatches(t *testing.T) {
+	var cut atomic.Bool
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req ShardRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		res, err := campaign.RunShard(r.Context(), req.Shard, 1, nil)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		if req.Shard.Experiment.ID == "E3" && cut.CompareAndSwap(false, true) {
+			var cells []json.RawMessage
+			if err := json.Unmarshal(res.Cells, &cells); err != nil {
+				t.Error(err)
+			}
+			res.Cells, _ = json.Marshal(cells[:len(cells)-1])
+		}
+		json.NewEncoder(w).Encode(StreamFrame{Result: res})
+	}))
+	defer worker.Close()
+	spec, err := campaign.ParseSpec([]byte(goldenSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := campaign.BuildTables(context.Background(), spec, 1, campaign.Progress{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(local)
+	dir := t.TempDir()
+	opts := Options{Workers: []string{worker.URL}, MaxShards: 2, CheckpointDir: dir}
+	run := func(c *Coordinator) {
+		t.Helper()
+		tables, err := c.RunCampaign(context.Background(), spec, campaign.Progress{})
+		if err != nil {
+			t.Fatalf("campaign failed: %v", err)
+		}
+		if got, _ := json.Marshal(tables); string(got) != string(want) {
+			t.Fatal("campaign tables differ from a local run")
+		}
+	}
+
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(c)
+	first := c.Stats()
+	if !cut.Load() || first.Retries != 1 {
+		t.Fatalf("short answer sent %v, retries %d: want one redispatch", cut.Load(), first.Retries)
+	}
+	run(c)
+	second := c.Stats()
+	if dispatches(second) != dispatches(first) || second.CacheHits != 3 {
+		t.Fatalf("rerun dispatched %d more shards with %d cache hits, want 0 and 3",
+			dispatches(second)-dispatches(first), second.CacheHits)
+	}
+
+	worker.Close()
+	restarted, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(restarted)
+	if st := restarted.Stats(); st.Resumed != 3 {
+		t.Fatalf("restart resumed %d shards, want all 3 from checkpoints", st.Resumed)
+	}
+	if q, _ := os.ReadDir(filepath.Join(dir, store.QuarantineDir)); len(q) != 0 {
+		t.Fatalf("checkpoint store quarantined %d entries, want none", len(q))
 	}
 }

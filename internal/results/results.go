@@ -23,6 +23,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"sync"
 )
 
 // Meta is the provenance block embedded in every serialized table.
@@ -93,6 +94,20 @@ func Revision() string {
 	}
 	return "unknown"
 }
+
+// Build fingerprints the binary that computed a result: its VCS revision,
+// Go toolchain and GOARCH. The compiler fuses multiply-adds into FMA
+// instructions on some architectures and not on others, so the same source
+// can round differently per GOARCH; every cache key and every shard
+// dispatch carries the whole fingerprint.
+type Build struct {
+	Revision string `json:"revision"`
+	Go       string `json:"go"`
+	Arch     string `json:"arch"`
+}
+
+// ThisBuild returns the running binary's fingerprint.
+var ThisBuild = sync.OnceValue(func() Build { return Build{Revision(), runtime.Version(), runtime.GOARCH} })
 
 // Table is the interface every typed result table implements; the JSON,
 // CSV, and text emitters are all driven through it.

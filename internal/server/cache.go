@@ -10,13 +10,13 @@ import (
 )
 
 // This file is the content-addressed result cache: finished jobs are
-// stored under a key fingerprinting the submission (spec or sim request),
-// the binary's VCS revision, and the Go toolchain, so an identical
-// submission returns instantly without re-simulation. Entries live in an
-// in-memory LRU holding the typed tables; when a cache directory is
-// configured, every entry is also spilled to an internal/store disk tier
-// as fully rendered artifacts, surviving both LRU eviction and server
-// restarts. The store verifies each spilled entry against its sha256
+// stored under a key fingerprinting the submission (spec or sim request)
+// and the binary's build (VCS revision, Go toolchain and GOARCH), so an
+// identical submission returns instantly without re-simulation. Entries
+// live in an in-memory LRU holding the typed tables; when a cache
+// directory is configured, every entry is also spilled to an
+// internal/store disk tier as fully rendered artifacts, surviving both
+// LRU eviction and server restarts. The store verifies each spilled entry against its sha256
 // manifest before trusting it and quarantines one that was torn or
 // tampered with, so a corrupt cache degrades to a recompute — never a
 // wrong artifact or a 500. The store's manifest.sums is outside

@@ -19,8 +19,8 @@ import (
 	"repro/internal/results"
 )
 
-// distSpec exercises every shard shape in one campaign: E1 is atomic
-// (whole-table shard), E3 is an infection-curve trial space, E5 a
+// distSpec exercises three cell types in one campaign: E1 is a one-cell
+// experiment (the whole table), E3 an infection-curve trial space, E5 a
 // distribution-comparison trial space.
 const distSpec = `{"name":"dist","seed":7,"experiments":[{"id":"E1","params":{"size":64}},{"id":"E3","params":{"trials":3}},{"id":"E5","params":{"sizes":[16,64],"trials":2}}]}`
 
@@ -153,7 +153,7 @@ func TestDistributedShardCacheReuse(t *testing.T) {
 	}
 	runCampaignArtifacts(t, coord.URL, changed, nil)
 	warmHits := promSamples(t, scrapePrometheus(t, coord.URL))["htserved_shard_cache_hits_total"]
-	// E1 plans one atomic shard; E5 plans two trial shards at MaxShards=2.
+	// E1 plans one one-cell shard; E5 plans two trial shards at MaxShards=2.
 	if warmHits != 3 {
 		t.Errorf("re-run with one changed experiment had %v shard cache hits, want 3 (E1 + E5's two shards)", warmHits)
 	}
@@ -178,10 +178,8 @@ func TestShardEndpointRejectsBuildMismatch(t *testing.T) {
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			req := dist.ShardRequest{
-				Revision: results.Revision(),
-				Go:       runtime.Version(),
-				Arch:     runtime.GOARCH,
-				Shard:    campaign.Shard{Experiment: campaign.ExperimentSpec{ID: "E1"}, Seed: 1, Count: 1},
+				Build: results.Build{Revision: results.Revision(), Go: runtime.Version(), Arch: runtime.GOARCH},
+				Shard: campaign.Shard{Experiment: campaign.ExperimentSpec{ID: "E1"}, Seed: 1, Count: 1, Hi: 1},
 			}
 			tt.mutate(&req)
 			body, err := json.Marshal(req)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -916,13 +915,18 @@ func (m *manager) cancelJob(id string) (found bool, err error) {
 }
 
 // cacheKeyFor fingerprints a submission for the content-addressed cache:
-// the request payload plus the binary's VCS revision and Go toolchain, so
-// results simulated by a different build never alias.
+// the request payload plus the binary's build (VCS revision, Go toolchain
+// and GOARCH), so results simulated by a different build never alias —
+// not even through a cache directory two builds share.
 func cacheKeyFor(kind string, payload any) string {
+	return cacheKey(kind, payload, results.ThisBuild())
+}
+
+// cacheKey is cacheKeyFor for the given build.
+func cacheKey(kind string, payload any, b results.Build) string {
 	return results.HashConfig(struct {
-		Kind     string `json:"kind"`
-		Payload  any    `json:"payload"`
-		Revision string `json:"revision"`
-		Go       string `json:"go"`
-	}{kind, payload, results.Revision(), runtime.Version()})
+		Kind    string        `json:"kind"`
+		Payload any           `json:"payload"`
+		Build   results.Build `json:"build"`
+	}{kind, payload, b})
 }

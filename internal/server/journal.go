@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -205,7 +206,7 @@ func readJournal(path string) ([]journalRecord, error) {
 	var recs []journalRecord
 	for len(b) > 0 {
 		line := b
-		if i := indexByte(b, '\n'); i >= 0 {
+		if i := bytes.IndexByte(b, '\n'); i >= 0 {
 			line, b = b[:i], b[i+1:]
 		} else {
 			b = nil
@@ -220,17 +221,6 @@ func readJournal(path string) ([]journalRecord, error) {
 		recs = append(recs, rec)
 	}
 	return recs, nil
-}
-
-// indexByte is bytes.IndexByte without pulling bytes into this file's
-// imports for one call.
-func indexByte(b []byte, c byte) int {
-	for i := range b {
-		if b[i] == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // pendingRecords filters a journal to the accepts that never reached a

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/results"
 )
 
 // testSpec mirrors the golden campaign of internal/campaign: cheap enough
@@ -614,5 +615,26 @@ func TestSimCacheKeyNormalisation(t *testing.T) {
 	}
 	if got := key(`{"seed":2}`); got == base {
 		t.Error("a different seed must not share the cache key")
+	}
+}
+
+// TestCacheKeyTracksBuild: a cache directory shared by two builds must
+// never serve one build's bytes to the other, so each field of the build
+// moves the key on its own.
+func TestCacheKeyTracksBuild(t *testing.T) {
+	b := results.ThisBuild()
+	if cacheKey("campaign", "p", b) != cacheKeyFor("campaign", "p") {
+		t.Fatal("cacheKeyFor does not hash the running build")
+	}
+	for _, mutate := range []func(*results.Build){
+		func(b *results.Build) { b.Revision += "x" },
+		func(b *results.Build) { b.Go += "x" },
+		func(b *results.Build) { b.Arch += "x" },
+	} {
+		other := b
+		mutate(&other)
+		if cacheKey("campaign", "p", other) == cacheKeyFor("campaign", "p") {
+			t.Errorf("cache key ignores a build change to %+v", other)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -22,9 +21,9 @@ import (
 
 // This file is the distributed-execution HTTP surface. Every htserved
 // instance is a capable worker: POST /v1/shards executes one campaign
-// shard synchronously and streams back its epochs and payload (raw
-// per-cell values or a whole typed table — see
-// internal/campaign/shard.go). A server built with coordinator options
+// shard synchronously and streams back its epochs and payload (a JSON
+// array of the shard's cells — see internal/campaign/shard.go). A server
+// built with coordinator options
 // additionally exposes POST/GET /v1/workers so workers can join the
 // pool at runtime (`htserved -worker -coordinator=URL`), and its
 // campaign jobs execute through internal/dist instead of the local
@@ -57,10 +56,10 @@ func (s *Server) handleRunShard(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("shard request: %w", err))
 		return
 	}
-	if req.Revision != results.Revision() || req.Go != runtime.Version() || req.Arch != runtime.GOARCH {
+	if b := results.ThisBuild(); req.Build != b {
 		writeError(w, http.StatusConflict, fmt.Errorf(
-			"build mismatch: worker is %s/%s/%s, coordinator is %s/%s/%s — distributed byte-identity requires homogeneous builds",
-			results.Revision(), runtime.Version(), runtime.GOARCH, req.Revision, req.Go, req.Arch))
+			"build mismatch: worker is %+v, coordinator is %+v — distributed byte-identity requires homogeneous builds",
+			b, req.Build))
 		return
 	}
 	// The shard.run fault point models a worker that accepts shards but
