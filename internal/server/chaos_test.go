@@ -420,10 +420,12 @@ func TestChaosSingleFlightCoalescesStampede(t *testing.T) {
 
 // TestJobTimeoutFailsOnlyTheSlowJob runs a deliberately long simulation
 // under a tight --job-timeout: it fails with a structured deadline error
-// and is counted, while a quick job on the same server completes.
+// and is counted, while a quick job on the same server completes. The
+// slow job asks for 5000 epochs because a 500-epoch run, with quiet NoC
+// cycles skipped, sometimes finished inside the 300 ms budget.
 func TestJobTimeoutFailsOnlyTheSlowJob(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, JobTimeout: 300 * time.Millisecond})
-	slow := `{"cores":256,"threads":16,"hts":8,"epochs":500,"seed":401,"workers":1}`
+	slow := `{"cores":256,"threads":16,"hts":8,"epochs":5000,"seed":401,"workers":1}`
 	st := postJSON(t, ts.URL+"/v1/sims", slow, http.StatusAccepted)
 	done := waitState(t, ts.URL, st.ID)
 	if done.State != jobFailed || !strings.Contains(done.Error, "deadline") {
