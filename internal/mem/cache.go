@@ -3,10 +3,12 @@
 // node), a MESI directory protocol whose messages travel on the NoC, and a
 // flat main-memory model with 200-cycle latency.
 //
-// Addresses throughout the package are cache-line numbers at L1 (32-byte)
-// granularity; the L2 tag store is keyed at 64-byte granularity, matching
-// the Table I line sizes.
+// Addresses throughout the package are cache-line numbers at the 32-byte
+// L1 line granularity, and both levels' tag stores are keyed by them; the
+// L2 slice holds Table I's 64 KB as 2048 such lines (see Config).
 package mem
+
+import "slices"
 
 // LineState is a MESI cache-line state.
 type LineState int
@@ -43,10 +45,17 @@ type cacheLine struct {
 
 // Cache is a set-associative, LRU-replacement tag store. Only tags and MESI
 // states are modelled; data contents never matter to the experiments.
+//
+// The store is sparse: a run touches a few percent of its sets, so a set's
+// ways are carved from a slab on the first insert into that set, and a set
+// never inserted into answers every query as an empty set does.
 type Cache struct {
-	sets  int
-	ways  int
-	lines []cacheLine // sets × ways, row-major
+	sets int
+	ways int
+	// slot[s] is 0 while set s has no ways, else 1 + the index of its
+	// block of ways in slab.
+	slot []uint32
+	slab []cacheLine // materialised sets, ways consecutive, row-major
 }
 
 // NewCache builds a cache with the given geometry. sets and ways must be
@@ -55,28 +64,43 @@ func NewCache(sets, ways int) *Cache {
 	if sets <= 0 || ways <= 0 {
 		panic("mem: cache geometry must be positive")
 	}
-	return &Cache{sets: sets, ways: ways, lines: make([]cacheLine, sets*ways)}
+	return &Cache{sets: sets, ways: ways, slot: make([]uint32, sets)}
 }
 
 // L1DGeometry returns the Table I L1-D geometry: 16 KB, 2-way, 32 B lines →
 // 256 sets.
 func L1DGeometry() (sets, ways int) { return 256, 2 }
 
-// L2SliceGeometry returns the Table I per-node L2 slice geometry: 64 KB,
-// modelled 4-way, 64 B lines → 256 sets.
-func L2SliceGeometry() (sets, ways int) { return 256, 4 }
-
+// set returns addr's set, or nil while no insert has reached it.
 func (c *Cache) set(addr uint64) []cacheLine {
-	s := int(addr % uint64(c.sets))
-	return c.lines[s*c.ways : (s+1)*c.ways]
+	k := int(c.slot[addr%uint64(c.sets)])
+	if k == 0 {
+		return nil
+	}
+	off := (k - 1) * c.ways
+	return c.slab[off : off+c.ways : off+c.ways]
+}
+
+// materialise carves addr's set from the slab, zeroed, and returns it.
+func (c *Cache) materialise(addr uint64) []cacheLine {
+	n := len(c.slab)
+	if n+c.ways > cap(c.slab) {
+		// Room for eight more sets at least; append's doubling beyond.
+		c.slab = slices.Grow(c.slab, 8*c.ways)
+	}
+	c.slab = c.slab[:n+c.ways]
+	set := c.slab[n:]
+	clear(set)
+	c.slot[addr%uint64(c.sets)] = uint32(n/c.ways) + 1
+	return set
 }
 
 // Lookup returns the state of addr, or Invalid if absent.
 func (c *Cache) Lookup(addr uint64) LineState {
-	for i := range c.set(addr) {
-		l := &c.set(addr)[i]
-		if l.state != Invalid && l.tag == addr {
-			return l.state
+	set := c.set(addr)
+	for i := range set {
+		if set[i].state != Invalid && set[i].tag == addr {
+			return set[i].state
 		}
 	}
 	return Invalid
@@ -106,10 +130,13 @@ func (c *Cache) SetState(addr uint64, st LineState) {
 }
 
 // Insert installs addr with state st, evicting the LRU way if the set is
-// full. It returns the evicted line's address and state when an eviction
-// happened.
+// full; among equally old ways the lowest-indexed one goes. It returns the
+// evicted line's address and state when an eviction happened.
 func (c *Cache) Insert(addr uint64, st LineState, now uint64) (evictedAddr uint64, evictedState LineState, evicted bool) {
 	set := c.set(addr)
+	if set == nil {
+		set = c.materialise(addr)
+	}
 	// Already present: state upgrade in place.
 	for i := range set {
 		if set[i].state != Invalid && set[i].tag == addr {
@@ -121,18 +148,16 @@ func (c *Cache) Insert(addr uint64, st LineState, now uint64) (evictedAddr uint6
 	victim := 0
 	for i := range set {
 		if set[i].state == Invalid {
-			victim = i
-			evicted = false
-			set[victim] = cacheLine{tag: addr, state: st, lastUse: now}
+			set[i] = cacheLine{tag: addr, state: st, lastUse: now}
 			return 0, Invalid, false
 		}
 		if set[i].lastUse < set[victim].lastUse {
 			victim = i
 		}
 	}
-	evictedAddr, evictedState, evicted = set[victim].tag, set[victim].state, true
+	evictedAddr, evictedState = set[victim].tag, set[victim].state
 	set[victim] = cacheLine{tag: addr, state: st, lastUse: now}
-	return evictedAddr, evictedState, evicted
+	return evictedAddr, evictedState, true
 }
 
 // Invalidate removes addr and returns its prior state.
@@ -151,8 +176,8 @@ func (c *Cache) Invalidate(addr uint64) LineState {
 // Occupancy returns the number of valid lines, for tests and debugging.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].state != Invalid {
+	for i := range c.slab {
+		if c.slab[i].state != Invalid {
 			n++
 		}
 	}

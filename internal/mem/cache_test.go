@@ -110,9 +110,11 @@ func TestTableIGeometries(t *testing.T) {
 	if w != 2 {
 		t.Errorf("L1D ways = %d, want 2 (Table I)", w)
 	}
-	s2, w2 := L2SliceGeometry()
-	if s2*w2*64 != 64*1024 {
-		t.Errorf("L2 slice geometry %dx%d x64B = %d, want 64KB", s2, w2, s2*w2*64)
+	// Both levels are keyed by 32 B line number, so Table I's 64 KB slice
+	// is 2048 lines.
+	cfg := DefaultConfig()
+	if got := cfg.L2Sets * cfg.L2Ways * 32; got != 64*1024 {
+		t.Errorf("L2 slice geometry %dx%d x32B = %d, want 64KB", cfg.L2Sets, cfg.L2Ways, got)
 	}
 }
 
