@@ -7,10 +7,7 @@
 // need randomness seed their own sources.
 package sim
 
-import (
-	"container/heap"
-	"errors"
-)
+import "errors"
 
 // ErrStopped is returned by Run when the kernel was stopped explicitly
 // before the horizon was reached.
@@ -25,36 +22,20 @@ type scheduledEvent struct {
 	fn  Event
 }
 
-type eventQueue []*scheduledEvent
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*scheduledEvent)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// before orders events by (at, seq). seq is unique, so the order is total
+// and any binary heap over it pops the same sequence.
+func (e *scheduledEvent) before(o *scheduledEvent) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
 // Kernel is a discrete-event simulation kernel. The zero value is not
 // usable; construct with NewKernel.
 type Kernel struct {
-	now     uint64
-	seq     uint64
-	queue   eventQueue
+	now uint64
+	seq uint64
+	// queue is a binary min-heap on (at, seq), held by value so scheduling
+	// allocates nothing once the slice has grown to the run's peak.
+	queue   []scheduledEvent
 	stopped bool
 }
 
@@ -72,8 +53,7 @@ func (k *Kernel) Pending() int { return len(k.queue) }
 // later in the current cycle, after all previously scheduled events for
 // this cycle.
 func (k *Kernel) Schedule(delay uint64, fn Event) {
-	k.seq++
-	heap.Push(&k.queue, &scheduledEvent{at: k.now + delay, seq: k.seq, fn: fn})
+	k.push(k.now+delay, fn)
 }
 
 // ScheduleAt enqueues fn for an absolute cycle. Scheduling in the past is
@@ -82,8 +62,48 @@ func (k *Kernel) ScheduleAt(cycle uint64, fn Event) {
 	if cycle < k.now {
 		cycle = k.now
 	}
+	k.push(cycle, fn)
+}
+
+// push adds fn at cycle at and sifts it up the heap.
+func (k *Kernel) push(at uint64, fn Event) {
 	k.seq++
-	heap.Push(&k.queue, &scheduledEvent{at: cycle, seq: k.seq, fn: fn})
+	k.queue = append(k.queue, scheduledEvent{at: at, seq: k.seq, fn: fn})
+	q := k.queue
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+// pop removes and returns the earliest event.
+func (k *Kernel) pop() scheduledEvent {
+	q := k.queue
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = scheduledEvent{} // drop the callback for the collector
+	q = q[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && q[r].before(&q[m]) {
+			m = r
+		}
+		if !q[m].before(&q[i]) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	k.queue = q
+	return top
 }
 
 // Stop makes the current Run return after the in-flight event completes.
@@ -95,12 +115,11 @@ func (k *Kernel) Stop() { k.stopped = true }
 func (k *Kernel) Run(horizon uint64) error {
 	k.stopped = false
 	for len(k.queue) > 0 {
-		next := k.queue[0]
-		if next.at > horizon {
+		if k.queue[0].at > horizon {
 			k.now = horizon
 			return nil
 		}
-		heap.Pop(&k.queue)
+		next := k.pop()
 		k.now = next.at
 		next.fn()
 		if k.stopped {
@@ -118,7 +137,7 @@ func (k *Kernel) Run(horizon uint64) error {
 func (k *Kernel) Drain() error {
 	k.stopped = false
 	for len(k.queue) > 0 {
-		next := heap.Pop(&k.queue).(*scheduledEvent)
+		next := k.pop()
 		k.now = next.at
 		next.fn()
 		if k.stopped {

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -135,40 +137,83 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// Property: any randomly generated schedule fires in nondecreasing time
-// order with FIFO tie-breaking preserved.
+// Property: whatever the schedule, events fire in (cycle, scheduling
+// order) order, each at its own cycle. Each trial interleaves Schedule and
+// ScheduleAt (past cycles coerce to now), schedules from inside firing
+// events, runs to several horizons that leave events pending, and drains
+// the rest; the fired stamps must equal every scheduled stamp, sorted.
 func TestRunOrderProperty(t *testing.T) {
+	type stamp struct{ at, seq uint64 }
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := NewKernel()
-		type stamp struct {
-			at  uint64
-			seq int
+		var scheduled, fired []stamp
+		ok := true
+		var schedule func(depth int)
+		schedule = func(depth int) {
+			st := stamp{seq: uint64(len(scheduled))}
+			fn := func() {
+				if k.Now() != st.at {
+					ok = false
+				}
+				fired = append(fired, st)
+				for depth < 2 && rng.Intn(3) == 0 {
+					schedule(depth + 1)
+				}
+			}
+			if rng.Intn(2) == 0 {
+				delay := uint64(rng.Intn(20))
+				st.at = k.Now() + delay
+				k.Schedule(delay, fn)
+			} else {
+				cycle := k.Now() + uint64(rng.Intn(30))
+				cycle -= min(cycle, 10) // up to 10 cycles in the past
+				st.at = max(cycle, k.Now())
+				k.ScheduleAt(cycle, fn)
+			}
+			scheduled = append(scheduled, st)
 		}
-		var fired []stamp
-		n := 50
-		for i := 0; i < n; i++ {
-			i := i
-			at := uint64(rng.Intn(20))
-			k.Schedule(at, func() { fired = append(fired, stamp{at: k.Now(), seq: i}) })
-		}
-		if err := k.Run(100); err != nil {
-			return false
-		}
-		if len(fired) != n {
-			return false
-		}
-		for i := 1; i < len(fired); i++ {
-			if fired[i].at < fired[i-1].at {
+		for round := 0; round < 5; round++ {
+			for i := rng.Intn(15); i > 0; i-- {
+				schedule(0)
+			}
+			if err := k.Run(k.Now() + uint64(rng.Intn(15))); err != nil {
 				return false
 			}
-			if fired[i].at == fired[i-1].at && fired[i].seq < fired[i-1].seq {
-				return false
-			}
 		}
-		return true
+		if err := k.Drain(); err != nil || k.Pending() != 0 {
+			return false
+		}
+		want := slices.Clone(scheduled)
+		slices.SortFunc(want, func(a, b stamp) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+		return ok && slices.Equal(fired, want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScheduleRunAllocatesNothing pins the value-typed event heap: once
+// the queue has grown, scheduling a prebuilt callback and running it
+// allocates nothing.
+func TestScheduleRunAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	fn := func() {}
+	for i := 0; i < 8; i++ {
+		k.Schedule(uint64(i), fn)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		k.Schedule(8, fn)
+		if err := k.Run(k.Now() + 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Schedule+Run allocates %v times per event, want 0", allocs)
 	}
 }
