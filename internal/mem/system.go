@@ -65,6 +65,18 @@ const (
 	reqGetX uint32 = 1 // write, exclusive
 )
 
+// reqOptions and grantOptions are the one-word Options fields of requests
+// (by kind) and data replies (by granted state). Packets share them:
+// nothing writes a packet's Options, and FlitCount reads only its length.
+var (
+	reqOptions   = [...][]uint32{reqGetS: {reqGetS}, reqGetX: {reqGetX}}
+	grantOptions = [...][]uint32{
+		Shared:    {uint32(Shared)},
+		Exclusive: {uint32(Exclusive)},
+		Modified:  {uint32(Modified)},
+	}
+)
+
 type dirState int
 
 const (
@@ -219,7 +231,7 @@ func (s *System) Issue(node noc.NodeID, addr uint64, write bool) bool {
 	}
 	s.send(&noc.Packet{
 		Src: node, Dst: s.Home(addr), Type: noc.TypeMemReadReq,
-		Payload: uint32(addr), Options: []uint32{kind},
+		Payload: uint32(addr), Options: reqOptions[kind],
 	})
 	return true
 }
@@ -371,7 +383,7 @@ func (s *System) homeGrant(home noc.NodeID, addr uint64, req noc.NodeID, grant L
 	}
 	s.send(&noc.Packet{
 		Src: home, Dst: req, Type: noc.TypeMemReadReply,
-		Payload: uint32(addr), Options: []uint32{uint32(grant)},
+		Payload: uint32(addr), Options: grantOptions[grant],
 	})
 	s.homeFinish(home, addr)
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -408,3 +409,22 @@ func TestManyRandomOpsDrain(t *testing.T) {
 
 // envRand returns a deterministic rand source for stress tests.
 func envRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// TestTableIHierarchyAllocation bounds what building the Table I hierarchy
+// allocates: with the sparse tag stores, 256 nodes' L1s and L2 slices cost
+// only their set indices until traffic reaches a set (15.8 MB dense).
+func TestTableIHierarchyAllocation(t *testing.T) {
+	mesh := noc.Mesh{Width: 16, Height: 16}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sys, err := NewSystem(mesh, DefaultConfig(), &fakeEnv{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 1_600_000
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Errorf("building the 16×16 hierarchy allocated %d bytes, want under %d", got, limit)
+	}
+	runtime.KeepAlive(sys)
+}
