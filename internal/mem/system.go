@@ -211,7 +211,10 @@ func (s *System) Issue(node noc.NodeID, addr uint64, write bool) bool {
 	// Miss (or S-hit write needing an upgrade): go through the MSHR.
 	if e, ok := ns.mshr[addr]; ok {
 		if write && !e.write {
-			return false // cannot coalesce a write into an in-flight read
+			// Cannot coalesce a write into an in-flight read; the refused
+			// write is retried, and counted, when it is accepted.
+			ns.stats.Writes--
+			return false
 		}
 		e.waiters = append(e.waiters, waiter{issuedAt: s.env.Now(), write: write})
 		return true

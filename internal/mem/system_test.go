@@ -256,6 +256,19 @@ func TestWriteCannotCoalesceIntoRead(t *testing.T) {
 	}
 }
 
+// A write refused for colliding with an in-flight read is not counted:
+// the core retries it, and only the accepted attempt is a write.
+func TestRefusedWriteNotCounted(t *testing.T) {
+	sys, _ := newTestSystem(t)
+	sys.Issue(1, 500, false)
+	if sys.Issue(1, 500, true) {
+		t.Fatal("write must not coalesce into in-flight read")
+	}
+	if st := sys.Stats(1); st.Writes != 0 || st.Reads != 1 {
+		t.Errorf("Writes = %d, Reads = %d after a refused write; want 0 and 1", st.Writes, st.Reads)
+	}
+}
+
 func TestReadCoalescesIntoWrite(t *testing.T) {
 	sys, env := newTestSystem(t)
 	sys.Issue(2, 500, true)
