@@ -54,6 +54,7 @@ type coreState struct {
 	app     int // index into apps, -1 when idle
 	level   int // current DVFS level
 	stream  *mem.AddressStream
+	rate    float64 // memory ops per cycle at level and the run's memLatNs
 	credit  float64 // fractional memory-op accumulator
 	instrs  float64 // instructions over measured epochs
 	levels  float64 // level sum over measured epochs (for AvgLevel)
@@ -336,6 +337,7 @@ func (s *System) setup(sc Scenario) (*run, error) {
 			// class: a core whose requests never reach the manager stays
 			// at the floor — a genuine denial of service.
 			r.cores[c].level = 0
+			r.setRate(&r.cores[c])
 			manager.SetCoreInfo(c, budget.CoreInfo{Sensitivity: phi, LevelsMW: levelsMW, LevelValues: values})
 		}
 	}
@@ -391,6 +393,7 @@ func (r *run) handlePacket(id noc.NodeID, p *noc.Packet) {
 	case noc.TypePowerGrant:
 		level, _ := r.sys.cfg.Power.LevelForBudget(float64(p.Payload) / 1000)
 		r.cores[id].level = level
+		r.setRate(&r.cores[id])
 	case noc.TypeConfigCmd:
 		// Endpoint cores ignore configuration packets; the Trojans snooped
 		// them in transit.
@@ -475,14 +478,22 @@ func (r *run) runEpochCycles(ctx context.Context) error {
 	return nil
 }
 
+// setRate recomputes a placed core's memory-op rate after its DVFS level
+// or the memory-latency estimate changed. Only cache traffic reads it.
+func (r *run) setRate(cs *coreState) {
+	if r.memsys == nil || cs.app < 0 {
+		return
+	}
+	cs.rate = r.apps[cs.app].profile.MemOpsPerNs(r.sys.cfg.Power.Freq(cs.level), r.memLatNs)
+}
+
 // generateTraffic lets each application core issue memory operations at its
 // profile-driven rate (one NoC cycle is one nanosecond).
 func (r *run) generateTraffic() {
 	for _, app := range r.apps {
 		for _, cid := range app.cores {
 			cs := &r.cores[cid]
-			f := r.sys.cfg.Power.Freq(cs.level)
-			cs.credit += app.profile.MemOpsPerNs(f, r.memLatNs)
+			cs.credit += cs.rate
 			for cs.credit >= 1 {
 				addr, write := cs.stream.Next()
 				if !r.memsys.Issue(cid, addr, write) {
@@ -533,6 +544,11 @@ func (r *run) updateMemLatency() {
 	r.prevMissCount, r.prevMissLat = count, lat
 	if dc > 0 {
 		r.memLatNs = float64(dl) / float64(dc)
+		for _, app := range r.apps {
+			for _, cid := range app.cores {
+				r.setRate(&r.cores[cid])
+			}
+		}
 	}
 }
 
