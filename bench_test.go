@@ -339,6 +339,42 @@ func BenchmarkNoCManyToOne(b *testing.B) {
 	}
 }
 
+// BenchmarkMemTrafficPair is the benchmark's sim-congested op: one
+// attacked-vs-baseline pair on the Table I chip with cache traffic (mix-1
+// at 64 threads, a 16-Trojan ring at the manager, 5 epochs with 1 warm-up,
+// 2 workers), on a system built once. It is the only root benchmark that
+// reaches the memory hierarchy.
+func BenchmarkMemTrafficPair(b *testing.B) {
+	cfg := core.DefaultConfig()
+	cfg.Epochs = 5
+	cfg.WarmupEpochs = 1
+	cfg.Seed = 1
+	cfg.Workers = 2
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mix, err := workload.MixByName("mix-1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc, err := core.MixScenario(mix, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mesh, gm := sys.Mesh(), sys.ManagerNode()
+	if sc.Trojans, err = attack.RingCluster(mesh, mesh.Coord(gm), 16, 1, gm); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := sys.RunPairContext(context.Background(), sc, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkDPAllocator(b *testing.B) {
 	reqs := make([]budget.Request, 64)
 	for i := range reqs {
