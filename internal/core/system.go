@@ -544,10 +544,8 @@ func (r *run) updateMemLatency() {
 	r.prevMissCount, r.prevMissLat = count, lat
 	if dc > 0 {
 		r.memLatNs = float64(dl) / float64(dc)
-		for _, app := range r.apps {
-			for _, cid := range app.cores {
-				r.setRate(&r.cores[cid])
-			}
+		for i := range r.cores {
+			r.setRate(&r.cores[i])
 		}
 	}
 }
