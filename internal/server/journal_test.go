@@ -50,11 +50,12 @@ func waitRunning(t *testing.T, base, id string) {
 }
 
 // TestJournalCrashReplayFinishesBacklogByteIdentical is the tentpole
-// acceptance test: wedge a journaled server with one running and two
-// queued jobs, kill it (abandon, no Close), boot a fresh server on the
-// same journal directory, and require that every job replays — in its
-// original priority lane — runs to done, and serves artifacts
-// byte-identical to what `htcampaign run` writes for the same spec.
+// acceptance test: wedge a journaled server with one running and three
+// queued jobs, the last a sim, kill it (abandon, no Close), boot a fresh
+// server on the same journal directory, and require that every job
+// replays — in its original priority lane — runs to done, and serves
+// artifacts byte-identical to what `htcampaign run` writes for the same
+// spec, or for the sim, to its golden files.
 func TestJournalCrashReplayFinishesBacklogByteIdentical(t *testing.T) {
 	want := cliArtifacts(t)
 	dir := t.TempDir()
@@ -73,20 +74,22 @@ func TestJournalCrashReplayFinishesBacklogByteIdentical(t *testing.T) {
 	low := `{"name":"bulk","seed":6,"experiments":[{"id":"E3","params":{"trials":3}}]}`
 	postWithHeaders(t, ts1.URL+"/v1/campaigns", high, map[string]string{"X-Priority": "high"})
 	postWithHeaders(t, ts1.URL+"/v1/campaigns", low, map[string]string{"X-Priority": "low"})
-	// Crash: ts1's service is abandoned with one running and two queued
+	sim := goldenSims[0]
+	postJSON(t, ts1.URL+"/v1/sims", sim.body, http.StatusAccepted)
+	// Crash: ts1's service is abandoned with one running and three queued
 	// jobs, all journaled, none terminal.
 
 	_, ts2 := newTestServer(t, Options{Workers: 1, JournalDir: dir})
 	m := metricsSnapshot(t, ts2.URL)
-	if got := m["journal_replayed"].(float64); got != 3 {
-		t.Fatalf("journal_replayed = %v, want 3", got)
+	if got := m["journal_replayed"].(float64); got != 4 {
+		t.Fatalf("journal_replayed = %v, want 4", got)
 	}
-	if got := m["journal_appends"].(float64); got != 3 {
-		t.Fatalf("journal_appends = %v, want 3 (replay re-journals each accept)", got)
+	if got := m["journal_appends"].(float64); got != 4 {
+		t.Fatalf("journal_appends = %v, want 4 (replay re-journals each accept)", got)
 	}
 	// Replay preserves sequence order, so ids map 1:1 onto the original
 	// submission order; lanes must survive the round trip.
-	for i, wantPrio := range []string{"", "high", "low"} {
+	for i, wantPrio := range []string{"", "high", "low", ""} {
 		st := waitState(t, ts2.URL, fmt.Sprintf("job-%06d", i+1))
 		if st.State != jobDone {
 			t.Fatalf("replayed job %d finished %s (%s), want done", i+1, st.State, st.Error)
@@ -96,8 +99,10 @@ func TestJournalCrashReplayFinishesBacklogByteIdentical(t *testing.T) {
 		}
 	}
 	// The original backlog's first job — the golden spec — must produce
-	// the exact CLI bytes, crash or no crash.
+	// the exact CLI bytes, crash or no crash, and the replayed sim its
+	// golden run.json.
 	assertGoldenArtifacts(t, ts2.URL, "job-000001", want)
+	checkGolden(t, sim.name+".json", normalizeGoVersion(fetch(t, ts2.URL, "job-000004", "run.json")))
 }
 
 // TestJournalGracefulShutdownKeepsBacklogPending pins the deliberate

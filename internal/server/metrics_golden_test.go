@@ -13,7 +13,7 @@ import (
 	"repro/internal/histo"
 )
 
-var updateMetricsGolden = flag.Bool("update", false, "rewrite testdata/metrics-* from the current renderings")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics-* and testdata/sim-* from the current renderings")
 
 // observeAll records each value into h.
 func observeAll(h *histo.Histogram, vs ...float64) {
@@ -82,7 +82,7 @@ func TestMetricsRenderingsGolden(t *testing.T) {
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
-	if *updateMetricsGolden {
+	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

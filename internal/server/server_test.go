@@ -616,6 +616,22 @@ func TestSimCacheKeyNormalisation(t *testing.T) {
 	if got := key(`{"seed":2}`); got == base {
 		t.Error("a different seed must not share the cache key")
 	}
+	// Literal keys under a fixed build: the request's wire form and its
+	// normalisation must not move, or every cached sim would miss.
+	build := results.Build{Revision: "r", Go: "go", Arch: "a"}
+	for body, want := range map[string]string{
+		`{}`: "00dbf4398576",
+		`{"cores":64,"threads":4,"hts":4,"epochs":6,"seed":7,"workers":1}`: "9f18451c0ae6",
+		`{"infection":0.5,"defense":"dual-path","mem":true}`:               "c6d93b511ca5",
+	} {
+		req, err := parseSimRequest([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cacheKey("sim", req.cachePayload(), build); got != want {
+			t.Errorf("cache key of %s = %s, want %s", body, got, want)
+		}
+	}
 }
 
 // TestCacheKeyTracksBuild: a cache directory shared by two builds must
