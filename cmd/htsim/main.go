@@ -1,11 +1,13 @@
 // Command htsim runs a single hardware-Trojan power-budgeting campaign and
 // prints the full report: per-application θ/Θ/Φ, infection rates, the
 // attack effect Q, and NoC statistics. It is a thin front end over the
-// pkg/htsim SDK: every axis flag (-topology, -allocator, -defense,
-// -routing, -placement, -strategy, -mode, -mix) names a registered plugin,
-// and the flag help enumerates the registry, so a newly registered plugin
-// is immediately usable here. Tables are printed through the shared
-// internal/results emitters.
+// pkg/htsim SDK: its flags fill one htsim.Request, the type POST /v1/sims
+// decodes, so the command and the service share defaults and checks.
+// Every axis flag (-topology, -allocator, -defense, -routing, -placement,
+// -strategy, -mode, -mix) names a registered plugin, and the flag help
+// enumerates the registry, so a newly registered plugin is immediately
+// usable here. Tables are printed through the shared internal/results
+// emitters.
 //
 // Examples:
 //
@@ -45,92 +47,54 @@ func choices(names []string) string { return strings.Join(names, ", ") }
 
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("htsim", flag.ContinueOnError)
-	var (
-		printConfig = fs.Bool("print-config", false, "print the Table I configuration and exit")
-		size        = fs.Int("size", 256, "system size (number of cores)")
-		topology    = fs.String("topology", "mesh", "network topology: "+choices(htsim.Topologies()))
-		mixName     = fs.String("mix", "mix-1", "benchmark mix: "+choices(htsim.Mixes()))
-		threads     = fs.Int("threads", 64, "threads per application")
-		htCount     = fs.Int("hts", 16, "number of hardware Trojans")
-		placement   = fs.String("placement", "random", "HT placement: "+choices(htsim.Placements()))
-		infection   = fs.Float64("infection", -1, "target infection rate (overrides -placement when ≥ 0)")
-		allocName   = fs.String("allocator", "fair", "budget allocator: "+choices(htsim.Allocators()))
-		defName     = fs.String("defense", "none", "manager-side defense: "+choices(htsim.Defenses()))
-		strategy    = fs.String("strategy", "scale", "Trojan payload strategy: "+choices(htsim.TrojanStrategies()))
-		mode        = fs.String("mode", "false-data", "attack class: "+choices(htsim.AttackModes()))
-		gmPos       = fs.String("gm", "center", "global manager position: center or corner")
-		routing     = fs.String("routing", "", "routing algorithm (default by topology): "+choices(htsim.Routings()))
-		epochs      = fs.Int("epochs", 10, "budgeting epochs")
-		epochCycles = fs.Uint64("epoch-cycles", 1000, "cycles per epoch")
-		memTraffic  = fs.Bool("mem", false, "enable cache-hierarchy background traffic")
-		dualPath    = fs.Bool("dualpath", false, "enable the dual-path request-verification defense")
-		trace       = fs.Bool("trace", false, "print the per-epoch trace")
-		stream      = fs.Bool("stream", false, "stream per-epoch samples live while the campaign runs")
-		seed        = fs.Int64("seed", 1, "random seed")
-		parallel    = fs.Int("parallel", 0, "campaign workers (0 = one per CPU; 1 = sequential; results identical)")
-	)
+	var req htsim.Request
+	req.Normalize()
+	printConfig := fs.Bool("print-config", false, "print the Table I configuration and exit")
+	fs.IntVar(&req.Cores, "size", req.Cores, "system size (number of cores)")
+	fs.StringVar(&req.Topology, "topology", req.Topology, "network topology: "+choices(htsim.Topologies()))
+	fs.StringVar(&req.Mix, "mix", req.Mix, "benchmark mix: "+choices(htsim.Mixes()))
+	fs.IntVar(&req.Threads, "threads", req.Threads, "threads per application")
+	fs.IntVar(&req.HTs, "hts", req.HTs, "number of hardware Trojans")
+	fs.StringVar(&req.Placement, "placement", req.Placement, "HT placement: "+choices(htsim.Placements()))
+	infection := fs.Float64("infection", -1, "target infection rate (overrides -placement when ≥ 0)")
+	fs.StringVar(&req.Allocator, "allocator", req.Allocator, "budget allocator: "+choices(htsim.Allocators()))
+	fs.StringVar(&req.Defense, "defense", req.Defense, "manager-side defense: "+choices(htsim.Defenses()))
+	fs.StringVar(&req.Strategy, "strategy", req.Strategy, "Trojan payload strategy: "+choices(htsim.TrojanStrategies()))
+	fs.StringVar(&req.Mode, "mode", req.Mode, "attack class: "+choices(htsim.AttackModes()))
+	fs.StringVar(&req.GM, "gm", req.GM, "global manager position: center or corner")
+	fs.StringVar(&req.Routing, "routing", req.Routing, "routing algorithm (default by topology): "+choices(htsim.Routings()))
+	fs.IntVar(&req.Epochs, "epochs", req.Epochs, "budgeting epochs")
+	fs.Uint64Var(&req.EpochCycles, "epoch-cycles", req.EpochCycles, "cycles per epoch")
+	fs.BoolVar(&req.Mem, "mem", req.Mem, "enable cache-hierarchy background traffic")
+	trace := fs.Bool("trace", false, "print the per-epoch trace")
+	stream := fs.Bool("stream", false, "stream per-epoch samples live while the campaign runs")
+	fs.Int64Var(&req.Seed, "seed", req.Seed, "random seed")
+	fs.IntVar(&req.Workers, "parallel", req.Workers, "campaign workers (0 = one per CPU; 1 = sequential; results identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *infection >= 0 {
+		req.Infection = infection
+	}
 
-	opts := []htsim.Option{
-		htsim.WithCores(*size),
-		htsim.WithTopology(*topology),
-		htsim.WithEpochs(*epochs),
-		htsim.WithEpochCycles(*epochCycles),
-		htsim.WithMemTraffic(*memTraffic),
-		htsim.WithDualPath(*dualPath),
-		htsim.WithSeed(*seed),
-		htsim.WithWorkers(*parallel),
-		htsim.WithAllocator(*allocName),
-		htsim.WithDefense(*defName),
-		htsim.WithGMPlacement(*gmPos),
-	}
-	if *routing != "" {
-		opts = append(opts, htsim.WithRouting(*routing))
-	}
+	var opts []htsim.Option
 	if *stream {
 		opts = append(opts, htsim.WithObserver(&streamPrinter{}))
 	}
-
+	sim, sc, predicted, err := req.Prepare(opts...)
+	if err != nil {
+		return err
+	}
+	cfg := sim.Config()
 	if *printConfig {
-		cfg, err := htsim.BuildConfig(opts...)
-		if err != nil {
-			return err
-		}
 		t, err := core.ConfigTableFor(cfg)
 		if err != nil {
 			return err
 		}
 		return results.WriteText(os.Stdout, t)
 	}
-
-	sim, err := htsim.New(opts...)
-	if err != nil {
-		return err
-	}
-	sc, err := htsim.MixScenario(*mixName, *threads)
-	if err != nil {
-		return err
-	}
-	if sc.Strategy, err = htsim.Strategy(*strategy); err != nil {
-		return err
-	}
-	if sc.Mode, err = htsim.AttackMode(*mode); err != nil {
-		return err
-	}
-
-	switch {
-	case *infection >= 0:
-		p, achieved := sim.TrojansForInfection(*infection)
-		fmt.Printf("placement for target infection %.2f: %d HTs (predicted %.3f)\n", *infection, p.Size(), achieved)
-		sc.Trojans = p
-	case *htCount > 0:
-		p, err := sim.Trojans(*placement, *htCount, *seed)
-		if err != nil {
-			return err
-		}
-		sc.Trojans = p
+	if req.Infection != nil {
+		fmt.Printf("placement for target infection %.2f: %d HTs (predicted %.3f)\n", *req.Infection, sc.Trojans.Size(), predicted)
 	}
 
 	attacked, baseline, err := sim.RunPair(ctx, sc)
@@ -141,7 +105,6 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := sim.Config()
 	fmt.Printf("chip: %d cores, GM at node %d, budget %.1f W, allocator %s\n",
 		cfg.Cores, sim.ManagerNode(), float64(attacked.ChipBudgetMW)/1000, cfg.Allocator.Name())
 	if err := results.WriteText(os.Stdout, core.CampaignTableFor(cfg, attacked, cmp)); err != nil {

@@ -31,6 +31,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-routing", "zigzag"},
 		{"-mix", "mix-8"},
 		{"-size", "64", "-placement", "diagonal"},
+		// The service rejects these too: one Request.Validate behind both.
+		{"-size", "64", "-threads", "15", "-infection", "1.5", "-epochs", "3"},
+		{"-size", "64", "-threads", "15", "-hts", "-3", "-epochs", "3"},
 	}
 	for _, args := range tests {
 		if err := run(context.Background(), args); err == nil {
@@ -41,7 +44,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 
 func TestRunDualPathTrace(t *testing.T) {
 	err := run(context.Background(), []string{"-size", "64", "-threads", "15", "-hts", "4", "-placement", "ring",
-		"-epochs", "5", "-dualpath", "-trace"})
+		"-epochs", "5", "-defense", "dual-path", "-trace"})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"repro/internal/budget"
+	"repro/internal/defense"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/power"
@@ -108,6 +109,22 @@ func DefaultConfig() Config {
 		BaselineMemLatencyNs: 60,
 		Seed:                 1,
 	}
+}
+
+// SetDefense installs the registered defense configuration name (see the
+// defense package): its request filter, built over the power model's
+// milliwatt level table, and its dual-path switch, replacing whatever
+// Filter and DualPathRequests held.
+func (c *Config) SetDefense(name string) error {
+	d, err := defense.ByName(name)
+	if err != nil {
+		return err
+	}
+	c.Filter, c.DualPathRequests = nil, d.DualPath
+	if d.Filter != nil {
+		c.Filter, err = d.Filter(c.Power.LevelsMW())
+	}
+	return err
 }
 
 // Validate reports configuration errors.

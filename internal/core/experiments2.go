@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
-	"repro/internal/defense"
 	"repro/internal/exp"
 	"repro/internal/results"
 	"repro/internal/trojan"
@@ -120,27 +119,15 @@ func DefenseStudy(ctx context.Context, cfg Config, mixName string, threads int, 
 	baseScenario.ActivateAfterEpochs = 2
 	baseScenario.DutyOnEpochs, baseScenario.DutyOffEpochs = 2, 2
 
-	levelsMW := make([]uint32, cfg.Power.NumLevels())
-	for i := range levelsMW {
-		levelsMW[i] = cfg.Power.PowerMW(i)
-	}
 	// Every defense configuration is an independent chip: fan out over
 	// cfg.Workers. Stateful filters are cloned per run inside setup, so
 	// concurrent configurations never share detector state.
 	return exp.Run(ctx, cfg.Workers, len(names), func(ctx context.Context, i int) (results.DefenseRow, error) {
 		name := names[i]
-		dcfg, err := defense.ByName(name)
-		if err != nil {
+		c := cfg
+		if err := c.SetDefense(name); err != nil {
 			return results.DefenseRow{}, err
 		}
-		c := cfg
-		c.Filter = nil
-		if dcfg.Filter != nil {
-			if c.Filter, err = dcfg.Filter(levelsMW); err != nil {
-				return results.DefenseRow{}, err
-			}
-		}
-		c.DualPathRequests = dcfg.DualPath
 		sys, err := NewSystem(c)
 		if err != nil {
 			return results.DefenseRow{}, err
@@ -160,7 +147,7 @@ func DefenseStudy(ctx context.Context, cfg Config, mixName string, threads int, 
 			Repaired:       attacked.RepairedTampered,
 			FalsePositives: attacked.FlaggedRequests - attacked.RepairedTampered,
 		}
-		if dcfg.DualPath {
+		if c.DualPathRequests {
 			res.Flagged += attacked.DualPathMismatches
 		}
 		return res, nil

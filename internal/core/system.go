@@ -319,11 +319,10 @@ func (s *System) setup(sc Scenario) (*run, error) {
 
 	// Manager-side OS knowledge and initial DVFS levels.
 	freqs := make([]float64, s.cfg.Power.NumLevels())
-	levelsMW := make([]uint32, s.cfg.Power.NumLevels())
 	for i := range freqs {
 		freqs[i] = s.cfg.Power.Freq(i)
-		levelsMW[i] = s.cfg.Power.PowerMW(i)
 	}
+	levelsMW := s.cfg.Power.LevelsMW()
 	for ai := range r.apps {
 		app := &r.apps[ai]
 		phi := app.profile.Sensitivity(freqs, s.cfg.BaselineMemLatencyNs)

@@ -83,6 +83,17 @@ func (m *Model) Power(idx int) float64 {
 // 32-bit POWER_REQ payload.
 func (m *Model) PowerMW(idx int) uint32 { return uint32(math.Round(m.Power(idx) * 1000)) }
 
+// LevelsMW returns PowerMW of every level, ascending: the milliwatt table
+// the budget manager allocates over and the range guard bounds requests
+// by.
+func (m *Model) LevelsMW() []uint32 {
+	mw := make([]uint32, len(m.Levels))
+	for i := range mw {
+		mw[i] = m.PowerMW(i)
+	}
+	return mw
+}
+
 // Freq returns the frequency in GHz at level idx.
 func (m *Model) Freq(idx int) float64 { return m.Levels[idx].FreqGHz }
 

@@ -18,6 +18,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/results"
+	"repro/pkg/htsim"
 )
 
 // This file is the bounded job manager: submissions enter a FIFO queue
@@ -97,7 +98,7 @@ type job struct {
 
 	// spec is set for campaign jobs, sim for sim jobs.
 	spec *campaign.Spec
-	sim  *simRequest
+	sim  *htsim.Request
 
 	mu        sync.Mutex
 	state     jobState
@@ -109,6 +110,33 @@ type job struct {
 	created   time.Time
 	started   time.Time
 	finished  time.Time
+}
+
+// newJob builds a job from a submission body of the given kind: a
+// campaign spec (the specs/paper.json schema) or a sim request
+// (htsim.Request). It is the one constructor behind both POST handlers
+// and journal replay, so a replayed job is parsed, named and keyed
+// exactly as its original was.
+func newJob(kind string, body []byte) (*job, error) {
+	j := &job{kind: kind, body: body}
+	switch kind {
+	case "campaign":
+		spec, err := campaign.ParseSpec(body)
+		if err != nil {
+			return nil, err
+		}
+		j.name, j.spec, j.cacheKey = spec.Name, spec, cacheKeyFor(kind, spec)
+	case "sim":
+		req, err := htsim.ParseRequest(body)
+		if err != nil {
+			return nil, err
+		}
+		j.name = fmt.Sprintf("sim %s x%d", req.Mix, req.Threads)
+		j.sim, j.cacheKey = req, cacheKeyFor(kind, simCachePayload(req))
+	default:
+		return nil, fmt.Errorf("unknown job kind %q", kind)
+	}
+	return j, nil
 }
 
 // jobStatus is the JSON view of a job.
@@ -854,7 +882,7 @@ func (m *manager) execute(ctx context.Context, j *job) (tables []results.Table, 
 		}
 		return campaign.BuildTables(ctx, j.spec, m.workers, prog)
 	default:
-		t, err := j.sim.run(ctx, m.workers, func(s core.EpochSample) { epoch("run", s) })
+		t, err := runSim(ctx, j.sim, m.workers, func(s core.EpochSample) { epoch("run", s) })
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,8 @@
 // Package server is the concurrent simulation service behind the
 // htserved binary: an HTTP API (stdlib net/http only) that accepts whole
 // campaign specs (POST /v1/campaigns, the same JSON schema as
-// specs/paper.json) and single-sim requests (POST /v1/sims, built through
-// htsim.BuildConfig), runs them on a bounded FIFO job queue with 429
+// specs/paper.json) and single-sim requests (POST /v1/sims, an
+// htsim.Request), runs them on a bounded FIFO job queue with 429
 // backpressure and per-job cancellation (DELETE /v1/jobs/{id}), and
 // serves results from a content-addressed cache keyed by the submission's
 // parameter fingerprint plus the binary revision — an identical
@@ -48,7 +48,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/dist"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
@@ -267,8 +266,8 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/campaigns", s.handleSubmitCampaign)
-	s.mux.HandleFunc("POST /v1/sims", s.handleSubmitSim)
+	s.mux.HandleFunc("POST /v1/campaigns", s.handleSubmit("campaign"))
+	s.mux.HandleFunc("POST /v1/sims", s.handleSubmit("sim"))
 	s.mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleDeleteJob)
@@ -346,42 +345,20 @@ func (s *Server) replayJournal(pending []journalRecord) error {
 	return nil
 }
 
-// replayJob rebuilds a submittable job from an accept record, through
-// the same parsers the original POST handler used. The cache key is
+// replayJob rebuilds a submittable job from an accept record through
+// newJob, the constructor the original POST used. The cache key is
 // recomputed from the body rather than trusted from the record, so a
 // replay under a different binary revision correctly misses the cache
 // and re-simulates.
 func replayJob(rec journalRecord) (*job, error) {
-	lane, err := parseLane(rec.Lane)
+	j, err := newJob(rec.Kind, []byte(rec.Body))
 	if err != nil {
-		lane = laneNormal
+		return nil, err
 	}
-	j := &job{
-		kind:   rec.Kind,
-		name:   rec.Name,
-		lane:   lane,
-		tenant: rec.Tenant,
-		body:   []byte(rec.Body),
-		replay: true,
+	if j.lane, err = parseLane(rec.Lane); err != nil {
+		j.lane = laneNormal
 	}
-	switch rec.Kind {
-	case "campaign":
-		spec, err := campaign.ParseSpec(j.body)
-		if err != nil {
-			return nil, err
-		}
-		j.spec = spec
-		j.cacheKey = cacheKeyFor("campaign", spec)
-	case "sim":
-		req, err := parseSimRequest(j.body)
-		if err != nil {
-			return nil, err
-		}
-		j.sim = req
-		j.cacheKey = cacheKeyFor("sim", req.cachePayload())
-	default:
-		return nil, fmt.Errorf("unknown journaled job kind %q", rec.Kind)
-	}
+	j.tenant, j.replay = rec.Tenant, true
 	return j, nil
 }
 
@@ -430,74 +407,41 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// submit runs the shared enqueue-or-reject tail of both POST handlers.
-// The X-Priority header picks the job's queue lane (high, normal, low;
-// default normal) and X-Tenant attributes it to a tenant for quota
-// accounting. Shed submissions — full queue or exhausted tenant quota —
-// get 429 with a Retry-After backoff hint sized to the backlog: load
-// shedding is explicit and negotiable, never a silent drop or a
+// handleSubmit accepts a submission of one kind (see newJob) and queues
+// it as one job. The X-Priority header picks the job's queue lane (high,
+// normal, low; default normal) and X-Tenant attributes it to a tenant for
+// quota accounting. Shed submissions — full queue or exhausted tenant
+// quota — get 429 with a Retry-After backoff hint sized to the backlog:
+// load shedding is explicit and negotiable, never a silent drop or a
 // collapse.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, j *job) {
-	lane, err := parseLane(r.Header.Get("X-Priority"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	j.lane = lane
-	j.tenant = r.Header.Get("X-Tenant")
-	if err := s.jobs.submit(j); err != nil {
-		if errors.Is(err, errQueueFull) || errors.Is(err, errTenantQuota) {
-			w.Header().Set("Retry-After", strconv.Itoa(s.jobs.retryAfterSeconds()))
-			writeError(w, http.StatusTooManyRequests, err)
+func (s *Server) handleSubmit(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, err)
-		return
+		j, err := newJob(kind, body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		if j.lane, err = parseLane(r.Header.Get("X-Priority")); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		j.tenant = r.Header.Get("X-Tenant")
+		if err := s.jobs.submit(j); err != nil {
+			if errors.Is(err, errQueueFull) || errors.Is(err, errTenantQuota) {
+				w.Header().Set("Retry-After", strconv.Itoa(s.jobs.retryAfterSeconds()))
+				writeError(w, http.StatusTooManyRequests, err)
+				return
+			}
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+		writeJSON(w, http.StatusAccepted, j.status())
 	}
-	writeJSON(w, http.StatusAccepted, j.status())
-}
-
-// handleSubmitCampaign accepts a campaign spec (the specs/paper.json
-// schema) and queues it as one job.
-func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec, err := campaign.ParseSpec(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.submit(w, r, &job{
-		kind:     "campaign",
-		name:     spec.Name,
-		spec:     spec,
-		body:     body,
-		cacheKey: cacheKeyFor("campaign", spec),
-	})
-}
-
-// handleSubmitSim accepts a single-sim request and queues it as one job.
-func (s *Server) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	req, err := parseSimRequest(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.submit(w, r, &job{
-		kind:     "sim",
-		name:     fmt.Sprintf("sim %s x%d", req.Mix, req.Threads),
-		sim:      req,
-		body:     body,
-		cacheKey: cacheKeyFor("sim", req.cachePayload()),
-	})
 }
 
 // handleListJobs lists every job in submission order.

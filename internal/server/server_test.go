@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/results"
+	"repro/pkg/htsim"
 )
 
 // testSpec mirrors the golden campaign of internal/campaign: cheap enough
@@ -600,11 +601,11 @@ func TestCloseSealsQueuedJobs(t *testing.T) {
 func TestSimCacheKeyNormalisation(t *testing.T) {
 	key := func(body string) string {
 		t.Helper()
-		req, err := parseSimRequest([]byte(body))
+		req, err := htsim.ParseRequest([]byte(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cacheKeyFor("sim", req.cachePayload())
+		return cacheKeyFor("sim", simCachePayload(req))
 	}
 	base := key(`{}`)
 	if got := key(`{"cores":256,"threads":64,"hts":16,"epochs":10,"seed":1,"allocator":"fair","topology":"mesh"}`); got != base {
@@ -624,11 +625,11 @@ func TestSimCacheKeyNormalisation(t *testing.T) {
 		`{"cores":64,"threads":4,"hts":4,"epochs":6,"seed":7,"workers":1}`: "9f18451c0ae6",
 		`{"infection":0.5,"defense":"dual-path","mem":true}`:               "c6d93b511ca5",
 	} {
-		req, err := parseSimRequest([]byte(body))
+		req, err := htsim.ParseRequest([]byte(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := cacheKey("sim", req.cachePayload(), build); got != want {
+		if got := cacheKey("sim", simCachePayload(req), build); got != want {
 			t.Errorf("cache key of %s = %s, want %s", body, got, want)
 		}
 	}

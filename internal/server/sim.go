@@ -1,240 +1,33 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/results"
 	"repro/pkg/htsim"
 )
 
-// simRequest is the POST /v1/sims body: one attacked-vs-baseline campaign,
-// mirroring the htsim CLI's flags. Every plugin field names a registered
-// plugin (GET /v1/plugins enumerates them); zero values take the Table I
-// defaults listed per field. The configuration is assembled through
-// htsim.BuildConfig, so a request is validated by exactly the code path
-// that will run it.
-type simRequest struct {
-	// Cores is the system size (default 256).
-	Cores int `json:"cores,omitempty"`
-	// Topology, Routing, Allocator, and Defense name registered plugins
-	// (defaults: mesh, per-topology routing, fair, none).
-	Topology  string `json:"topology,omitempty"`
-	Routing   string `json:"routing,omitempty"`
-	Allocator string `json:"allocator,omitempty"`
-	Defense   string `json:"defense,omitempty"`
-	// GM places the global manager: "center" (default) or "corner".
-	GM string `json:"gm,omitempty"`
-	// Mix and Threads shape the workload (defaults mix-1, 64).
-	Mix     string `json:"mix,omitempty"`
-	Threads int    `json:"threads,omitempty"`
-	// HTs and Placement size and place the Trojan fleet (defaults 16,
-	// random); Infection, when set, overrides them with the smallest
-	// placement predicted to reach the target rate.
-	HTs       int      `json:"hts,omitempty"`
-	Placement string   `json:"placement,omitempty"`
-	Infection *float64 `json:"infection,omitempty"`
-	// Strategy and Mode select the Trojan payload and attack class
-	// (defaults scale, false-data).
-	Strategy string `json:"strategy,omitempty"`
-	Mode     string `json:"mode,omitempty"`
-	// Epochs and EpochCycles shape the budgeting timeline (defaults 10,
-	// 1000).
-	Epochs      int    `json:"epochs,omitempty"`
-	EpochCycles uint64 `json:"epoch_cycles,omitempty"`
-	// Mem enables cache-hierarchy background traffic (default off).
-	Mem bool `json:"mem,omitempty"`
-	// Seed drives every random stream (default 1).
-	Seed int64 `json:"seed,omitempty"`
-	// Workers caps the run's worker pool (default one per CPU).
-	Workers int `json:"workers,omitempty"`
-}
-
-// parseSimRequest decodes and validates a request body, normalising
-// defaults so equivalent submissions share one cache key.
-func parseSimRequest(body []byte) (*simRequest, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	var req simRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("parse sim request: %w", err)
-	}
-	req.normalize()
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
-// normalize fills every result-relevant defaulted field in place, so the
-// cache keys of result-equivalent submissions coincide ({} and
-// {"threads":64,"cores":256} hash identically). The literals mirror the
-// Table I defaults of core.DefaultConfig and the htsim CLI flags.
-// Routing stays empty when unset: "" means "auto by topology" and is
-// itself the canonical form.
-func (r *simRequest) normalize() {
-	if r.Cores == 0 {
-		r.Cores = 256
-	}
-	if r.Topology == "" {
-		r.Topology = "mesh"
-	}
-	if r.Allocator == "" {
-		r.Allocator = "fair"
-	}
-	if r.Defense == "" {
-		r.Defense = "none"
-	}
-	if r.Mix == "" {
-		r.Mix = "mix-1"
-	}
-	if r.Threads == 0 {
-		r.Threads = 64
-	}
-	if r.HTs == 0 && r.Infection == nil {
-		r.HTs = 16
-	}
-	if r.Placement == "" {
-		r.Placement = "random"
-	}
-	if r.Strategy == "" {
-		r.Strategy = "scale"
-	}
-	if r.Mode == "" {
-		r.Mode = "false-data"
-	}
-	if r.GM == "" {
-		r.GM = "center"
-	}
-	if r.Epochs == 0 {
-		r.Epochs = 10
-	}
-	if r.EpochCycles == 0 {
-		r.EpochCycles = 1000
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-}
-
-// cachePayload is the request as hashed for the content-addressed cache:
-// the worker count is zeroed because results are bit-identical for every
-// pool size (the determinism contract), so it must never split the cache.
-func (r *simRequest) cachePayload() simRequest {
+// simCachePayload is a sim request as hashed for the content-addressed
+// cache: the worker count is zeroed because results are bit-identical
+// for every pool size (the determinism contract), so it must never split
+// the cache.
+func simCachePayload(r *htsim.Request) htsim.Request {
 	p := *r
 	p.Workers = 0
 	return p
 }
 
-// options translates the request into SDK options.
-func (r *simRequest) options(obs htsim.Observer) []htsim.Option {
-	opts := []htsim.Option{
-		htsim.WithMemTraffic(r.Mem),
-		htsim.WithSeed(r.Seed),
-		htsim.WithWorkers(r.Workers),
-		htsim.WithGMPlacement(r.GM),
-	}
-	if r.Cores != 0 {
-		opts = append(opts, htsim.WithCores(r.Cores))
-	}
-	if r.Topology != "" {
-		opts = append(opts, htsim.WithTopology(r.Topology))
-	}
-	if r.Routing != "" {
-		opts = append(opts, htsim.WithRouting(r.Routing))
-	}
-	if r.Allocator != "" {
-		opts = append(opts, htsim.WithAllocator(r.Allocator))
-	}
-	if r.Defense != "" {
-		opts = append(opts, htsim.WithDefense(r.Defense))
-	}
-	if r.Epochs != 0 {
-		opts = append(opts, htsim.WithEpochs(r.Epochs))
-	}
-	if r.EpochCycles != 0 {
-		opts = append(opts, htsim.WithEpochCycles(r.EpochCycles))
-	}
-	if obs != nil {
-		opts = append(opts, htsim.WithObserver(obs))
-	}
-	return opts
-}
-
-// validate resolves every named plugin and builds the configuration once,
-// so a bad request fails at submission time with the registry's canonical
-// error instead of failing later inside the queue.
-func (r *simRequest) validate() error {
-	if r.Infection != nil && (*r.Infection < 0 || *r.Infection >= 1) {
-		return fmt.Errorf("target infection %g outside [0, 1)", *r.Infection)
-	}
-	if r.Threads < 0 || r.HTs < 0 || r.Workers < 0 {
-		return fmt.Errorf("negative parameter")
-	}
-	if _, err := htsim.BuildConfig(r.options(nil)...); err != nil {
-		return err
-	}
-	if _, err := htsim.MixScenario(r.Mix, r.Threads); err != nil {
-		return err
-	}
-	if _, err := htsim.Strategy(r.Strategy); err != nil {
-		return err
-	}
-	if _, err := htsim.AttackMode(r.Mode); err != nil {
-		return err
-	}
-	return nil
-}
-
-// run executes the request: an attacked run and its clean baseline under
-// identical seeds, compared into the standard campaign report table.
-// Registered observers stream the attacked run's epochs. serverWorkers is
-// the service's per-job worker budget, applied when the request names no
+// runSim runs a sim request into the standard campaign report table,
+// streaming the attacked run's epochs to epoch. serverWorkers is the
+// service's per-job worker budget, applied when the request names no
 // pool size of its own — results are identical either way.
-func (r *simRequest) run(ctx context.Context, serverWorkers int, epoch func(core.EpochSample)) (results.Table, error) {
-	var obs htsim.Observer
-	if epoch != nil {
-		obs = htsim.ObserverFunc(epoch)
-	}
-	opts := r.options(obs)
+func runSim(ctx context.Context, r *htsim.Request, serverWorkers int, epoch func(core.EpochSample)) (results.Table, error) {
+	opts := []htsim.Option{htsim.WithObserver(htsim.ObserverFunc(epoch))}
 	if r.Workers == 0 && serverWorkers != 0 {
-		// Later options win: the server budget overrides the request's
-		// defaulted pool size, never an explicit one.
 		opts = append(opts, htsim.WithWorkers(serverWorkers))
 	}
-	sim, err := htsim.New(opts...)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := htsim.MixScenario(r.Mix, r.Threads)
-	if err != nil {
-		return nil, err
-	}
-	if sc.Strategy, err = htsim.Strategy(r.Strategy); err != nil {
-		return nil, err
-	}
-	if sc.Mode, err = htsim.AttackMode(r.Mode); err != nil {
-		return nil, err
-	}
-	switch {
-	case r.Infection != nil:
-		p, _ := sim.TrojansForInfection(*r.Infection)
-		sc.Trojans = p
-	case r.HTs > 0:
-		p, err := sim.Trojans(r.Placement, r.HTs, r.Seed)
-		if err != nil {
-			return nil, err
-		}
-		sc.Trojans = p
-	}
-	attacked, baseline, err := sim.RunPair(ctx, sc)
-	if err != nil {
-		return nil, err
-	}
-	cmp, err := htsim.Compare(attacked, baseline)
+	sim, attacked, cmp, err := r.Run(ctx, opts...)
 	if err != nil {
 		return nil, err
 	}

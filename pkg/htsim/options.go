@@ -79,7 +79,9 @@ func WithAllocator(name string) Option {
 
 // WithDefense selects a registered manager-side defense configuration by
 // name (see Defenses; default "none"). The configuration may install a
-// request filter, enable dual-path request verification, or both.
+// request filter, enable dual-path request verification, or both; either
+// way it replaces the filter and dual-path switch the configuration held
+// (core.Config.SetDefense).
 func WithDefense(name string) Option {
 	return func(s *settings) error {
 		if _, err := defense.ByName(name); err != nil {
@@ -147,16 +149,6 @@ func WithEpochCycles(c uint64) Option {
 func WithMemTraffic(on bool) Option {
 	return func(s *settings) error {
 		s.cfg.MemTraffic = on
-		return nil
-	}
-}
-
-// WithDualPath enables route-diverse dual-path request verification
-// independently of WithDefense (WithDefense("dual-path") is the
-// registered equivalent).
-func WithDualPath(on bool) Option {
-	return func(s *settings) error {
-		s.cfg.DualPathRequests = on
 		return nil
 	}
 }
@@ -229,21 +221,8 @@ func resolve(opts []Option) (*settings, error) {
 		s.cfg.Observer = merged
 	}
 	if s.defenseName != "" {
-		dcfg, err := defense.ByName(s.defenseName)
-		if err != nil {
+		if err := s.cfg.SetDefense(s.defenseName); err != nil {
 			return nil, err
-		}
-		if dcfg.Filter != nil {
-			levelsMW := make([]uint32, s.cfg.Power.NumLevels())
-			for i := range levelsMW {
-				levelsMW[i] = s.cfg.Power.PowerMW(i)
-			}
-			if s.cfg.Filter, err = dcfg.Filter(levelsMW); err != nil {
-				return nil, err
-			}
-		}
-		if dcfg.DualPath {
-			s.cfg.DualPathRequests = true
 		}
 	}
 	return s, nil

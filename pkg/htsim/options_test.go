@@ -116,4 +116,17 @@ func TestEveryDefenseAllocatorComboBuilds(t *testing.T) {
 	if !cfg.DualPathRequests {
 		t.Error(`WithDefense("dual-path") did not enable dual-path requests`)
 	}
+	// A named defense replaces the filter and the dual-path switch it
+	// finds, even ones a WithConfig installed.
+	cfg, err = BuildConfig(WithDefense("dual-path+range"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err = BuildConfig(WithConfig(cfg), WithDefense("none"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Filter != nil || cfg.DualPathRequests {
+		t.Error(`WithDefense("none") kept the defense WithConfig installed`)
+	}
 }
