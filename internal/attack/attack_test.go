@@ -301,46 +301,6 @@ func TestFitEffectModelEmpty(t *testing.T) {
 	if _, err := FitEffectModel(nil); err == nil {
 		t.Error("no samples must fail")
 	}
-	if _, err := FitAggregateModel(nil); err == nil {
-		t.Error("no samples must fail")
-	}
-}
-
-func TestFitAggregateModelMixedShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var samples []Sample
-	for i := 0; i < 50; i++ {
-		nV := 1 + rng.Intn(3)
-		nA := 1 + rng.Intn(3)
-		f := Features{
-			Rho: rng.Float64() * 10, Eta: rng.Float64() * 5, M: 1 + rng.Intn(20),
-			VictimPhi: make([]float64, nV), AttackerPhi: make([]float64, nA),
-		}
-		for j := range f.VictimPhi {
-			f.VictimPhi[j] = rng.Float64()
-		}
-		for j := range f.AttackerPhi {
-			f.AttackerPhi[j] = rng.Float64()
-		}
-		// Ground truth in terms of means, matching the aggregate model.
-		q := -0.3*f.Rho + 0.1*float64(f.M) + 0.9*mean(f.VictimPhi) + 1.2*mean(f.AttackerPhi) + 1.0
-		samples = append(samples, Sample{Features: f, Q: q})
-	}
-	model, err := FitAggregateModel(samples)
-	if err != nil {
-		t.Fatalf("FitAggregateModel: %v", err)
-	}
-	if model.R2() < 0.999 {
-		t.Errorf("aggregate R2 = %v, want ≈ 1", model.R2())
-	}
-}
-
-func mean(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 func TestOptimizePlacementPrefersNearAndMany(t *testing.T) {

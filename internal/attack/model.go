@@ -51,13 +51,6 @@ func (f Features) Vector() []float64 {
 	return out
 }
 
-// aggregateVector is the variable-shape variant: Φ vectors are collapsed to
-// their means so mixes with different attacker/victim counts can share one
-// model.
-func (f Features) aggregateVector() []float64 {
-	return []float64{f.Rho, f.Eta, float64(f.M), mathx.Mean(f.VictimPhi), mathx.Mean(f.AttackerPhi)}
-}
-
 // Sample is one observed campaign: features plus the measured attack
 // effect Q.
 type Sample struct {
@@ -71,11 +64,8 @@ type Sample struct {
 // separately from the intercept; they are dropped from the regression (a
 // zero coefficient) and absorbed into a0.
 type EffectModel struct {
-	// NumVictims and NumAttackers fix the Φ-vector shape for exact models;
-	// both are zero for aggregate models.
+	// NumVictims and NumAttackers fix the Φ-vector shape.
 	NumVictims, NumAttackers int
-	// Aggregate marks a model fitted on mean-Φ features.
-	Aggregate bool
 
 	coeffs    []float64 // full-width, zeros at dropped columns
 	intercept float64
@@ -100,25 +90,6 @@ func FitEffectModel(samples []Sample) (*EffectModel, error) {
 		y[i] = s.Q
 	}
 	m := &EffectModel{NumVictims: nV, NumAttackers: nA}
-	if err := m.fit(x, y); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// FitAggregateModel fits the mean-Φ variant, usable across mixes with
-// different attacker/victim counts.
-func FitAggregateModel(samples []Sample) (*EffectModel, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("attack: no samples")
-	}
-	x := make([][]float64, len(samples))
-	y := make([]float64, len(samples))
-	for i, s := range samples {
-		x[i] = s.Features.aggregateVector()
-		y[i] = s.Q
-	}
-	m := &EffectModel{Aggregate: true}
 	if err := m.fit(x, y); err != nil {
 		return nil, err
 	}
@@ -174,9 +145,6 @@ func (m *EffectModel) fit(x [][]float64, y []float64) error {
 // Predict evaluates the fitted model on features f.
 func (m *EffectModel) Predict(f Features) float64 {
 	v := f.Vector()
-	if m.Aggregate {
-		v = f.aggregateVector()
-	}
 	s := m.intercept
 	for j, c := range m.coeffs {
 		if j < len(v) {
@@ -190,15 +158,11 @@ func (m *EffectModel) Predict(f Features) float64 {
 func (m *EffectModel) R2() float64 { return m.r2 }
 
 // Coefficients returns (a1, a2, a3) for (ρ, η, m), the per-victim b and
-// per-attacker c coefficients (mean-Φ coefficients for aggregate models),
-// and the intercept a0, matching Eqn 9's naming. Dropped (constant)
-// columns report a zero coefficient.
+// per-attacker c coefficients, and the intercept a0, matching Eqn 9's
+// naming. Dropped (constant) columns report a zero coefficient.
 func (m *EffectModel) Coefficients() (a1, a2, a3 float64, b, c []float64, a0 float64) {
 	co := m.coeffs
 	a1, a2, a3 = co[0], co[1], co[2]
-	if m.Aggregate {
-		return a1, a2, a3, []float64{co[3]}, []float64{co[4]}, m.intercept
-	}
 	b = append(b, co[3:3+m.NumVictims]...)
 	c = append(c, co[3+m.NumVictims:]...)
 	return a1, a2, a3, b, c, m.intercept

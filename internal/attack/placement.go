@@ -194,47 +194,6 @@ func RingCluster(m noc.Mesh, center noc.Coord, count int, radius float64, exclud
 	return Placement{Nodes: nodes}, nil
 }
 
-// RandomForInfectionRate searches uniformly random placements for one whose
-// XY infection rate against the manager is as close to target as possible,
-// growing the fleet size until the target is reachable. Unlike the greedy
-// cover of ForInfectionRate, random fleets intercept victim and attacker
-// sources in unbiased proportion — this is how the Fig 5 x-axis sweep is
-// generated. It returns the chosen placement and its exact rate.
-func RandomForInfectionRate(m noc.Mesh, gm noc.NodeID, target float64, trialsPerSize int, rng *rand.Rand) (Placement, float64) {
-	if target <= 0 {
-		return Placement{}, 0
-	}
-	if trialsPerSize < 1 {
-		trialsPerSize = 1
-	}
-	var (
-		best     Placement
-		bestRate float64
-		bestDiff = math.Inf(1)
-	)
-	maxHTs := m.Nodes() - 1
-	for size := 1; size <= maxHTs; size = growFleet(size) {
-		reached := false
-		for trial := 0; trial < trialsPerSize; trial++ {
-			p, err := RandomPlacement(m, size, rng, gm)
-			if err != nil {
-				break
-			}
-			rate := metrics.InfectionRateXY(m, gm, p.Infected(), nil)
-			if d := math.Abs(rate - target); d < bestDiff {
-				best, bestRate, bestDiff = p, rate, d
-			}
-			if rate >= target {
-				reached = true
-			}
-		}
-		if reached {
-			break
-		}
-	}
-	return best, bestRate
-}
-
 func growFleet(size int) int {
 	if size < 8 {
 		return size + 1
@@ -242,12 +201,13 @@ func growFleet(size int) int {
 	return size + size/4
 }
 
-// BalancedForInfectionRate is the variance-reduced variant of
-// RandomForInfectionRate used for the Fig 5/6 sweeps: among random fleets it
-// prefers one whose infection rate is near target overall AND within each
-// source group (typically the victim cores and the attacker cores), so that
-// a lucky fleet covering exactly one application's quadrant does not distort
-// the Q-versus-infection curve.
+// BalancedForInfectionRate searches random placements, growing the fleet
+// until the target is reachable, for the Fig 5/6 sweeps. Unlike the greedy
+// cover of ForInfectionRate, random fleets intercept sources in unbiased
+// proportion. Among them it prefers one whose infection rate is near
+// target overall AND within each source group (typically the victim cores
+// and the attacker cores), so that a lucky fleet covering exactly one
+// application's quadrant does not distort the Q-versus-infection curve.
 func BalancedForInfectionRate(m noc.Mesh, gm noc.NodeID, target float64, groups [][]noc.NodeID, trialsPerSize int, rng *rand.Rand) (Placement, float64) {
 	if target <= 0 {
 		return Placement{}, 0

@@ -9,37 +9,6 @@ import (
 	"repro/internal/noc"
 )
 
-func TestRandomForInfectionRateTracksTarget(t *testing.T) {
-	m := mesh16()
-	gm := m.Center()
-	rng := rand.New(rand.NewSource(4))
-	for _, target := range []float64{0.2, 0.4, 0.6, 0.8} {
-		p, rate := RandomForInfectionRate(m, gm, target, 6, rng)
-		if p.Size() == 0 {
-			t.Fatalf("target %v: empty placement", target)
-		}
-		if math.Abs(rate-target) > 0.15 {
-			t.Errorf("target %v: achieved %v (too far off)", target, rate)
-		}
-		// Reported rate must match the closed-form predictor.
-		if got := metrics.InfectionRateXY(m, gm, p.Infected(), nil); math.Abs(got-rate) > 1e-12 {
-			t.Errorf("reported rate %v disagrees with predictor %v", rate, got)
-		}
-	}
-}
-
-func TestRandomForInfectionRateDegenerate(t *testing.T) {
-	m := mesh16()
-	if p, r := RandomForInfectionRate(m, m.Center(), 0, 5, rand.New(rand.NewSource(1))); p.Size() != 0 || r != 0 {
-		t.Error("zero target must place nothing")
-	}
-	// trialsPerSize below 1 is clamped, not an error.
-	p, _ := RandomForInfectionRate(m, m.Center(), 0.5, 0, rand.New(rand.NewSource(1)))
-	if p.Size() == 0 {
-		t.Error("clamped trials must still search")
-	}
-}
-
 func TestBalancedForInfectionRateBalancesGroups(t *testing.T) {
 	m := mesh16()
 	gm := m.Center()
