@@ -26,6 +26,17 @@
 // stream typed per-epoch samples by registering an Observer
 // (WithObserver) instead of waiting for the end-of-run Report.
 //
+// One attacked-versus-clean campaign can also be described as data: a
+// Request names every axis and scalar as a JSON-tagged field, Normalize
+// fills its defaults, Validate checks it, and Run executes it beside its
+// clean baseline. The htsim command's flags fill a Request, and the
+// simulation service's POST /v1/sims decodes one (ParseRequest), so both
+// front ends share one set of defaults, checks and run path:
+//
+//	req, err := htsim.ParseRequest([]byte(`{"cores":64,"threads":15,"infection":0.5}`))
+//	if err != nil { ... }
+//	sim, attacked, cmp, err := req.Run(ctx)
+//
 // Every plugin axis is enumerable: Axes lists the registries and their
 // registered names, which is also what `htcampaign list` prints and what
 // the documentation gate cross-checks, so a plugin registered anywhere in
