@@ -12,7 +12,7 @@ import (
 
 // updateGolden rewrites the checked-in golden artifacts instead of
 // comparing against them.
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden and testdata/golden-smoke from the current run")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden, testdata/golden-smoke and testdata/golden-paper-trials from the current run")
 
 // update reports whether golden files should be rewritten.
 func update() bool { return *updateGolden }
@@ -134,6 +134,28 @@ func TestGoldenFiles(t *testing.T) {
 //	go test ./internal/campaign -run TestSmokeGoldenFiles -update
 func TestSmokeGoldenFiles(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "golden-smoke"), runInto(t, smokeSpec(), 2))
+}
+
+// TestPaperTrialGoldenFiles pins the Fig 3/4 trial experiments (E3–E6) at
+// the paper's own parameters — specs/paper.json's entries, no overrides,
+// seed 1 — against testdata/golden-paper-trials. The smoke goldens run
+// them at 5 trials and two sizes only. Regenerate with:
+//
+//	go test ./internal/campaign -run TestPaperTrialGoldenFiles -update
+func TestPaperTrialGoldenFiles(t *testing.T) {
+	spec, err := LoadSpec(filepath.Join("..", "..", "specs", "paper.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trials []ExperimentSpec
+	for _, e := range spec.Experiments {
+		switch e.ID {
+		case "E3", "E4", "E5", "E6":
+			trials = append(trials, e)
+		}
+	}
+	spec.Experiments = trials
+	checkGolden(t, filepath.Join("testdata", "golden-paper-trials"), runInto(t, spec, 2))
 }
 
 // checkGolden compares got against the files in goldenDir, or rewrites
