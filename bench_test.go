@@ -73,11 +73,12 @@ func benchmarkFig3(b *testing.B, size int, counts []int, trials int) float64 {
 	b.Helper()
 	var last float64
 	for i := 0; i < b.N; i++ {
-		raw, err := core.InfectionCurveShard(context.Background(), size, counts, trials, 1, 0, 0, core.InfectionCurveSpace(counts, trials))
+		space := core.InfectionCurve(size, counts, trials)
+		raw, err := space.Run(context.Background(), 1, 0, 0, space.Space())
 		if err != nil {
 			b.Fatal(err)
 		}
-		t, err := core.InfectionCurveTableFromRaw("E3", "Fig 3", size, counts, trials, 1, raw)
+		t, err := space.Table("E3", "Fig 3", 1, raw)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,11 +102,12 @@ func benchmarkFig4(b *testing.B, denominator int) {
 	sizes := []int{64, 128, 256, 512}
 	var center, corner float64
 	for i := 0; i < b.N; i++ {
-		raw, err := core.DistributionShard(context.Background(), sizes, denominator, 10, 1, 0, 0, core.DistributionSpace(sizes, 10))
+		space := core.Distribution(sizes, denominator, 10)
+		raw, err := space.Run(context.Background(), 1, 0, 0, space.Space())
 		if err != nil {
 			b.Fatal(err)
 		}
-		t, err := core.DistributionTableFromRaw("E5", "Fig 4", sizes, denominator, 10, 1, raw)
+		t, err := space.Table("E5", "Fig 4", 1, raw)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,11 +125,11 @@ func BenchmarkFig5(b *testing.B) {
 		b.Run(mix.Name, func(b *testing.B) {
 			var q float64
 			for i := 0; i < b.N; i++ {
-				pts, err := core.QVsInfection(context.Background(), benchConfig(), mix.Name, 16, []float64{0.8})
+				cell, err := core.QVsInfection(context.Background(), benchConfig(), mix.Name, 16, []float64{0.8})
 				if err != nil {
 					b.Fatal(err)
 				}
-				q = pts[0].Q
+				q = cell.Effect[0].Q
 			}
 			b.ReportMetric(q, "Q@0.8")
 		})
@@ -138,15 +140,15 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	var attackerChange, victimChange float64
 	for i := 0; i < b.N; i++ {
-		pts, err := core.QVsInfection(context.Background(), benchConfig(), "mix-1", 16, []float64{0.5})
+		cell, err := core.QVsInfection(context.Background(), benchConfig(), "mix-1", 16, []float64{0.5})
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, app := range pts[0].PerApp {
+		for _, app := range cell.Apps {
 			switch app.Role {
-			case core.RoleAttacker:
+			case core.RoleAttacker.String():
 				attackerChange = app.Change
-			case core.RoleVictim:
+			case core.RoleVictim.String():
 				victimChange = app.Change
 			}
 		}
@@ -250,7 +252,7 @@ func runCampaignQ(b *testing.B, cfg core.Config, strategy trojan.Strategy) float
 	}
 	sc.Trojans = placement
 	sc.Strategy = strategy
-	attacked, baseline, err := sys.RunPair(sc)
+	attacked, baseline, err := sys.RunPairContext(context.Background(), sc, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -407,11 +409,11 @@ func BenchmarkDoSVariants(b *testing.B) {
 	}
 	var falseData, drop, loop float64
 	for i := 0; i < b.N; i++ {
-		results, err := core.DoSVariantStudy(context.Background(), cfg, "mix-1", 16, placement)
+		rows, err := core.DoSVariantStudy(context.Background(), cfg, "mix-1", 16, placement)
 		if err != nil {
 			b.Fatal(err)
 		}
-		falseData, drop, loop = results[0].Q, results[1].Q, results[2].Q
+		falseData, drop, loop = rows[0].Q, rows[1].Q, rows[2].Q
 	}
 	b.ReportMetric(falseData, "Q:false-data")
 	b.ReportMetric(drop, "Q:drop")

@@ -218,31 +218,39 @@ func simCells[C any](count func(p Params) int,
 	}
 }
 
-// curveCells is the E3/E4 space (Fig 3 infection curves).
-func curveCells(id, fig string) cellSpace[float64] {
+// trialCells is the E3–E6 space (Figs 3 and 4): one infection rate per
+// trial of the space figure resolves from the parameters, beside the
+// artifact's title.
+func trialCells(id string, figure func(p Params) (core.InfectionTrials, string)) cellSpace[float64] {
 	return cellSpace[float64]{
-		count: func(p Params) int { return core.InfectionCurveSpace(p.HTCounts, p.Trials) },
+		count: func(p Params) int {
+			trials, _ := figure(p)
+			return trials.Space()
+		},
 		cells: func(rc runCtx, lo, hi int) ([]float64, error) {
-			return core.InfectionCurveShard(rc.ctx, rc.p.Size, rc.p.HTCounts, rc.p.Trials, rc.seed, rc.workers, lo, hi)
+			trials, _ := figure(rc.p)
+			return trials.Run(rc.ctx, rc.seed, rc.workers, lo, hi)
 		},
 		table: func(rc runCtx, raw []float64) (results.Table, error) {
-			title := fmt.Sprintf("Fig %s: infection rate vs HT count, %d cores", fig, rc.p.Size)
-			return core.InfectionCurveTableFromRaw(id, title, rc.p.Size, rc.p.HTCounts, rc.p.Trials, rc.seed, raw)
+			trials, title := figure(rc.p)
+			return trials.Table(id, title, rc.seed, raw)
 		},
 	}
 }
 
-// distCells is the E5/E6 space (Fig 4 distribution bars).
-func distCells(id, fig string) cellSpace[float64] {
-	return cellSpace[float64]{
-		count: func(p Params) int { return core.DistributionSpace(p.Sizes, p.Trials) },
-		cells: func(rc runCtx, lo, hi int) ([]float64, error) {
-			return core.DistributionShard(rc.ctx, rc.p.Sizes, rc.p.Denominator, rc.p.Trials, rc.seed, rc.workers, lo, hi)
-		},
-		table: func(rc runCtx, raw []float64) (results.Table, error) {
-			title := fmt.Sprintf("Fig %s: infection rate by HT distribution, HTs = size/%d", fig, rc.p.Denominator)
-			return core.DistributionTableFromRaw(id, title, rc.p.Sizes, rc.p.Denominator, rc.p.Trials, rc.seed, raw)
-		},
+// curveFigure is Fig 3 panel fig (E3/E4): infection rate vs HT count.
+func curveFigure(fig string) func(p Params) (core.InfectionTrials, string) {
+	return func(p Params) (core.InfectionTrials, string) {
+		return core.InfectionCurve(p.Size, p.HTCounts, p.Trials),
+			fmt.Sprintf("Fig %s: infection rate vs HT count, %d cores", fig, p.Size)
+	}
+}
+
+// distFigure is Fig 4 panel fig (E5/E6): infection rate by HT distribution.
+func distFigure(fig string) func(p Params) (core.InfectionTrials, string) {
+	return func(p Params) (core.InfectionTrials, string) {
+		return core.Distribution(p.Sizes, p.Denominator, p.Trials),
+			fmt.Sprintf("Fig %s: infection rate by HT distribution, HTs = size/%d", fig, p.Denominator)
 	}
 }
 

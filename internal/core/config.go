@@ -74,19 +74,20 @@ type Config struct {
 	// Seed drives every random stream in the simulation.
 	Seed int64
 	// Workers caps the worker pool used by the fan-out experiment drivers
-	// (OptimalVsRandom, DoSVariantStudy, DefenseStudy) and by RunPair's
-	// paired attacked/baseline runs. Zero or negative means one worker per
-	// available CPU; 1 forces sequential execution. Results are
+	// (OptimalVsRandom, DoSVariantStudy, DefenseStudy) and by the paired
+	// attacked/baseline runs of RunPairContext. Zero or negative means one
+	// worker per available CPU; 1 forces sequential execution. Results are
 	// bit-identical for every setting — trials derive their random streams
 	// from (Seed, trial index), never from a shared RNG.
 	Workers int
 	// Observer, when non-nil, is the configuration owner's streaming hook:
 	// every attacked campaign built from this configuration feeds it one
 	// EpochSample per budgeting epoch, in addition to any observer passed
-	// to RunContext directly. The clean baseline of a RunPair stays silent,
-	// matching the per-run observer contract. Experiment drivers may run
-	// many campaigns concurrently over one configuration, so the observer
-	// must be safe for concurrent use; samples never influence results.
+	// to RunContext directly. The clean baseline of RunPairContext stays
+	// silent, matching the per-run observer contract. Experiment drivers
+	// may run many campaigns concurrently over one configuration, so the
+	// observer must be safe for concurrent use; samples never influence
+	// results.
 	Observer Observer
 }
 

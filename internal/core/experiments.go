@@ -17,41 +17,28 @@ import (
 // (Section V): each function regenerates the data behind one figure. The
 // analytic Fig 3/4 infection curves live in shard.go.
 
-// QPoint is one x/y point of Fig 5 (and one column group of Fig 6).
-type QPoint struct {
-	// TargetInfection is the infection rate the placement was built for.
-	TargetInfection float64
-	// MeasuredInfection is the rate the simulation actually delivered.
-	MeasuredInfection float64
-	// Q is Definition 3 for the campaign.
-	Q float64
-	// PerApp carries each application's Θ (the Fig 6 bars).
-	PerApp []AppChange
-	// HTs is the placement size used.
-	HTs int
-}
-
 // QVsInfection regenerates the Fig 5 curve (and Fig 6 data) for one Table
-// III mix: for each target infection rate a greedy placement is built, the
-// campaign is simulated, and Q is evaluated against the shared clean
-// baseline. Each campaign in the sweep runs under ctx, so a cancelled
-// sweep returns promptly with ctx's error.
-func QVsInfection(ctx context.Context, cfg Config, mixName string, threads int, targets []float64) ([]QPoint, error) {
+// III mix, as the mix's EffectCell: for each target infection rate a
+// greedy placement is built, the campaign is simulated, and Q is
+// evaluated against the shared clean baseline. Each campaign in the sweep
+// runs under ctx, so a cancelled sweep returns promptly with ctx's error.
+func QVsInfection(ctx context.Context, cfg Config, mixName string, threads int, targets []float64) (EffectCell, error) {
+	var cell EffectCell
 	mix, err := workload.MixByName(mixName)
 	if err != nil {
-		return nil, err
+		return cell, err
 	}
 	sc, err := MixScenario(mix, threads)
 	if err != nil {
-		return nil, err
+		return cell, err
 	}
 	sys, err := NewSystem(cfg)
 	if err != nil {
-		return nil, err
+		return cell, err
 	}
 	baseline, err := sys.RunContext(ctx, sc.WithoutTrojans(), nil)
 	if err != nil {
-		return nil, fmt.Errorf("core: baseline: %w", err)
+		return cell, fmt.Errorf("core: baseline: %w", err)
 	}
 	mesh := sys.Mesh()
 	gm := sys.ManagerNode()
@@ -61,7 +48,7 @@ func QVsInfection(ctx context.Context, cfg Config, mixName string, threads int, 
 	// one lucky fleet cannot cover exactly one application's quadrant.
 	placed, err := sys.PlaceApps(sc)
 	if err != nil {
-		return nil, err
+		return cell, err
 	}
 	var victimCores, attackerCores []noc.NodeID
 	for ai, spec := range sc.Apps {
@@ -77,9 +64,9 @@ func QVsInfection(ctx context.Context, cfg Config, mixName string, threads int, 
 	// the composition noise of any single placement (which victim cores
 	// happen to sit behind the Trojans).
 	const reps = 3
-	out := make([]QPoint, 0, len(targets))
 	for _, target := range targets {
-		point := QPoint{TargetInfection: target}
+		row := results.EffectRow{Mix: mixName, TargetInfection: target}
+		var perApp []AppChange
 		n := reps
 		if target == 0 {
 			n = 1
@@ -91,38 +78,46 @@ func QVsInfection(ctx context.Context, cfg Config, mixName string, threads int, 
 				// Fig 5 x-axis.
 				placement, _ := attack.BalancedForInfectionRate(mesh, gm, target, groups, 8, rng)
 				sc.Trojans = placement
-				point.HTs = placement.Size()
+				row.HTs = placement.Size()
 			} else {
 				sc.Trojans = attack.Placement{}
 			}
 			attacked, err := sys.RunContext(ctx, sc, nil)
 			if err != nil {
-				return nil, fmt.Errorf("core: target %.2f: %w", target, err)
+				return cell, fmt.Errorf("core: target %.2f: %w", target, err)
 			}
 			cmp, err := Compare(attacked, baseline)
 			if err != nil {
-				return nil, err
+				return cell, err
 			}
-			point.MeasuredInfection += attacked.InfectionMeasured / float64(n)
-			point.Q += cmp.Q / float64(n)
+			row.MeasuredInfection += attacked.InfectionMeasured / float64(n)
+			row.Q += cmp.Q / float64(n)
 			if rep == 0 {
-				point.PerApp = cmp.PerApp
+				perApp = cmp.PerApp
 			} else {
-				for i := range point.PerApp {
-					point.PerApp[i].Change += cmp.PerApp[i].Change
-					point.PerApp[i].ThetaAttacked += cmp.PerApp[i].ThetaAttacked
+				for i := range perApp {
+					perApp[i].Change += cmp.PerApp[i].Change
+					perApp[i].ThetaAttacked += cmp.PerApp[i].ThetaAttacked
 				}
 			}
 		}
-		if n > 1 {
-			for i := range point.PerApp {
-				point.PerApp[i].Change /= float64(n)
-				point.PerApp[i].ThetaAttacked /= float64(n)
+		cell.Effect = append(cell.Effect, row)
+		for _, app := range perApp {
+			if n > 1 {
+				app.Change /= float64(n)
+				app.ThetaAttacked /= float64(n)
 			}
+			cell.Apps = append(cell.Apps, results.AppEffectRow{
+				Mix:             mixName,
+				TargetInfection: target,
+				App:             app.Name,
+				Role:            app.Role.String(),
+				Theta:           app.ThetaAttacked,
+				Change:          app.Change,
+			})
 		}
-		out = append(out, point)
 	}
-	return out, nil
+	return cell, nil
 }
 
 // OptimalVsRandom regenerates the Section V-C experiment for one mix:

@@ -16,27 +16,13 @@ import (
 // classes on identical hardware, and an evaluation of manager-side
 // detection/protection (the conclusion's explicit call for future work).
 
-// VariantResult is one row of the DoS-variant comparison.
-type VariantResult struct {
-	// Mode is the attack class.
-	Mode trojan.Mode
-	// Q is the Definition 3 attack effect.
-	Q float64
-	// VictimChange is the mean victim Θ.
-	VictimChange float64
-	// AttackerChange is the mean attacker Θ.
-	AttackerChange float64
-	// Dropped and Looped count destroyed/bounced packets.
-	Dropped, Looped uint64
-}
-
 // DoSVariantStudy runs the same mix, placement, and chip under each of the
 // three Section II-B attack classes implemented by the Trojan, comparing
-// their attack effects. The false-data attack is the paper's contribution;
-// drop and loopback are the taxonomy baselines. The three campaigns share
-// one clean baseline and fan out over cfg.Workers; ctx cancels the
-// variant pool and each variant's campaign.
-func DoSVariantStudy(ctx context.Context, cfg Config, mixName string, threads int, placement attack.Placement) ([]VariantResult, error) {
+// their attack effects, one X1 row per class. The false-data attack is the
+// paper's contribution; drop and loopback are the taxonomy baselines. The
+// three campaigns share one clean baseline and fan out over cfg.Workers;
+// ctx cancels the variant pool and each variant's campaign.
+func DoSVariantStudy(ctx context.Context, cfg Config, mixName string, threads int, placement attack.Placement) ([]results.VariantRow, error) {
 	mix, err := workload.MixByName(mixName)
 	if err != nil {
 		return nil, err
@@ -54,21 +40,21 @@ func DoSVariantStudy(ctx context.Context, cfg Config, mixName string, threads in
 		return nil, err
 	}
 	modes := trojan.Modes.All()
-	return exp.Run(ctx, cfg.Workers, len(modes), func(ctx context.Context, i int) (VariantResult, error) {
+	return exp.Run(ctx, cfg.Workers, len(modes), func(ctx context.Context, i int) (results.VariantRow, error) {
 		mode := modes[i]
 		vsc := sc
 		vsc.Trojans = placement
 		vsc.Mode = mode
 		attacked, err := sys.RunContext(ctx, vsc, nil)
 		if err != nil {
-			return VariantResult{}, fmt.Errorf("core: variant %v: %w", mode, err)
+			return results.VariantRow{}, fmt.Errorf("core: variant %v: %w", mode, err)
 		}
 		cmp, err := Compare(attacked, baseline)
 		if err != nil {
-			return VariantResult{}, err
+			return results.VariantRow{}, err
 		}
-		res := VariantResult{
-			Mode:    mode,
+		res := results.VariantRow{
+			Mode:    mode.String(),
 			Q:       cmp.Q,
 			Dropped: attacked.Net.DroppedPackets,
 			Looped:  attacked.Net.LoopedBack,

@@ -29,23 +29,23 @@ func TestDoSVariantStudy(t *testing.T) {
 		t.Fatal(err)
 	}
 	placement := campaignPlacement(t, sys)
-	results, err := DoSVariantStudy(context.Background(), cfg, "mix-1", 16, placement)
+	rows, err := DoSVariantStudy(context.Background(), cfg, "mix-1", 16, placement)
 	if err != nil {
 		t.Fatalf("DoSVariantStudy: %v", err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("variants = %d, want 3", len(results))
+	if len(rows) != 3 {
+		t.Fatalf("variants = %d, want 3", len(rows))
 	}
-	byMode := make(map[trojan.Mode]VariantResult, 3)
-	for _, r := range results {
+	byMode := make(map[string]results.VariantRow, 3)
+	for _, r := range rows {
 		byMode[r.Mode] = r
 	}
-	fd := byMode[trojan.ModeFalseData]
-	dr := byMode[trojan.ModeDrop]
-	lb := byMode[trojan.ModeLoopback]
+	fd := byMode[trojan.ModeFalseData.String()]
+	dr := byMode[trojan.ModeDrop.String()]
+	lb := byMode[trojan.ModeLoopback.String()]
 
 	// Every class must hurt the victims.
-	for _, r := range results {
+	for _, r := range rows {
 		if r.VictimChange >= 1 {
 			t.Errorf("%v: victim Θ = %v, want < 1", r.Mode, r.VictimChange)
 		}
@@ -93,7 +93,7 @@ func TestDropModeEndToEnd(t *testing.T) {
 	}
 	sc := fastScenario(t, campaignPlacement(t, sys))
 	sc.Mode = trojan.ModeDrop
-	rep, err := sys.Run(sc)
+	rep, err := sys.RunContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestDualPathDefenseEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := fastScenario(t, placement)
-	attackedU, baselineU, err := sysU.RunPair(sc)
+	attackedU, baselineU, err := sysU.RunPairContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestDualPathDefenseEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attackedD, baselineD, err := sysD.RunPair(sc)
+	attackedD, baselineD, err := sysD.RunPairContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestDualPathCleanRunNoMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.Run(fastScenario(t, attack.Placement{}))
+	rep, err := sys.RunContext(context.Background(), fastScenario(t, attack.Placement{}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestDualPathAgainstDropTrojan(t *testing.T) {
 	ht := mesh.ID(noc.Coord{X: 2, Y: 3})
 	sc := fastScenario(t, attack.Placement{Nodes: []noc.NodeID{ht}})
 	sc.Mode = trojan.ModeDrop
-	rep, err := sys.Run(sc)
+	rep, err := sys.RunContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestPhasedDemandChangesRequests(t *testing.T) {
 		{Name: "barnes", Threads: 16, Role: RoleAttacker, PhasePeriodEpochs: 2},
 		{Name: "blackscholes", Threads: 16, Role: RoleVictim},
 	}}
-	rep, err := s.Run(sc)
+	rep, err := s.RunContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestHistoryGuardFalsePositivesOnPhases(t *testing.T) {
 		{Name: "barnes", Threads: 16, Role: RoleAttacker, PhasePeriodEpochs: 2},
 		{Name: "blackscholes", Threads: 16, Role: RoleVictim},
 	}}
-	rep, err := s.Run(sc)
+	rep, err := s.RunContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

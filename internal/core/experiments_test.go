@@ -12,28 +12,26 @@ import (
 // center manager, series 1 the corner.
 func curveTable(t *testing.T, size int, counts []int, trials int, seed int64) *results.InfectionTable {
 	t.Helper()
-	raw, err := InfectionCurveShard(context.Background(), size, counts, trials, seed, 0, 0, InfectionCurveSpace(counts, trials))
-	if err != nil {
-		t.Fatalf("InfectionCurveShard: %v", err)
-	}
-	tab, err := InfectionCurveTableFromRaw("E3", "curve", size, counts, trials, seed, raw)
-	if err != nil {
-		t.Fatalf("InfectionCurveTableFromRaw: %v", err)
-	}
-	return tab
+	return trialTable(t, InfectionCurve(size, counts, trials), seed)
 }
 
 // distributionTable runs a distribution (E5/E6) trial space as one shard
 // and assembles its table; series 0..2 are center, random, corner.
 func distributionTable(t *testing.T, sizes []int, denominator, trials int, seed int64) *results.InfectionTable {
 	t.Helper()
-	raw, err := DistributionShard(context.Background(), sizes, denominator, trials, seed, 0, 0, DistributionSpace(sizes, trials))
+	return trialTable(t, Distribution(sizes, denominator, trials), seed)
+}
+
+// trialTable runs a whole trial space and assembles its table.
+func trialTable(t *testing.T, trials InfectionTrials, seed int64) *results.InfectionTable {
+	t.Helper()
+	raw, err := trials.Run(context.Background(), seed, 0, 0, trials.Space())
 	if err != nil {
-		t.Fatalf("DistributionShard: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	tab, err := DistributionTableFromRaw("E5", "distribution", sizes, denominator, trials, seed, raw)
+	tab, err := trials.Table("E3", "trials", seed, raw)
 	if err != nil {
-		t.Fatalf("DistributionTableFromRaw: %v", err)
+		t.Fatalf("Table: %v", err)
 	}
 	return tab
 }
@@ -107,12 +105,12 @@ func runRejectCases(t *testing.T, cases []shardCase) {
 	}
 }
 
-// TestInfectionVsHTCountValidation pins that the E3/E4 runner,
-// InfectionCurveShard, rejects malformed inputs instead of coercing them.
+// TestInfectionVsHTCountValidation pins that the E3/E4 trial space,
+// InfectionCurve, rejects malformed inputs instead of coercing them.
 func TestInfectionVsHTCountValidation(t *testing.T) {
 	curve := func(size, trials, lo, hi int) func() ([]float64, error) {
 		return func() ([]float64, error) {
-			return InfectionCurveShard(context.Background(), size, []int{1}, trials, 1, 1, lo, hi)
+			return InfectionCurve(size, []int{1}, trials).Run(context.Background(), 1, 1, lo, hi)
 		}
 	}
 	runRejectCases(t, []shardCase{
@@ -123,12 +121,12 @@ func TestInfectionVsHTCountValidation(t *testing.T) {
 	})
 }
 
-// TestInfectionByDistributionValidation pins that the E5/E6 runner,
-// DistributionShard, rejects malformed inputs instead of coercing them.
+// TestInfectionByDistributionValidation pins that the E5/E6 trial space,
+// Distribution, rejects malformed inputs instead of coercing them.
 func TestInfectionByDistributionValidation(t *testing.T) {
 	dist := func(size, denominator, trials, lo, hi int) func() ([]float64, error) {
 		return func() ([]float64, error) {
-			return DistributionShard(context.Background(), []int{size}, denominator, trials, 1, 1, lo, hi)
+			return Distribution([]int{size}, denominator, trials).Run(context.Background(), 1, 1, lo, hi)
 		}
 	}
 	runRejectCases(t, []shardCase{
@@ -142,10 +140,11 @@ func TestInfectionByDistributionValidation(t *testing.T) {
 
 func TestQVsInfectionRises(t *testing.T) {
 	cfg := fastConfig()
-	points, err := QVsInfection(context.Background(), cfg, "mix-1", 8, []float64{0, 0.5, 0.95})
+	cell, err := QVsInfection(context.Background(), cfg, "mix-1", 8, []float64{0, 0.5, 0.95})
 	if err != nil {
 		t.Fatalf("QVsInfection: %v", err)
 	}
+	points := cell.Effect
 	if len(points) != 3 {
 		t.Fatalf("points = %d, want 3", len(points))
 	}
@@ -156,15 +155,18 @@ func TestQVsInfectionRises(t *testing.T) {
 		t.Errorf("Q not increasing: %v, %v, %v", points[0].Q, points[1].Q, points[2].Q)
 	}
 	// Fig 6 shape at the top point: attackers above 1, victims below 1.
-	for _, app := range points[2].PerApp {
+	for _, app := range cell.Apps {
+		if app.TargetInfection != 0.95 {
+			continue
+		}
 		switch app.Role {
-		case RoleAttacker:
+		case RoleAttacker.String():
 			if app.Change < 1 {
-				t.Errorf("attacker %s Θ = %v, want ≥ 1", app.Name, app.Change)
+				t.Errorf("attacker %s Θ = %v, want ≥ 1", app.App, app.Change)
 			}
-		case RoleVictim:
+		case RoleVictim.String():
 			if app.Change >= 1 {
-				t.Errorf("victim %s Θ = %v, want < 1", app.Name, app.Change)
+				t.Errorf("victim %s Θ = %v, want < 1", app.App, app.Change)
 			}
 		}
 	}

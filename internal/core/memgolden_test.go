@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -24,7 +25,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/mem-traffic from
 func memTrafficPair(t testing.TB, seed int64) (attacked, baseline *Report) {
 	t.Helper()
 	sys, sc := memTrafficSystem(t, seed)
-	a, b, err := sys.RunPair(sc)
+	a, b, err := sys.RunPairContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

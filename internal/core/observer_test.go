@@ -163,7 +163,7 @@ func TestRunWithoutObserverUnchanged(t *testing.T) {
 	// Run and RunContext(nil observer) must agree bit-for-bit: streaming
 	// must not perturb the simulation.
 	sys, sc := observerScenario(t)
-	plain, err := sys.Run(sc)
+	plain, err := sys.RunContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

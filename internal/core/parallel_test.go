@@ -40,17 +40,17 @@ func assertShardDeterministic(t *testing.T, run func(workers int) ([]float64, er
 
 func TestInfectionCurveShardParallelDeterminism(t *testing.T) {
 	counts := []int{0, 4, 8, 16}
-	space := InfectionCurveSpace(counts, 12)
+	trials := InfectionCurve(64, counts, 12)
 	assertShardDeterministic(t, func(workers int) ([]float64, error) {
-		return InfectionCurveShard(context.Background(), 64, counts, 12, 7, workers, 0, space)
+		return trials.Run(context.Background(), 7, workers, 0, trials.Space())
 	})
 }
 
 func TestDistributionShardParallelDeterminism(t *testing.T) {
 	sizes := []int{64, 128}
-	space := DistributionSpace(sizes, 8)
+	trials := Distribution(sizes, 16, 8)
 	assertShardDeterministic(t, func(workers int) ([]float64, error) {
-		return DistributionShard(context.Background(), sizes, 16, 8, 3, workers, 0, space)
+		return trials.Run(context.Background(), 3, workers, 0, trials.Space())
 	})
 }
 
@@ -63,7 +63,7 @@ func TestRunPairParallelDeterminism(t *testing.T) {
 			return nil, err
 		}
 		sc := fastScenario(t, campaignPlacement(t, sys))
-		attacked, baseline, err := sys.RunPair(sc)
+		attacked, baseline, err := sys.RunPairContext(context.Background(), sc, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -89,18 +89,18 @@ func TestRunPairParallelDeterminism(t *testing.T) {
 }
 
 func TestDoSVariantStudyParallelDeterminism(t *testing.T) {
-	run := func(workers int) []VariantResult {
+	run := func(workers int) []results.VariantRow {
 		cfg := fastConfig()
 		cfg.Workers = workers
 		sys, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := DoSVariantStudy(context.Background(), cfg, "mix-1", 16, campaignPlacement(t, sys))
+		rows, err := DoSVariantStudy(context.Background(), cfg, "mix-1", 16, campaignPlacement(t, sys))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return results
+		return rows
 	}
 	seq, par := run(1), run(8)
 	if len(seq) != len(par) {

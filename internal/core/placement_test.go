@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/attack"
@@ -68,7 +69,7 @@ func TestPlaceAppsMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Run(sc)
+	rep, err := s.RunContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +94,12 @@ func TestActivateAfterEpochsDelaysAttack(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := fastScenario(t, ring)
-	immediate, err := s.Run(sc)
+	immediate, err := s.RunContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc.ActivateAfterEpochs = 3
-	delayed, err := s.Run(sc)
+	delayed, err := s.RunContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestActivateAfterEpochsDelaysAttack(t *testing.T) {
 		t.Error("delayed attack must still activate eventually")
 	}
 	sc.ActivateAfterEpochs = 100 // beyond the horizon: never activates
-	never, err := s.Run(sc)
+	never, err := s.RunContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestLoopbackModeEndToEnd(t *testing.T) {
 	}
 	sc := fastScenario(t, ring)
 	sc.Mode = trojan.ModeLoopback
-	rep, err := s.Run(sc)
+	rep, err := s.RunContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestEpochTrace(t *testing.T) {
 	}
 	sc := fastScenario(t, ring)
 	sc.DutyOnEpochs, sc.DutyOffEpochs = 1, 1
-	rep, err := s.Run(sc)
+	rep, err := s.RunContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestEpochTraceCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Run(fastScenario(t, attack.Placement{}))
+	rep, err := s.RunContext(context.Background(), fastScenario(t, attack.Placement{}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

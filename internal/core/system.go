@@ -101,11 +101,6 @@ func (r *run) Schedule(delay uint64, fn func()) { r.kernel.Schedule(delay, fn) }
 // Inject implements mem.Env.
 func (r *run) Inject(p *noc.Packet) error { return r.net.Inject(p) }
 
-// Run executes one campaign and returns its report.
-func (s *System) Run(sc Scenario) (*Report, error) {
-	return s.RunContext(context.Background(), sc, nil)
-}
-
 // RunContext executes one campaign with cooperative cancellation and
 // optional streaming observation. The context is checked between epochs
 // and every few hundred cycles inside an epoch, so cancelling it — from
@@ -172,21 +167,15 @@ func (s *System) runCampaign(ctx context.Context, sc Scenario, obs Observer) (*R
 	return r.report(sc)
 }
 
-// RunPair runs the scenario and its clean baseline under identical
+// RunPairContext runs the scenario and its clean baseline under identical
 // configuration and seeds, returning (attacked, baseline). The two runs
 // are independent simulations (setup clones any stateful allocator or
 // filter), so they fan out over the worker pool; Config.Workers = 1 forces
-// the sequential order and produces bit-identical reports.
-func (s *System) RunPair(sc Scenario) (*Report, *Report, error) {
-	return s.RunPairContext(context.Background(), sc, nil)
-}
-
-// RunPairContext is RunPair with cooperative cancellation and optional
-// streaming observation. Cancelling ctx aborts both runs through the
-// worker pool. The observers — obs and any Config.Observer — stream the
-// attacked run only: interleaving two concurrent runs' samples into one
-// callback would make the stream unreadable, and the baseline's epochs
-// carry no attack signal.
+// the sequential order and produces bit-identical reports. Cancelling ctx
+// aborts both runs through the worker pool. The observers — obs and any
+// Config.Observer — stream the attacked run only: interleaving two
+// concurrent runs' samples into one callback would make the stream
+// unreadable, and the baseline's epochs carry no attack signal.
 func (s *System) RunPairContext(ctx context.Context, sc Scenario, obs Observer) (*Report, *Report, error) {
 	workers := exp.Workers(s.cfg.Workers)
 	if workers > 2 {
@@ -263,7 +252,7 @@ func (s *System) setup(sc Scenario) (*run, error) {
 	}
 	// Stateful allocators and filters are cloned per run: runs stay
 	// independent (no cross-run contamination between an attacked run and
-	// its baseline) and RunPair may execute them concurrently.
+	// its baseline) and RunPairContext may execute them concurrently.
 	manager, err := budget.NewManager(s.gm, budget.CloneAllocator(s.cfg.Allocator), s.cfg.ChipBudgetMW())
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -154,7 +155,7 @@ func TestBaselineRunCleanChip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	rep, err := s.Run(fastScenario(t, attack.Placement{}))
+	rep, err := s.RunContext(context.Background(), fastScenario(t, attack.Placement{}), nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -193,7 +194,7 @@ func TestAttackRunVictimisesAndBoosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := fastScenario(t, ring)
-	attacked, baseline, err := s.RunPair(sc)
+	attacked, baseline, err := s.RunPairContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatalf("RunPair: %v", err)
 	}
@@ -240,7 +241,7 @@ func TestInfectionMeasuredMatchesPredicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Run(fastScenario(t, ring))
+	rep, err := s.RunContext(context.Background(), fastScenario(t, ring), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestMoreInfectionMoreQ(t *testing.T) {
 		t.Skip("placements did not separate")
 	}
 	qFor := func(p attack.Placement) float64 {
-		att, base, err := s.RunPair(fastScenario(t, p))
+		att, base, err := s.RunPairContext(context.Background(), fastScenario(t, p), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,11 +294,11 @@ func TestDutyCyclingHalvesInfection(t *testing.T) {
 	always := fastScenario(t, ring)
 	duty := always
 	duty.DutyOnEpochs, duty.DutyOffEpochs = 1, 1
-	repAlways, err := s.Run(always)
+	repAlways, err := s.RunContext(context.Background(), always, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repDuty, err := s.Run(duty)
+	repDuty, err := s.RunContext(context.Background(), duty, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestMemTrafficIntegration(t *testing.T) {
 			{Name: "dedup", Threads: 6, Role: RoleVictim},
 		},
 	}
-	rep, err := s.Run(sc)
+	rep, err := s.RunContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -392,7 +393,7 @@ func TestRunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := s.Run(fastScenario(t, ring))
+		rep, err := s.RunContext(context.Background(), fastScenario(t, ring), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +420,7 @@ func TestCornerManagerRuns(t *testing.T) {
 	if s.ManagerNode() != 0 {
 		t.Fatalf("manager = %d, want 0", s.ManagerNode())
 	}
-	rep, err := s.Run(fastScenario(t, attack.Placement{}))
+	rep, err := s.RunContext(context.Background(), fastScenario(t, attack.Placement{}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +441,7 @@ func TestAppsClippedAtCapacity(t *testing.T) {
 		{Name: "vips", Threads: 10, Role: RoleAttacker},
 		{Name: "dedup", Threads: 10, Role: RoleVictim}, // only 5 left (GM excluded)
 	}}
-	rep, err := s.Run(sc)
+	rep, err := s.RunContext(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +464,7 @@ func TestNoRoomForAppFails(t *testing.T) {
 		{Name: "vips", Threads: 3, Role: RoleAttacker},
 		{Name: "dedup", Threads: 3, Role: RoleVictim}, // no cores left
 	}}
-	if _, err := s.Run(sc); err == nil {
+	if _, err := s.RunContext(context.Background(), sc, nil); err == nil {
 		t.Error("scenario exceeding capacity entirely must fail")
 	}
 }
@@ -501,7 +502,7 @@ func TestAllocatorsAllRunEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			attacked, baseline, err := s.RunPair(fastScenario(t, ring))
+			attacked, baseline, err := s.RunPairContext(context.Background(), fastScenario(t, ring), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

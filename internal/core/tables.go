@@ -111,30 +111,9 @@ type EffectCell struct {
 // every campaign beneath it.
 func EffectCells(ctx context.Context, cfg Config, mixNames []string, threads int, targets []float64) ([]EffectCell, error) {
 	return exp.Run(ctx, cfg.Workers, len(mixNames), func(ctx context.Context, i int) (EffectCell, error) {
-		name := mixNames[i]
-		pts, err := QVsInfection(ctx, cfg, name, threads, targets)
+		c, err := QVsInfection(ctx, cfg, mixNames[i], threads, targets)
 		if err != nil {
-			return EffectCell{}, fmt.Errorf("%s: %w", name, err)
-		}
-		var c EffectCell
-		for _, p := range pts {
-			c.Effect = append(c.Effect, results.EffectRow{
-				Mix:               name,
-				TargetInfection:   p.TargetInfection,
-				MeasuredInfection: p.MeasuredInfection,
-				HTs:               p.HTs,
-				Q:                 p.Q,
-			})
-			for _, app := range p.PerApp {
-				c.Apps = append(c.Apps, results.AppEffectRow{
-					Mix:             name,
-					TargetInfection: p.TargetInfection,
-					App:             app.Name,
-					Role:            app.Role.String(),
-					Theta:           app.ThetaAttacked,
-					Change:          app.Change,
-				})
-			}
+			return EffectCell{}, fmt.Errorf("%s: %w", mixNames[i], err)
 		}
 		return c, nil
 	})
@@ -271,21 +250,11 @@ func VariantTableFor(ctx context.Context, cfg Config, mixName string, threads, n
 	if err != nil {
 		return nil, err
 	}
-	t := &results.VariantTable{
+	return &results.VariantTable{
 		Meta: results.NewMeta("X1", "DoS attack-class comparison (false-data / drop / loopback)",
 			cfg.Seed, 0, studyParams{cfg.Cores, mixName, threads, cfg.Epochs, nHTs, cfg.Seed}),
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, results.VariantRow{
-			Mode:           r.Mode.String(),
-			Q:              r.Q,
-			VictimChange:   r.VictimChange,
-			AttackerChange: r.AttackerChange,
-			Dropped:        r.Dropped,
-			Looped:         r.Looped,
-		})
-	}
-	return t, nil
+		Rows: rows,
+	}, nil
 }
 
 // DefenseRows runs the X2 manager-side defense study for each of the named
