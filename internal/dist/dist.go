@@ -145,7 +145,7 @@ type Stats struct {
 type Options struct {
 	// Workers seeds the worker pool with static base URLs
 	// (e.g. http://10.0.0.2:8080). More workers can join at runtime via
-	// AddWorker (the server's POST /v1/workers registration endpoint).
+	// Register (the server's POST /v1/workers registration endpoint).
 	Workers []string
 	// MaxShards bounds how many shards one experiment's trial space is
 	// split into (default: twice the seed pool size, at least 2).
@@ -358,12 +358,6 @@ func (c *Coordinator) Register(url string) (string, bool) {
 		rng:     rand.New(rand.NewSource(exp.StreamSeed(c.opts.Seed, "breaker/"+url))),
 	})
 	return id, true
-}
-
-// AddWorker registers a worker base URL, reporting whether it was new.
-func (c *Coordinator) AddWorker(url string) bool {
-	_, added := c.Register(url)
-	return added
 }
 
 // Remove deregisters the worker with the given pool id — the graceful-

@@ -23,13 +23,13 @@ func TestAddWorkerNormalisesAndDedupes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.AddWorker("http://a:1/") {
+	if _, added := c.Register("http://a:1/"); !added {
 		t.Fatal("first registration rejected")
 	}
-	if c.AddWorker("http://a:1") {
+	if _, added := c.Register("http://a:1"); added {
 		t.Fatal("same URL (modulo trailing slash) registered twice")
 	}
-	if c.AddWorker("  ") {
+	if _, added := c.Register("  "); added {
 		t.Fatal("blank URL registered")
 	}
 	if got := c.WorkerURLs(); len(got) != 1 || got[0] != "http://a:1" {

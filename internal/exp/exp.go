@@ -92,17 +92,7 @@ func (g *Gate) AcquireWithin(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// TryAcquire takes a slot without blocking, reporting whether it got one.
-func (g *Gate) TryAcquire() bool {
-	select {
-	case g.slots <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release frees a slot taken by Acquire or TryAcquire. Releasing more
+// Release frees a slot taken by Acquire or AcquireWithin. Releasing more
 // than was acquired panics — it is always a caller bug.
 func (g *Gate) Release() {
 	select {

@@ -156,8 +156,8 @@ func TestGateAcquireHonoursContext(t *testing.T) {
 	if err := g.Acquire(ctx); err != context.Canceled {
 		t.Fatalf("Acquire on cancelled ctx = %v, want context.Canceled", err)
 	}
-	if g.TryAcquire() {
-		t.Fatal("TryAcquire succeeded on a full gate")
+	if err := g.AcquireWithin(context.Background(), time.Millisecond); !errors.Is(err, ErrAcquireTimeout) {
+		t.Fatalf("AcquireWithin on a full gate = %v, want ErrAcquireTimeout", err)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/histo"
+	"repro/internal/obs"
 )
 
 // This file executes a built plan against the live service. Workers
@@ -117,29 +118,6 @@ func (ex *executor) run() (*Report, error) {
 // report's jobs/sampled split makes the cap visible.
 const maxTraceFetches = 500
 
-// traceNode is the slice of the obs.Node rendering the harness reads.
-type traceNode struct {
-	Name            string       `json:"name"`
-	DurationSeconds float64      `json:"duration_seconds"`
-	Children        []*traceNode `json:"children"`
-}
-
-// find returns the first span with the given name, depth-first.
-func (n *traceNode) find(name string) *traceNode {
-	if n == nil {
-		return nil
-	}
-	if n.Name == name {
-		return n
-	}
-	for _, c := range n.Children {
-		if m := c.find(name); m != nil {
-			return m
-		}
-	}
-	return nil
-}
-
 // attributeTraces splits completed submissions' end-to-end latency into
 // where the time went — queue.wait vs gate.wait vs run — by reading
 // each job's trace tree from GET /v1/jobs/{id}/trace. Runs after the
@@ -172,7 +150,7 @@ func (ex *executor) attributeTraces(results []opResult) *TraceAttribution {
 			return nil // tracing is off server-side; no attribution to report
 		}
 		var tr struct {
-			Root *traceNode `json:"root"`
+			Root *obs.Node `json:"root"`
 		}
 		derr := json.NewDecoder(resp.Body).Decode(&tr)
 		resp.Body.Close()
@@ -185,7 +163,7 @@ func (ex *executor) attributeTraces(results []opResult) *TraceAttribution {
 			name string
 			h    *histo.Histogram
 		}{{"queue.wait", qh}, {"gate.wait", gh}, {"run", rh}} {
-			if n := tr.Root.find(span.name); n != nil {
+			if n := tr.Root.Find(span.name); n != nil {
 				span.h.Observe(n.DurationSeconds)
 			}
 		}
