@@ -86,42 +86,3 @@ type UnpairedCopy struct {
 	Value    uint32
 	Tampered bool
 }
-
-// DualPathDetectionRate is the closed-form predictor for the voter: the
-// fraction of sources whose XY and YX paths to the manager differ in
-// whether they cross an infected router. Exactly-one-infected-path is the
-// detectable case; both-infected produces identical rewrites and stays
-// invisible. Sources defaults to every non-manager node when nil.
-func DualPathDetectionRate(m noc.Mesh, gm noc.NodeID, infected map[noc.NodeID]bool, sources []noc.NodeID) float64 {
-	if len(infected) == 0 {
-		return 0
-	}
-	if sources == nil {
-		sources = make([]noc.NodeID, 0, m.Nodes()-1)
-		for id := noc.NodeID(0); id < noc.NodeID(m.Nodes()); id++ {
-			if id != gm {
-				sources = append(sources, id)
-			}
-		}
-	}
-	if len(sources) == 0 {
-		return 0
-	}
-	crosses := func(path []noc.NodeID) bool {
-		for _, r := range path {
-			if infected[r] {
-				return true
-			}
-		}
-		return false
-	}
-	detected := 0
-	for _, src := range sources {
-		xy := crosses(m.PathXY(src, gm))
-		yx := crosses(m.PathYX(src, gm))
-		if xy != yx {
-			detected++
-		}
-	}
-	return float64(detected) / float64(len(sources))
-}

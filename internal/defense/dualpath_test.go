@@ -1,10 +1,6 @@
 package defense
 
-import (
-	"testing"
-
-	"repro/internal/noc"
-)
+import "testing"
 
 func TestVoterPairsAndRepairs(t *testing.T) {
 	v := NewDualPathVoter()
@@ -78,54 +74,5 @@ func TestVoterIndependentCores(t *testing.T) {
 	v.Observe(1, 100, false)
 	if _, _, ready, _ := v.Observe(2, 200, false); ready {
 		t.Fatal("copies from different cores must not pair")
-	}
-}
-
-func TestDualPathDetectionRateCases(t *testing.T) {
-	m := noc.Mesh{Width: 8, Height: 8}
-	gm := m.Center() // (3,3) = node 27
-	if got := DualPathDetectionRate(m, gm, nil, nil); got != 0 {
-		t.Errorf("no trojans rate = %v, want 0", got)
-	}
-	// One HT off both axes of the manager: sources whose XY path crosses
-	// it but whose YX path does not (and vice versa) are detectable.
-	ht := m.ID(noc.Coord{X: 1, Y: 3})
-	infected := map[noc.NodeID]bool{ht: true}
-	rate := DualPathDetectionRate(m, gm, infected, nil)
-	if rate <= 0 {
-		t.Fatalf("detection rate = %v, want > 0", rate)
-	}
-	// Cross-check one known-detectable source: (1,5). XY goes east along
-	// y=5 then... no: XY from (1,5) to (3,3): X first along y=5 to x=3,
-	// then north along x=3 — misses (1,3). YX: north along x=1 through
-	// (1,3) — hit. Exactly one path infected: detectable.
-	src := m.ID(noc.Coord{X: 1, Y: 5})
-	if got := DualPathDetectionRate(m, gm, infected, []noc.NodeID{src}); got != 1 {
-		t.Errorf("source (1,5) detection = %v, want 1", got)
-	}
-	// A source on the same row as both HT and manager: XY and YX paths
-	// coincide — undetectable.
-	src = m.ID(noc.Coord{X: 0, Y: 3})
-	if got := DualPathDetectionRate(m, gm, infected, []noc.NodeID{src}); got != 0 {
-		t.Errorf("same-row source detection = %v, want 0", got)
-	}
-}
-
-func TestDualPathDetectionRateManagerRouterUndetectable(t *testing.T) {
-	// An HT in the manager's own router infects BOTH paths of every source
-	// identically: full infection, zero detection. The voter's blind spot.
-	m := noc.Mesh{Width: 8, Height: 8}
-	gm := m.Center()
-	infected := map[noc.NodeID]bool{gm: true}
-	if got := DualPathDetectionRate(m, gm, infected, nil); got != 0 {
-		t.Errorf("manager-router HT detection = %v, want 0", got)
-	}
-}
-
-func TestDualPathDetectionRateEmptySources(t *testing.T) {
-	m := noc.Mesh{Width: 4, Height: 4}
-	infected := map[noc.NodeID]bool{1: true}
-	if got := DualPathDetectionRate(m, 5, infected, []noc.NodeID{}); got != 0 {
-		t.Errorf("empty sources rate = %v, want 0", got)
 	}
 }

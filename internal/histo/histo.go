@@ -9,9 +9,9 @@
 // duration histogram through /v1/metrics?format=prometheus — same
 // bucketing rule, so the two distributions can be joined.
 //
-// A Histogram is not safe for concurrent use; callers either own one per
-// goroutine and Merge afterwards (the harness) or guard it with the lock
-// they already hold (the server's counter mutex).
+// A Histogram is not safe for concurrent use; callers either fill one
+// from a single goroutine (the harness, after its timed phase) or guard it
+// with the lock they already hold (the server's counter mutex).
 package histo
 
 import (
@@ -144,28 +144,6 @@ func interpolate(lo, hi, frac float64) float64 {
 		return lo * math.Pow(hi/lo, frac)
 	}
 	return lo + (hi-lo)*frac
-}
-
-// Merge adds o's observations into h. Both histograms must share one
-// layout (they came from the same constructor); mismatched layouts are a
-// programming error and panic.
-func (h *Histogram) Merge(o *Histogram) {
-	if len(h.bounds) != len(o.bounds) || (len(h.bounds) > 0 && (h.bounds[0] != o.bounds[0] || h.bounds[len(h.bounds)-1] != o.bounds[len(o.bounds)-1])) {
-		panic("histo: merging histograms with different layouts")
-	}
-	for i, n := range o.counts {
-		h.counts[i] += n
-	}
-	if o.total > 0 {
-		if h.total == 0 || o.min < h.min {
-			h.min = o.min
-		}
-		if o.max > h.max {
-			h.max = o.max
-		}
-	}
-	h.total += o.total
-	h.sum += o.sum
 }
 
 // Bucket is one cumulative Prometheus-style bucket: the count of

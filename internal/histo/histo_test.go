@@ -88,33 +88,6 @@ func TestCumulativeMatchesPrometheusContract(t *testing.T) {
 	}
 }
 
-func TestMergeEqualsCombinedObservation(t *testing.T) {
-	a, b, want := NewLatency(), NewLatency(), NewLatency()
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 1000; i++ {
-		v := rng.ExpFloat64() / 100
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-		want.Observe(v)
-	}
-	a.Merge(b)
-	if a.Count() != want.Count() || a.Min() != want.Min() || a.Max() != want.Max() {
-		t.Fatal("merged aggregate stats differ from combined observation")
-	}
-	// Sums accumulate in different orders; only last-ulp drift is allowed.
-	if math.Abs(a.Sum()-want.Sum()) > 1e-9*want.Sum() {
-		t.Fatalf("merged sum %g differs from combined %g", a.Sum(), want.Sum())
-	}
-	for _, q := range []float64{0.5, 0.99} {
-		if a.Quantile(q) != want.Quantile(q) {
-			t.Errorf("merged p%g differs from combined observation", q*100)
-		}
-	}
-}
-
 func TestCloneIsIndependent(t *testing.T) {
 	h := NewLatency()
 	h.Observe(0.01)

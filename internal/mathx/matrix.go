@@ -33,28 +33,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewMatrixFromRows builds a matrix from row slices. All rows must have equal
-// length.
-func NewMatrixFromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, ErrDimension
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			return nil, fmt.Errorf("mathx: row %d has %d entries, want %d: %w", i, len(r), m.cols, ErrDimension)
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m, nil
-}
-
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
 
@@ -66,54 +44,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// Transpose returns mᵀ as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns m·other as a new matrix.
-func (m *Matrix) Mul(other *Matrix) (*Matrix, error) {
-	if m.cols != other.rows {
-		return nil, fmt.Errorf("mathx: mul %dx%d by %dx%d: %w", m.rows, m.cols, other.rows, other.cols, ErrDimension)
-	}
-	out := NewMatrix(m.rows, other.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < other.cols; j++ {
-				out.data[i*out.cols+j] += a * other.At(k, j)
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns m·v for a column vector v.
-func (m *Matrix) MulVec(v []float64) ([]float64, error) {
-	if m.cols != len(v) {
-		return nil, fmt.Errorf("mathx: mulvec %dx%d by %d: %w", m.rows, m.cols, len(v), ErrDimension)
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		s := 0.0
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, a := range row {
-			s += a * v[j]
-		}
-		out[i] = s
-	}
-	return out, nil
 }
 
 // SolveLeastSquares solves min‖Ax−b‖₂ via Householder QR with column checks.

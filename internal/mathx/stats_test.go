@@ -44,42 +44,11 @@ func TestStdDev(t *testing.T) {
 
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 0}
-	if got := Min(xs); got != -1 {
-		t.Errorf("Min = %v, want -1", got)
-	}
 	if got := Max(xs); got != 7 {
 		t.Errorf("Max = %v, want 7", got)
 	}
-	if !math.IsInf(Min(nil), 1) {
-		t.Error("Min(nil) should be +Inf")
-	}
 	if !math.IsInf(Max(nil), -1) {
 		t.Error("Max(nil) should be -Inf")
-	}
-}
-
-func TestPearsonPerfectCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	if got := Pearson(xs, ys); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("Pearson = %v, want 1", got)
-	}
-}
-
-func TestPearsonAnticorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{8, 6, 4, 2}
-	if got := Pearson(xs, ys); !almostEqual(got, -1, 1e-12) {
-		t.Errorf("Pearson = %v, want -1", got)
-	}
-}
-
-func TestPearsonDegenerate(t *testing.T) {
-	if got := Pearson([]float64{1, 1, 1}, []float64{1, 2, 3}); got != 0 {
-		t.Errorf("Pearson constant series = %v, want 0", got)
-	}
-	if got := Pearson([]float64{1, 2}, []float64{1}); got != 0 {
-		t.Errorf("Pearson length mismatch = %v, want 0", got)
 	}
 }
 
@@ -93,21 +62,6 @@ func TestRSquaredPerfect(t *testing.T) {
 func TestRSquaredDegenerate(t *testing.T) {
 	if got := RSquared([]float64{2, 2}, []float64{1, 3}); got != 0 {
 		t.Errorf("RSquared constant obs = %v, want 0", got)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	tests := []struct {
-		v, lo, hi, want float64
-	}{
-		{5, 0, 10, 5},
-		{-5, 0, 10, 0},
-		{15, 0, 10, 10},
-	}
-	for _, tt := range tests {
-		if got := Clamp(tt.v, tt.lo, tt.hi); got != tt.want {
-			t.Errorf("Clamp(%v,%v,%v) = %v, want %v", tt.v, tt.lo, tt.hi, got, tt.want)
-		}
 	}
 }
 

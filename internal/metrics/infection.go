@@ -89,12 +89,3 @@ func (c *InfectionCounter) Rate() float64 {
 	}
 	return float64(c.Infected) / float64(c.Delivered)
 }
-
-// TamperRate returns the fraction of delivered requests whose payload was
-// rewritten.
-func (c *InfectionCounter) TamperRate() float64 {
-	if c.Delivered == 0 {
-		return 0
-	}
-	return float64(c.Tampered) / float64(c.Delivered)
-}

@@ -1,8 +1,12 @@
-// Package metrics implements the paper's measurement framework, Section IV
-// Definitions 1–8: application performance θ, performance change Θ, attack
-// effect Q, power-budget sensitivity φ/Φ, the Trojan fleet's virtual center
-// ω, its distance ρ to the global manager, its density η, and the infection
-// rate of power-request traffic.
+// Package metrics implements the paper's Section IV measures that are
+// formulas over simulation outputs: performance change Θ (Definition 2),
+// attack effect Q (Definition 3), the Trojan fleet's virtual center ω, its
+// distance ρ to the global manager and its density η (Definitions 6–8),
+// and the infection rate of power-request traffic. Application
+// performance θ (Definition 1) is summed per application in core's run
+// report; power-budget sensitivity φ (Definition 4) is
+// workload.Profile.Sensitivity, and an application's Φ (Definition 5) is
+// its profile's φ, since all of its cores share one profile.
 package metrics
 
 import (
@@ -15,17 +19,6 @@ import (
 // ErrNoNodes is returned when a geometric measure is requested for an empty
 // node set.
 var ErrNoNodes = errors.New("metrics: empty node set")
-
-// AppPerformance is Definition 1: θ_k = Σ_{j∈C_k} IPC(j,k,f_j)·f_j, the sum
-// over application k's cores of per-core throughput. Callers pass the
-// per-core throughput values (instructions per nanosecond).
-func AppPerformance(coreThroughputs []float64) float64 {
-	s := 0.0
-	for _, v := range coreThroughputs {
-		s += v
-	}
-	return s
-}
 
 // PerformanceChange is Definition 2: Θ_k = θ_k / Λ_k, the application's
 // performance with Trojans over its performance without. It returns 0 when
@@ -61,37 +54,6 @@ func AttackEffectQ(attackerChanges, victimChanges []float64) float64 {
 		return math.Inf(1)
 	}
 	return (v * sumA) / (a * sumV)
-}
-
-// CoreSensitivity is Definition 4: φ(j,z) = Σ_i |P(τ_i) − P(τ_{i+1})| /
-// (τ_i − τ_{i+1}) over adjacent frequency levels, where P is the core's
-// performance at each level. perfAtLevel must align with freqsGHz.
-func CoreSensitivity(freqsGHz, perfAtLevel []float64) float64 {
-	if len(freqsGHz) != len(perfAtLevel) {
-		return 0
-	}
-	s := 0.0
-	for i := 0; i+1 < len(freqsGHz); i++ {
-		d := freqsGHz[i] - freqsGHz[i+1]
-		if d == 0 {
-			continue
-		}
-		s += math.Abs((perfAtLevel[i] - perfAtLevel[i+1]) / d)
-	}
-	return s
-}
-
-// AppSensitivity is Definition 5: Φ_k = Σ_{i∈C_k} φ(i,k) / |C_k|, the mean
-// core sensitivity over the application's cores.
-func AppSensitivity(coreSensitivities []float64) float64 {
-	if len(coreSensitivities) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range coreSensitivities {
-		s += v
-	}
-	return s / float64(len(coreSensitivities))
 }
 
 // VirtualCenter is Definition 6: the mean coordinate (ω_X, ω_Y) of the

@@ -9,15 +9,6 @@ import (
 	"repro/internal/noc"
 )
 
-func TestAppPerformance(t *testing.T) {
-	if got := AppPerformance([]float64{1, 2, 3}); got != 6 {
-		t.Errorf("θ = %v, want 6", got)
-	}
-	if got := AppPerformance(nil); got != 0 {
-		t.Errorf("θ of nothing = %v, want 0", got)
-	}
-}
-
 func TestPerformanceChange(t *testing.T) {
 	if got := PerformanceChange(3, 2); got != 1.5 {
 		t.Errorf("Θ = %v, want 1.5", got)
@@ -66,38 +57,6 @@ func TestAttackEffectQMonotonicity(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCoreSensitivity(t *testing.T) {
-	freqs := []float64{1, 2, 3}
-	perf := []float64{1, 3, 6} // slopes 2 and 3 → φ = 5
-	if got := CoreSensitivity(freqs, perf); got != 5 {
-		t.Errorf("φ = %v, want 5", got)
-	}
-}
-
-func TestCoreSensitivityMismatchedInput(t *testing.T) {
-	if got := CoreSensitivity([]float64{1, 2}, []float64{1}); got != 0 {
-		t.Errorf("mismatched φ = %v, want 0", got)
-	}
-}
-
-func TestCoreSensitivityAbsoluteValue(t *testing.T) {
-	// Decreasing performance still contributes positively.
-	freqs := []float64{1, 2}
-	perf := []float64{5, 1}
-	if got := CoreSensitivity(freqs, perf); got != 4 {
-		t.Errorf("φ = %v, want 4", got)
-	}
-}
-
-func TestAppSensitivity(t *testing.T) {
-	if got := AppSensitivity([]float64{2, 4}); got != 3 {
-		t.Errorf("Φ = %v, want 3", got)
-	}
-	if got := AppSensitivity(nil); got != 0 {
-		t.Errorf("Φ of nothing = %v, want 0", got)
 	}
 }
 
@@ -282,8 +241,8 @@ func TestInfectionRateXYAgreesWithPathWalk(t *testing.T) {
 
 func TestInfectionCounter(t *testing.T) {
 	var c InfectionCounter
-	if c.Rate() != 0 || c.TamperRate() != 0 {
-		t.Error("empty counter rates must be 0")
+	if c.Rate() != 0 {
+		t.Error("empty counter rate must be 0")
 	}
 	c.Observe(&noc.Packet{Type: noc.TypePowerReq})
 	c.Observe(&noc.Packet{Type: noc.TypePowerReq, HTSeen: true})
@@ -294,8 +253,5 @@ func TestInfectionCounter(t *testing.T) {
 	}
 	if c.Rate() != 2.0/3.0 {
 		t.Errorf("rate = %v, want 2/3", c.Rate())
-	}
-	if c.TamperRate() != 1.0/3.0 {
-		t.Errorf("tamper rate = %v, want 1/3", c.TamperRate())
 	}
 }

@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/power"
 )
 
 const testMemLat = 60 // ns, a typical uncontended round trip in this NoC
@@ -119,6 +122,55 @@ func TestSensitivityDegenerateInputs(t *testing.T) {
 	}
 	if got := p.Sensitivity([]float64{2.0, 2.0}, testMemLat); got != 0 {
 		t.Errorf("repeated freq sensitivity = %v, want 0", got)
+	}
+}
+
+// TestSensitivitySumsAdjacentSlopes checks Definition 4 on a profile with
+// no memory stalls: Throughput is f/CPICore, a slope of exactly 2 between
+// any two levels here, so φ over three levels is 2 + 2.
+func TestSensitivitySumsAdjacentSlopes(t *testing.T) {
+	p := Profile{CPICore: 0.5}
+	if got := p.Sensitivity([]float64{1, 2, 3}, testMemLat); got != 4 {
+		t.Errorf("φ = %v, want 4", got)
+	}
+}
+
+// TestSensitivityAbsoluteSlope checks that a pair listed in descending
+// frequency still adds its absolute slope, and that equal adjacent
+// frequencies are skipped.
+func TestSensitivityAbsoluteSlope(t *testing.T) {
+	p := Profile{CPICore: 0.5}
+	for _, tc := range []struct {
+		freqs []float64
+		want  float64
+	}{
+		{[]float64{2, 1}, 2},
+		{[]float64{1, 3, 2}, 4},
+		{[]float64{1, 1, 2}, 2},
+	} {
+		if got := p.Sensitivity(tc.freqs, testMemLat); got != tc.want {
+			t.Errorf("φ over %v = %v, want %v", tc.freqs, got, tc.want)
+		}
+	}
+}
+
+// TestSensitivityTableIOrdering pins the ordering Sensitivity's doc comment
+// relies on: at the Table I DVFS levels and the 60 ns baseline latency,
+// compute-bound blackscholes is about ten times as budget-sensitive as
+// memory-bound canneal.
+func TestSensitivityTableIOrdering(t *testing.T) {
+	var freqs []float64
+	for _, l := range power.DefaultLevels() {
+		freqs = append(freqs, l.FreqGHz)
+	}
+	bs, _ := ByName("blackscholes")
+	cn, _ := ByName("canneal")
+	phiBS, phiCN := bs.Sensitivity(freqs, testMemLat), cn.Sensitivity(freqs, testMemLat)
+	if phiBS <= phiCN {
+		t.Errorf("blackscholes φ = %v, want above canneal's %v", phiBS, phiCN)
+	}
+	if math.Abs(phiBS-5.19) > 0.01 || math.Abs(phiCN-0.52) > 0.01 {
+		t.Errorf("φ = %v (blackscholes), %v (canneal), want about 5.19 and 0.52", phiBS, phiCN)
 	}
 }
 
