@@ -480,6 +480,7 @@ func TestSubmissionValidation(t *testing.T) {
 		{"/v1/sims", `{"allocator":"nope"}`, "unknown allocator"},
 		{"/v1/sims", `{"bogus":true}`, "unknown field"},
 		{"/v1/sims", `{"infection":1.5}`, "outside [0, 1)"},
+		{"/v1/sims", `{"placement":"diagonal"}`, "unknown placement"},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+c.url, "application/json", strings.NewReader(c.body))

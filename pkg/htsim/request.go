@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/attack"
 )
 
 // Request is one attacked-versus-clean campaign, named field by field:
@@ -118,13 +120,20 @@ func (r *Request) Normalize() {
 
 // Validate checks the request as it stands, without running it: the
 // scalar ranges, then every named plugin and the configuration they
-// build, so a bad request fails with the registry's canonical error.
+// build, so a bad request fails with the registry's canonical error. The
+// placement is checked only without an Infection target, which replaces
+// it.
 func (r *Request) Validate() error {
 	if err := r.checkRanges(); err != nil {
 		return err
 	}
 	if _, err := BuildConfig(r.options()...); err != nil {
 		return err
+	}
+	if r.Infection == nil {
+		if _, err := attack.PlacementByName(r.Placement); err != nil {
+			return err
+		}
 	}
 	_, err := r.scenario()
 	return err
