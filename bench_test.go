@@ -78,7 +78,7 @@ func benchmarkFig3(b *testing.B, size int, counts []int, trials int) float64 {
 		if err != nil {
 			b.Fatal(err)
 		}
-		t, err := space.Table("E3", "Fig 3", 1, raw)
+		t, err := space.Table("E3", "3", 1, raw)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func benchmarkFig4(b *testing.B, denominator int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		t, err := space.Table("E5", "Fig 4", 1, raw)
+		t, err := space.Table("E5", "4", 1, raw)
 		if err != nil {
 			b.Fatal(err)
 		}

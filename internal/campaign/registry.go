@@ -133,25 +133,25 @@ var registry = map[string]entry{
 		order:    3,
 		title:    "Fig 3(a): infection rate vs HT count, 64 cores",
 		defaults: Params{Size: 64, HTCounts: Counts(30, 7), Trials: 50},
-		cells:    trialCells("E3", curveFigure("3(a)")),
+		cells:    trialCells("E3", "3(a)", curveTrials),
 	},
 	"E4": {
 		order:    4,
 		title:    "Fig 3(b): infection rate vs HT count, 512 cores",
 		defaults: Params{Size: 512, HTCounts: Counts(60, 7), Trials: 50},
-		cells:    trialCells("E4", curveFigure("3(b)")),
+		cells:    trialCells("E4", "3(b)", curveTrials),
 	},
 	"E5": {
 		order:    5,
 		title:    "Fig 4(a): infection rate by HT distribution, HTs = size/16",
 		defaults: Params{Sizes: paperSizes(), Denominator: 16, Trials: 50},
-		cells:    trialCells("E5", distFigure("4(a)")),
+		cells:    trialCells("E5", "4(a)", distTrials),
 	},
 	"E6": {
 		order:    6,
 		title:    "Fig 4(b): infection rate by HT distribution, HTs = size/8",
 		defaults: Params{Sizes: paperSizes(), Denominator: 8, Trials: 50},
-		cells:    trialCells("E6", distFigure("4(b)")),
+		cells:    trialCells("E6", "4(b)", distTrials),
 	},
 	"E7": {
 		order:    7,

@@ -218,40 +218,28 @@ func simCells[C any](count func(p Params) int,
 	}
 }
 
-// trialCells is the E3–E6 space (Figs 3 and 4): one infection rate per
-// trial of the space figure resolves from the parameters, beside the
-// artifact's title.
-func trialCells(id string, figure func(p Params) (core.InfectionTrials, string)) cellSpace[float64] {
+// trialCells is the E3–E6 space, paper figure fig: one infection rate
+// per trial of the space trials resolves from the parameters.
+func trialCells(id, fig string, trials func(p Params) core.InfectionTrials) cellSpace[float64] {
 	return cellSpace[float64]{
-		count: func(p Params) int {
-			trials, _ := figure(p)
-			return trials.Space()
-		},
+		count: func(p Params) int { return trials(p).Space() },
 		cells: func(rc runCtx, lo, hi int) ([]float64, error) {
-			trials, _ := figure(rc.p)
-			return trials.Run(rc.ctx, rc.seed, rc.workers, lo, hi)
+			return trials(rc.p).Run(rc.ctx, rc.seed, rc.workers, lo, hi)
 		},
 		table: func(rc runCtx, raw []float64) (results.Table, error) {
-			trials, title := figure(rc.p)
-			return trials.Table(id, title, rc.seed, raw)
+			return trials(rc.p).Table(id, fig, rc.seed, raw)
 		},
 	}
 }
 
-// curveFigure is Fig 3 panel fig (E3/E4): infection rate vs HT count.
-func curveFigure(fig string) func(p Params) (core.InfectionTrials, string) {
-	return func(p Params) (core.InfectionTrials, string) {
-		return core.InfectionCurve(p.Size, p.HTCounts, p.Trials),
-			fmt.Sprintf("Fig %s: infection rate vs HT count, %d cores", fig, p.Size)
-	}
+// curveTrials is the Fig 3 trial space (E3/E4).
+func curveTrials(p Params) core.InfectionTrials {
+	return core.InfectionCurve(p.Size, p.HTCounts, p.Trials)
 }
 
-// distFigure is Fig 4 panel fig (E5/E6): infection rate by HT distribution.
-func distFigure(fig string) func(p Params) (core.InfectionTrials, string) {
-	return func(p Params) (core.InfectionTrials, string) {
-		return core.Distribution(p.Sizes, p.Denominator, p.Trials),
-			fmt.Sprintf("Fig %s: infection rate by HT distribution, HTs = size/%d", fig, p.Denominator)
-	}
+// distTrials is the Fig 4 trial space (E5/E6).
+func distTrials(p Params) core.InfectionTrials {
+	return core.Distribution(p.Sizes, p.Denominator, p.Trials)
 }
 
 // PlanShards partitions each of a spec's experiments into at most

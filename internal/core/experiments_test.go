@@ -29,7 +29,7 @@ func trialTable(t *testing.T, trials InfectionTrials, seed int64) *results.Infec
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	tab, err := trials.Table("E3", "trials", seed, raw)
+	tab, err := trials.Table("E3", "3", seed, raw)
 	if err != nil {
 		t.Fatalf("Table: %v", err)
 	}

@@ -44,6 +44,8 @@ import (
 // cross-validated against the simulator in tests), so no cycle
 // simulation runs here.
 type InfectionTrials struct {
+	// title says what the artifact plots, after its figure number.
+	title  string
 	xLabel string
 	series []string
 	points []int
@@ -64,6 +66,7 @@ func InfectionCurve(size int, htCounts []int, trials int) InfectionTrials {
 	mesh, err := noc.MeshForSize(size)
 	managers := [2]noc.NodeID{mesh.Center(), mesh.Corner()}
 	return InfectionTrials{
+		title:  fmt.Sprintf("infection rate vs HT count, %d cores", size),
 		xLabel: "hts",
 		series: []string{"gm-center", "gm-corner"},
 		points: htCounts,
@@ -99,6 +102,7 @@ func InfectionCurve(size int, htCounts []int, trials int) InfectionTrials {
 // corner.
 func Distribution(sizes []int, denominator, trials int) InfectionTrials {
 	t := InfectionTrials{
+		title:  fmt.Sprintf("infection rate by HT distribution, HTs = size/%d", denominator),
 		xLabel: "size",
 		series: []string{"center", "random", "corner"},
 		points: sizes,
@@ -173,10 +177,11 @@ func (t InfectionTrials) Run(ctx context.Context, seed int64, workers, lo, hi in
 	})
 }
 
-// Table assembles the experiment's artifact from the fully reassembled
-// raw vector: per series and point, a running sum over the trials, then
-// the mean — so the bytes match a local run for any shard partition.
-func (t InfectionTrials) Table(id, title string, seed int64, raw []float64) (*results.InfectionTable, error) {
+// Table assembles experiment id's artifact, titled as paper figure fig
+// (such as "3(a)"), from the fully reassembled raw vector: per series and
+// point, a running sum over the trials, then the mean — so the bytes
+// match a local run for any shard partition.
+func (t InfectionTrials) Table(id, fig string, seed int64, raw []float64) (*results.InfectionTable, error) {
 	if err := t.check(); err != nil {
 		return nil, err
 	}
@@ -184,7 +189,7 @@ func (t InfectionTrials) Table(id, title string, seed int64, raw []float64) (*re
 		return nil, fmt.Errorf("core: raw vector holds %d cells, trial space is %d", len(raw), space)
 	}
 	tab := &results.InfectionTable{
-		Meta:   results.NewMeta(id, title, seed, 0, t.params(seed)),
+		Meta:   results.NewMeta(id, "Fig "+fig+": "+t.title, seed, 0, t.params(seed)),
 		XLabel: t.xLabel,
 		Series: t.series,
 	}
