@@ -23,22 +23,21 @@ import (
 // evaluated against the shared clean baseline. Each campaign in the sweep
 // runs under ctx, so a cancelled sweep returns promptly with ctx's error.
 func QVsInfection(ctx context.Context, cfg Config, mixName string, threads int, targets []float64) (EffectCell, error) {
-	var cell EffectCell
 	mix, err := workload.MixByName(mixName)
 	if err != nil {
-		return cell, err
+		return EffectCell{}, err
 	}
 	sc, err := MixScenario(mix, threads)
 	if err != nil {
-		return cell, err
+		return EffectCell{}, err
 	}
 	sys, err := NewSystem(cfg)
 	if err != nil {
-		return cell, err
+		return EffectCell{}, err
 	}
 	baseline, err := sys.RunContext(ctx, sc.WithoutTrojans(), nil)
 	if err != nil {
-		return cell, fmt.Errorf("core: baseline: %w", err)
+		return EffectCell{}, fmt.Errorf("core: baseline: %w", err)
 	}
 	mesh := sys.Mesh()
 	gm := sys.ManagerNode()
@@ -48,7 +47,7 @@ func QVsInfection(ctx context.Context, cfg Config, mixName string, threads int, 
 	// one lucky fleet cannot cover exactly one application's quadrant.
 	placed, err := sys.PlaceApps(sc)
 	if err != nil {
-		return cell, err
+		return EffectCell{}, err
 	}
 	var victimCores, attackerCores []noc.NodeID
 	for ai, spec := range sc.Apps {
@@ -64,6 +63,7 @@ func QVsInfection(ctx context.Context, cfg Config, mixName string, threads int, 
 	// the composition noise of any single placement (which victim cores
 	// happen to sit behind the Trojans).
 	const reps = 3
+	var cell EffectCell
 	for _, target := range targets {
 		row := results.EffectRow{Mix: mixName, TargetInfection: target}
 		var perApp []AppChange
@@ -84,11 +84,11 @@ func QVsInfection(ctx context.Context, cfg Config, mixName string, threads int, 
 			}
 			attacked, err := sys.RunContext(ctx, sc, nil)
 			if err != nil {
-				return cell, fmt.Errorf("core: target %.2f: %w", target, err)
+				return EffectCell{}, fmt.Errorf("core: target %.2f: %w", target, err)
 			}
 			cmp, err := Compare(attacked, baseline)
 			if err != nil {
-				return cell, err
+				return EffectCell{}, err
 			}
 			row.MeasuredInfection += attacked.InfectionMeasured / float64(n)
 			row.Q += cmp.Q / float64(n)
