@@ -7,24 +7,29 @@ import (
 
 // FuzzStepperOracle steps the production network and the seed stepper
 // (oracle_test.go) side by side over fuzzed meshes, routings, VC counts
-// and depths, traffic classes, Trojan verdicts and traffic. On a plain
-// mesh the two must agree on Busy() after every cycle, on the per-cycle
-// delivery and inspection logs, and on the final Stats. The seed predates
-// the torus, so wrapped meshes get the invariants only: after every cycle
-// the live-flit count matches an exhaustive count and no VC holds more
-// than BufDepth flits; the network drains within oracleDrainBound cycles
-// of the last injection (which covers dateline deadlock freedom); and
-// every packet is delivered once, at its destination, or condemned by a
-// drop verdict. Loopback verdicts are the exception to draining: a
-// routing loop may wedge the network, so once a packet has been looped
-// back the case ends after oracleStallWindow cycles in which nothing was
-// delivered or dropped.
+// and depths, traffic classes, Trojan verdicts and traffic. Beside the
+// fresh network it steps a second production network that a previous
+// case — decoded from the same input with its header rotated away, so it
+// may use another mesh, class split or VC count — left mid-flight and
+// Reset to this case: Reset must leave nothing of the previous traffic
+// behind. The reset network must agree with the fresh one on every mesh,
+// and on a plain mesh both must agree with the seed stepper, on Busy()
+// after every cycle, on the per-cycle delivery and inspection logs, and
+// on the final Stats. The seed predates the torus, so wrapped meshes
+// also get the invariants: after every cycle the live-flit count matches
+// an exhaustive count and no VC holds more than BufDepth flits; the
+// network drains within oracleDrainBound cycles of the last injection
+// (which covers dateline deadlock freedom); and every packet is delivered
+// once, at its destination, or condemned by a drop verdict. Loopback
+// verdicts are the exception to draining: a routing loop may wedge the
+// network, so once a packet has been looped back the case ends after
+// oracleStallWindow cycles in which nothing was delivered or dropped.
 func FuzzStepperOracle(f *testing.F) {
 	for _, seed := range oracleSeedCorpus() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		runOracleCase(t, decodeOracleCase(data))
+		runOracleCase(t, decodeOracleCase(data), decodeOracleCase(previousCaseInput(data)))
 	})
 }
 
@@ -41,6 +46,18 @@ const oracleStallWindow = 2_000
 
 // oracleMaxPackets caps the scheduled traffic of one fuzzed case.
 const oracleMaxPackets = 128
+
+// oracleHeaderLen is the size of a fuzz input's fixed header (see
+// decodeOracleCase).
+const oracleHeaderLen = 18
+
+// previousCaseInput is the input of the case whose mid-flight network a
+// case's reset network starts from: the input with its header rotated to
+// the end, so the previous case's header comes from the traffic bytes.
+func previousCaseInput(data []byte) []byte {
+	h := min(oracleHeaderLen, len(data))
+	return append(append([]byte(nil), data[h:]...), data[:h]...)
+}
 
 // oracleTypes are the packet types a fuzzed injection draws from: 1-flit
 // meta packets and 5-flit data packets (meta packets with options fields
@@ -297,17 +314,52 @@ func (run *oracleRun) checkAccounting(t *testing.T) {
 	}
 }
 
-// runOracleCase steps c's traffic through the production network, and on
-// a plain mesh through the seed stepper beside it.
-func runOracleCase(t *testing.T, c oracleCase) {
+// midFlight steps c's traffic through a fresh network until half of it
+// has been injected and some flit is on a link, and returns the network
+// with that traffic still in its queues, buffers and link pipeline.
+func midFlight(t *testing.T, c oracleCase) *Network {
 	net, err := New(c.mesh, c.cfg)
 	if err != nil {
 		t.Fatalf("New(%+v, %+v): %v", c.mesh, c.cfg, err)
 	}
+	run := c.attach(t, net)
+	half, next := len(c.traffic)/2, 0
+	var until uint64 // the last cycle to wait for a flit on a link
+	if half > 0 {
+		until = c.traffic[half-1].at + 64
+	}
+	for cycle := uint64(0); next < half || (net.inflLen == 0 && cycle <= until); cycle++ {
+		for ; next < half && c.traffic[next].at == cycle; next++ {
+			run.schedule(t, c.traffic[next])
+		}
+		net.Step()
+	}
+	return net
+}
+
+// oraclePeer is a stepper that must match the fresh production network
+// cycle for cycle.
+type oraclePeer struct {
+	name string
+	run  *oracleRun
+}
+
+// runOracleCase steps c's traffic through a fresh production network,
+// through a network Reset from prev's mid-flight state, and on a plain
+// mesh through the seed stepper, comparing the last two with the first.
+func runOracleCase(t *testing.T, c, prev oracleCase) {
+	net, err := New(c.mesh, c.cfg)
+	if err != nil {
+		t.Fatalf("New(%+v, %+v): %v", c.mesh, c.cfg, err)
+	}
+	reused := midFlight(t, prev)
+	if err := reused.Reset(c.mesh, c.cfg); err != nil {
+		t.Fatalf("Reset(%+v, %+v): %v", c.mesh, c.cfg, err)
+	}
 	got := c.attach(t, net)
-	var want *oracleRun
+	peers := []oraclePeer{{"reset network", c.attach(t, reused)}}
 	if !c.mesh.Wrap {
-		want = c.attach(t, newSeedNetwork(c.mesh, c.cfg))
+		peers = append(peers, oraclePeer{"seed stepper", c.attach(t, newSeedNetwork(c.mesh, c.cfg))})
 	}
 	var last uint64
 	if k := len(c.traffic); k > 0 {
@@ -318,8 +370,8 @@ func runOracleCase(t *testing.T, c oracleCase) {
 	for cycle := uint64(0); ; cycle++ {
 		for ; next < len(c.traffic) && c.traffic[next].at == cycle; next++ {
 			got.schedule(t, c.traffic[next])
-			if want != nil {
-				want.schedule(t, c.traffic[next])
+			for _, p := range peers {
+				p.run.schedule(t, c.traffic[next])
 			}
 		}
 		if next == len(c.traffic) && !net.Busy() {
@@ -341,35 +393,38 @@ func runOracleCase(t *testing.T, c oracleCase) {
 		net.Step()
 		checkNetworkInvariants(t, net)
 		checkRouterMasks(t, net)
-		if want != nil {
-			want.net.Step()
-			if net.Busy() != want.net.Busy() {
-				t.Fatalf("cycle %d: Busy() = %v, seed stepper %v", net.Now(), net.Busy(), want.net.Busy())
+		for _, p := range peers {
+			p.run.net.Step()
+			if pn, ok := p.run.net.(*Network); ok {
+				checkNetworkInvariants(t, pn)
+				checkRouterMasks(t, pn)
+			}
+			if net.Busy() != p.run.net.Busy() {
+				t.Fatalf("cycle %d: Busy() = %v, %s %v", net.Now(), net.Busy(), p.name, p.run.net.Busy())
 			}
 		}
 	}
 	if drained {
 		got.checkAccounting(t)
 	}
-	if want == nil {
-		return
-	}
-	compareEventLogs(t, "delivery", got.deliveries, want.deliveries)
-	compareEventLogs(t, "inspection", got.inspections, want.inspections)
-	if gs, ws := net.Stats(), want.net.Stats(); gs != ws {
-		t.Fatalf("Stats = %+v, seed stepper %+v", gs, ws)
+	for _, p := range peers {
+		compareEventLogs(t, p.name, "delivery", got.deliveries, p.run.deliveries)
+		compareEventLogs(t, p.name, "inspection", got.inspections, p.run.inspections)
+		if gs, ps := net.Stats(), p.run.net.Stats(); gs != ps {
+			t.Fatalf("Stats = %+v, %s %+v", gs, p.name, ps)
+		}
 	}
 }
 
-func compareEventLogs(t *testing.T, what string, got, want []oracleEvent) {
+func compareEventLogs(t *testing.T, peer, what string, got, want []oracleEvent) {
 	t.Helper()
 	for i := 0; i < len(got) && i < len(want); i++ {
 		if got[i] != want[i] {
-			t.Fatalf("%s %d = %+v, seed stepper %+v", what, i, got[i], want[i])
+			t.Fatalf("%s %d = %+v, %s %+v", what, i, got[i], peer, want[i])
 		}
 	}
 	if len(got) != len(want) {
-		t.Fatalf("%d %s events, seed stepper %d", len(got), what, len(want))
+		t.Fatalf("%d %s events, %s %d", len(got), what, peer, len(want))
 	}
 }
 

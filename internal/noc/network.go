@@ -317,6 +317,9 @@ type Network struct {
 	// allocations however large the mesh.
 	flitSlab []*Flit
 	depth    int32 // cfg.BufDepth
+	// vcSlab backs every router's input VCs: router i owns the 5×VCs
+	// entries from i*5*VCs.
+	vcSlab []vcState
 
 	// portVCs maps a flattened VC index to the mask of every VC on the same
 	// input port: switch allocation masks them out once the port has sent
@@ -341,44 +344,64 @@ type Network struct {
 	freeClass int
 }
 
-// New constructs a network over mesh with the given configuration.
+// New constructs a network over mesh with the given configuration: the
+// Reset of a zero Network.
 func New(mesh Mesh, cfg Config) (*Network, error) {
-	if err := cfg.Validate(); err != nil {
+	n := new(Network)
+	if err := n.Reset(mesh, cfg); err != nil {
 		return nil, err
 	}
+	return n, nil
+}
+
+// Reset returns n to exactly the state New(mesh, cfg) returns — cycle
+// zero, no packets, no handlers, no inspector, zero statistics — so one
+// network can carry run after run. Every slab whose capacity suffices
+// (routers, VC state, network interfaces, flit rings, link pipeline,
+// flit pool) is reused; flits the previous traffic left in the network
+// go back to the pool. On error n is left unusable until a Reset
+// succeeds.
+func (n *Network) Reset(mesh Mesh, cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if mesh.Nodes() == 0 {
-		return nil, errors.New("noc: empty mesh")
+		return errors.New("noc: empty mesh")
 	}
 	for class := 0; class < 2; class++ {
 		alg := cfg.classRouting(class)
 		if _, wrap := alg.(WrapRouting); wrap && !mesh.Wrap {
-			return nil, fmt.Errorf("noc: %s routing requires a wraparound topology", alg.Name())
+			return fmt.Errorf("noc: %s routing requires a wraparound topology", alg.Name())
 		}
 	}
+	n.reclaimFlits()
 	nodes := mesh.Nodes()
 	vcsPerRouter := int(numDirections) * cfg.VCs
-	n := &Network{
-		mesh:     mesh,
-		cfg:      cfg,
-		routers:  make([]router, nodes),
-		nis:      make([]nodeNI, nodes),
-		handlers: make([]Handler, nodes),
-		flitSlab: make([]*Flit, nodes*vcsPerRouter*cfg.BufDepth),
-		depth:    int32(cfg.BufDepth),
-		busy:     make([]uint64, (nodes+63)/64),
-	}
-	vcs := make([]vcState, nodes*vcsPerRouter)
+	n.mesh, n.cfg = mesh, cfg
+	n.now, n.nextID = 0, 0
+	n.inspector = nil
+	n.stats = Stats{}
+	n.inflHead, n.inflLen = 0, 0
+	n.liveFlits, n.busyRouters = 0, 0
+	n.activeNIs, n.nisDirty = n.activeNIs[:0], false
+	n.depth = int32(cfg.BufDepth)
+	n.routers = resize(n.routers, nodes)
+	n.nis = resizeNIs(n.nis, nodes)
+	n.handlers = resize(n.handlers, nodes)
+	n.flitSlab = resize(n.flitSlab, nodes*vcsPerRouter*cfg.BufDepth)
+	n.vcSlab = resize(n.vcSlab, nodes*vcsPerRouter)
+	n.busy = resize(n.busy, (nodes+63)/64)
 	for i := range n.routers {
 		r := &n.routers[i]
 		r.id = NodeID(i)
-		r.vcs = vcs[i*vcsPerRouter : (i+1)*vcsPerRouter]
+		r.vcs = n.vcSlab[i*vcsPerRouter : (i+1)*vcsPerRouter]
 		for v := range r.vcs {
 			r.vcs[v].rt = r
 			r.vcs[v].idx = uint8(v)
 			r.vcs[v].ring = int32((i*vcsPerRouter + v) * cfg.BufDepth)
 		}
 	}
-	n.portVCs = make([]uint32, vcsPerRouter)
+	n.portVCs = resize(n.portVCs, vcsPerRouter)
 	for i := range n.portVCs {
 		port := i / cfg.VCs
 		n.portVCs[i] = (1<<cfg.VCs - 1) << (port * cfg.VCs)
@@ -386,10 +409,62 @@ func New(mesh Mesh, cfg Config) (*Network, error) {
 	for class := 0; class < 2; class++ {
 		_, n.dateline[class] = cfg.classRouting(class).(WrapRouting)
 	}
-	n.freeFn = func(d Direction) bool {
-		return n.downstreamHasFreeVC(n.freeFrom, d, n.freeClass)
+	if n.freeFn == nil {
+		n.freeFn = func(d Direction) bool {
+			return n.downstreamHasFreeVC(n.freeFrom, d, n.freeClass)
+		}
 	}
-	return n, nil
+	n.freeFrom, n.freeClass = 0, 0
+	return nil
+}
+
+// resize returns s with length k and every element zero, reusing its
+// backing array when the capacity suffices.
+func resize[T any](s []T, k int) []T {
+	if cap(s) < k {
+		return make([]T, k)
+	}
+	s = s[:k]
+	clear(s)
+	return s
+}
+
+// resizeNIs returns nis with length k. reclaimFlits leaves every NI
+// within the backing array empty with its queue's capacity, so unlike
+// resize it keeps the elements.
+func resizeNIs(nis []nodeNI, k int) []nodeNI {
+	if cap(nis) < k {
+		return make([]nodeNI, k)
+	}
+	return nis[:k]
+}
+
+// reclaimFlits returns to the pool every flit the network still holds —
+// in source queues, input-VC rings and the link pipeline — and clears
+// the link pipeline's slots, ahead of a Reset that zeroes the rest.
+func (n *Network) reclaimFlits() {
+	for i := range n.nis {
+		ni := &n.nis[i]
+		for _, f := range ni.queue[ni.qhead:] {
+			n.freeFlit(f)
+		}
+		clear(ni.queue)
+		n.nis[i] = nodeNI{queue: ni.queue[:0]}
+	}
+	for i, f := range n.flitSlab {
+		if f != nil {
+			n.freeFlit(f)
+			n.flitSlab[i] = nil
+		}
+	}
+	for k := 0; k < n.inflLen; k++ {
+		j := n.inflHead + k
+		if j >= len(n.inflight) {
+			j -= len(n.inflight)
+		}
+		n.freeFlit(n.inflight[j].flit)
+	}
+	clear(n.inflight)
 }
 
 // Mesh returns the network topology.
