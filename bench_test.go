@@ -391,7 +391,7 @@ func BenchmarkDPAllocator(b *testing.B) {
 	alloc := budget.NewDPKnapsack(100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		alloc.Allocate(120_000, reqs)
+		alloc.Allocate(nil, 120_000, reqs)
 	}
 }
 

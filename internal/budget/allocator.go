@@ -12,7 +12,9 @@
 package budget
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
 
 	"repro/internal/registry"
 )
@@ -38,11 +40,13 @@ type Request struct {
 }
 
 // Allocator divides a chip budget among requests. Implementations must be
-// deterministic and must return one grant per request, in order.
+// deterministic and must produce one grant per request, in order.
 type Allocator interface {
-	// Allocate returns per-core grants in milliwatts. The sum of grants
+	// Allocate appends per-core grants in milliwatts, one per request in
+	// order, to dst and returns the extended slice, as append does: pass
+	// dst[:0] to reuse a buffer, nil for a fresh one. The sum of grants
 	// must not exceed budgetMW (modulo sub-milliwatt rounding).
-	Allocate(budgetMW uint64, reqs []Request) []uint32
+	Allocate(dst []uint32, budgetMW uint64, reqs []Request) []uint32
 	// Name identifies the allocator in reports and benchmarks.
 	Name() string
 }
@@ -96,27 +100,35 @@ var _ Allocator = FairShare{}
 // Name implements Allocator.
 func (FairShare) Name() string { return "fair" }
 
+// extend returns dst grown by n zero grants, and the grown tail.
+func extend(dst []uint32, n int) (out, tail []uint32) {
+	out = slices.Grow(dst, n)[:len(dst)+n]
+	tail = out[len(dst):]
+	clear(tail)
+	return out, tail
+}
+
 // Allocate implements Allocator.
-func (FairShare) Allocate(budgetMW uint64, reqs []Request) []uint32 {
-	grants := make([]uint32, len(reqs))
+func (FairShare) Allocate(dst []uint32, budgetMW uint64, reqs []Request) []uint32 {
+	dst, grants := extend(dst, len(reqs))
 	var total uint64
 	for _, r := range reqs {
 		total += uint64(r.RequestMW)
 	}
 	if total == 0 {
-		return grants
+		return dst
 	}
 	if total <= budgetMW {
 		for i, r := range reqs {
 			grants[i] = r.RequestMW
 		}
-		return grants
+		return dst
 	}
 	scale := float64(budgetMW) / float64(total)
 	for i, r := range reqs {
 		grants[i] = uint32(float64(r.RequestMW) * scale)
 	}
-	return grants
+	return dst
 }
 
 // Greedy is the heuristic allocator modelled on user-experience-oriented
@@ -130,25 +142,34 @@ var _ Allocator = Greedy{}
 // Name implements Allocator.
 func (Greedy) Name() string { return "greedy" }
 
+// greedyOrders pools Greedy's upgrade-order buffers across calls.
+var greedyOrders = sync.Pool{New: func() any { return new([]int) }}
+
 // Allocate implements Allocator.
-func (Greedy) Allocate(budgetMW uint64, reqs []Request) []uint32 {
-	grants := make([]uint32, len(reqs))
+func (Greedy) Allocate(dst []uint32, budgetMW uint64, reqs []Request) []uint32 {
+	dst, grants := extend(dst, len(reqs))
 	var spent uint64
 	for i, r := range reqs {
 		base := baseLevelMW(r)
 		grants[i] = base
 		spent += uint64(base)
 	}
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
+	buf := greedyOrders.Get().(*[]int)
+	defer greedyOrders.Put(buf)
+	order := (*buf)[:0]
+	for i := range reqs {
+		order = append(order, i)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra, rb := reqs[order[a]], reqs[order[b]]
+	*buf = order
+	slices.SortStableFunc(order, func(a, b int) int {
+		ra, rb := &reqs[a], &reqs[b]
 		if ra.Sensitivity != rb.Sensitivity {
-			return ra.Sensitivity > rb.Sensitivity
+			if ra.Sensitivity > rb.Sensitivity {
+				return -1
+			}
+			return 1
 		}
-		return ra.Core < rb.Core
+		return cmp.Compare(ra.Core, rb.Core)
 	})
 	for _, i := range order {
 		r := reqs[i]
@@ -164,7 +185,7 @@ func (Greedy) Allocate(budgetMW uint64, reqs []Request) []uint32 {
 			grants[i] = lvl
 		}
 	}
-	return grants
+	return dst
 }
 
 // baseLevelMW is the mandatory floor grant for a request: the lowest DVFS

@@ -46,7 +46,7 @@ func TestByName(t *testing.T) {
 
 func TestFairShareUnderSubscribed(t *testing.T) {
 	reqs := []Request{req(0, 1000, 1), req(1, 2000, 1)}
-	grants := FairShare{}.Allocate(10_000, reqs)
+	grants := FairShare{}.Allocate(nil, 10_000, reqs)
 	if grants[0] != 1000 || grants[1] != 2000 {
 		t.Errorf("grants = %v, want requests honoured in full", grants)
 	}
@@ -54,14 +54,14 @@ func TestFairShareUnderSubscribed(t *testing.T) {
 
 func TestFairShareProportionalScaling(t *testing.T) {
 	reqs := []Request{req(0, 3000, 1), req(1, 1000, 1)}
-	grants := FairShare{}.Allocate(2000, reqs)
+	grants := FairShare{}.Allocate(nil, 2000, reqs)
 	if grants[0] != 1500 || grants[1] != 500 {
 		t.Errorf("grants = %v, want [1500 500]", grants)
 	}
 }
 
 func TestFairShareZeroRequests(t *testing.T) {
-	grants := FairShare{}.Allocate(1000, []Request{req(0, 0, 1), req(1, 0, 1)})
+	grants := FairShare{}.Allocate(nil, 1000, []Request{req(0, 0, 1), req(1, 0, 1)})
 	if grants[0] != 0 || grants[1] != 0 {
 		t.Errorf("grants = %v, want zeros", grants)
 	}
@@ -70,7 +70,7 @@ func TestFairShareZeroRequests(t *testing.T) {
 func TestGreedyRespectsBudgetAndRequests(t *testing.T) {
 	reqs := []Request{req(0, 4000, 3.0), req(1, 4000, 1.0), req(2, 4000, 2.0)}
 	budget := uint64(6000)
-	grants := Greedy{}.Allocate(budget, reqs)
+	grants := Greedy{}.Allocate(nil, budget, reqs)
 	if sumGrants(grants) > budget {
 		t.Fatalf("grants %v exceed budget", grants)
 	}
@@ -88,7 +88,7 @@ func TestGreedyRespectsBudgetAndRequests(t *testing.T) {
 func TestGreedyFloorForEveryone(t *testing.T) {
 	// Even the least sensitive core gets the bottom DVFS level.
 	reqs := []Request{req(0, 4000, 10), req(1, 4000, 0.1)}
-	grants := Greedy{}.Allocate(8000, reqs)
+	grants := Greedy{}.Allocate(nil, 8000, reqs)
 	if grants[1] < testLevels[0] {
 		t.Errorf("low-sensitivity core granted %d, want ≥ floor %d", grants[1], testLevels[0])
 	}
@@ -96,7 +96,7 @@ func TestGreedyFloorForEveryone(t *testing.T) {
 
 func TestGreedyTamperedZeroRequestStarves(t *testing.T) {
 	reqs := []Request{req(0, 0, 5.0), req(1, 4000, 1.0)}
-	grants := Greedy{}.Allocate(8000, reqs)
+	grants := Greedy{}.Allocate(nil, 8000, reqs)
 	if grants[0] != 0 {
 		t.Errorf("zeroed request granted %d, want 0", grants[0])
 	}
@@ -108,7 +108,7 @@ func TestDPOptimalOnSmallInstance(t *testing.T) {
 		{Core: 0, RequestMW: 4000, LevelsMW: []uint32{100, 200}, LevelValues: []float64{1, 10}},
 		{Core: 1, RequestMW: 4000, LevelsMW: []uint32{100, 200}, LevelValues: []float64{1, 2}},
 	}
-	grants := NewDPKnapsack(1).Allocate(300, reqs)
+	grants := NewDPKnapsack(1).Allocate(nil, 300, reqs)
 	// Best: core 0 at 200 (value 10) + core 1 at 100 (value 1) = 11.
 	if grants[0] != 200 || grants[1] != 100 {
 		t.Errorf("grants = %v, want [200 100]", grants)
@@ -129,7 +129,7 @@ func TestDPMatchesBruteForce(t *testing.T) {
 			}
 		}
 		budget := uint64(300 + rng.Intn(600))
-		grants := NewDPKnapsack(1).Allocate(budget, reqs)
+		grants := NewDPKnapsack(1).Allocate(nil, budget, reqs)
 		gotValue := 0.0
 		for i, g := range grants {
 			for li, lvl := range reqs[i].LevelsMW {
@@ -166,7 +166,7 @@ func TestDPMatchesBruteForce(t *testing.T) {
 func TestDPQuantisationNeverOvershoots(t *testing.T) {
 	reqs := []Request{req(0, 4000, 1), req(1, 4000, 1), req(2, 4000, 1)}
 	for _, budget := range []uint64{1000, 2555, 4001, 9999} {
-		grants := NewDPKnapsack(50).Allocate(budget, reqs)
+		grants := NewDPKnapsack(50).Allocate(nil, budget, reqs)
 		if sumGrants(grants) > budget {
 			t.Errorf("budget %d: grants %v overshoot", budget, grants)
 		}
@@ -174,7 +174,7 @@ func TestDPQuantisationNeverOvershoots(t *testing.T) {
 }
 
 func TestDPEmptyRequests(t *testing.T) {
-	if got := NewDPKnapsack(50).Allocate(1000, nil); len(got) != 0 {
+	if got := NewDPKnapsack(50).Allocate(nil, 1000, nil); len(got) != 0 {
 		t.Errorf("empty allocation = %v", got)
 	}
 }
@@ -188,7 +188,7 @@ func TestDPAllocsIndependentOfRequestCount(t *testing.T) {
 			reqs[i] = req(i, 4000, 1)
 		}
 		dp := NewDPKnapsack(100)
-		return testing.AllocsPerRun(20, func() { dp.Allocate(uint64(n)*2000, reqs) })
+		return testing.AllocsPerRun(20, func() { dp.Allocate(nil, uint64(n)*2000, reqs) })
 	}
 	if a8, a64 := allocs(8), allocs(64); a8 != a64 {
 		t.Errorf("Allocate: %v allocs for 8 requests, %v for 64; want equal", a8, a64)
@@ -206,7 +206,7 @@ func TestPIConvergesTowardRequests(t *testing.T) {
 	reqs := []Request{req(0, 2000, 1), req(1, 1000, 1)}
 	var grants []uint32
 	for epoch := 0; epoch < 20; epoch++ {
-		grants = pi.Allocate(10_000, reqs)
+		grants = pi.Allocate(nil, 10_000, reqs)
 	}
 	if grants[0] < 1900 || grants[1] < 900 {
 		t.Errorf("grants after convergence = %v, want near requests", grants)
@@ -217,7 +217,7 @@ func TestPISaturatesAtBudget(t *testing.T) {
 	pi := NewPIController(0.5)
 	reqs := []Request{req(0, 4000, 1), req(1, 4000, 1)}
 	for epoch := 0; epoch < 20; epoch++ {
-		grants := pi.Allocate(5000, reqs)
+		grants := pi.Allocate(nil, 5000, reqs)
 		if sumGrants(grants) > 5000 {
 			t.Fatalf("epoch %d: grants %v exceed budget", epoch, grants)
 		}
@@ -226,7 +226,7 @@ func TestPISaturatesAtBudget(t *testing.T) {
 
 func TestPIResetClearsState(t *testing.T) {
 	pi := NewPIController(0.5)
-	pi.Allocate(5000, []Request{req(0, 4000, 1)})
+	pi.Allocate(nil, 5000, []Request{req(0, 4000, 1)})
 	pi.Reset()
 	if len(pi.prev) != 0 {
 		t.Error("Reset must clear controller state")
@@ -261,16 +261,16 @@ func TestAttackWorksForEveryAllocator(t *testing.T) {
 				// Converge each scenario independently.
 				var cleanGrants, tamperedGrants []uint32
 				for i := 0; i < 30; i++ {
-					cleanGrants = pi.Allocate(budget, clean)
+					cleanGrants = pi.Allocate(nil, budget, clean)
 				}
 				pi.Reset()
 				for i := 0; i < 30; i++ {
-					tamperedGrants = pi.Allocate(budget, tampered)
+					tamperedGrants = pi.Allocate(nil, budget, tampered)
 				}
 				assertAttackHelps(t, cleanGrants, tamperedGrants)
 				return
 			}
-			assertAttackHelps(t, alloc.Allocate(budget, clean), alloc.Allocate(budget, tampered))
+			assertAttackHelps(t, alloc.Allocate(nil, budget, clean), alloc.Allocate(nil, budget, tampered))
 		})
 	}
 }
@@ -298,7 +298,7 @@ func TestAllocatorInvariants(t *testing.T) {
 		}
 		budget := uint64(500 + rng.Intn(20000))
 		for _, alloc := range All() {
-			grants := alloc.Allocate(budget, reqs)
+			grants := alloc.Allocate(nil, budget, reqs)
 			if len(grants) != n {
 				return false
 			}

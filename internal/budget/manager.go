@@ -2,7 +2,7 @@ package budget
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/noc"
 )
@@ -63,9 +63,17 @@ type Manager struct {
 	node     noc.NodeID
 	alloc    Allocator
 	budgetMW uint64
-	info     map[noc.NodeID]CoreInfo
-	pending  map[noc.NodeID]uint32
 	filter   RequestFilter
+	// info and pending are indexed by core ID: the OS-level knowledge and
+	// the request latched this epoch (npending of them are set).
+	info     []CoreInfo
+	pending  []latched
+	npending int
+	// reqs, grants and out are AllocateEpoch's buffers, reused every
+	// epoch.
+	reqs   []Request
+	grants []uint32
+	out    []Grant
 
 	// ReceivedTotal counts all POWER_REQ packets ever accepted.
 	ReceivedTotal uint64
@@ -79,22 +87,54 @@ type Manager struct {
 	RepairedTampered uint64
 }
 
+// latched is one core's request for the current epoch.
+type latched struct {
+	mw  uint32
+	set bool
+}
+
 // NewManager creates a global manager at node with the given allocator and
 // chip budget.
 func NewManager(node noc.NodeID, alloc Allocator, budgetMW uint64) (*Manager, error) {
+	m := new(Manager)
+	if err := m.Reset(node, alloc, budgetMW); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Reset returns m to the state NewManager(node, alloc, budgetMW) returns
+// — no core information, no pending requests, no filter, zero counters —
+// keeping its buffers for the next run.
+func (m *Manager) Reset(node noc.NodeID, alloc Allocator, budgetMW uint64) error {
 	if alloc == nil {
-		return nil, fmt.Errorf("budget: manager needs an allocator")
+		return fmt.Errorf("budget: manager needs an allocator")
 	}
 	if budgetMW == 0 {
-		return nil, fmt.Errorf("budget: manager needs a nonzero budget")
+		return fmt.Errorf("budget: manager needs a nonzero budget")
 	}
-	return &Manager{
+	*m = Manager{
 		node:     node,
 		alloc:    alloc,
 		budgetMW: budgetMW,
-		info:     make(map[noc.NodeID]CoreInfo),
-		pending:  make(map[noc.NodeID]uint32),
-	}, nil
+		info:     m.info[:0],
+		pending:  m.pending[:0],
+		reqs:     m.reqs[:0],
+		grants:   m.grants[:0],
+		out:      m.out[:0],
+	}
+	return nil
+}
+
+// cover returns s extended with zero values, if need be, to hold index i.
+func cover[T any](s []T, i int) []T {
+	n := len(s)
+	if i < n {
+		return s
+	}
+	s = slices.Grow(s, i+1-n)[:i+1]
+	clear(s[n:])
+	return s
 }
 
 // Node returns the manager's NoC node.
@@ -107,7 +147,10 @@ func (m *Manager) BudgetMW() uint64 { return m.budgetMW }
 func (m *Manager) Allocator() Allocator { return m.alloc }
 
 // SetCoreInfo registers OS-level knowledge for a core.
-func (m *Manager) SetCoreInfo(core noc.NodeID, info CoreInfo) { m.info[core] = info }
+func (m *Manager) SetCoreInfo(core noc.NodeID, info CoreInfo) {
+	m.info = cover(m.info, int(core))
+	m.info[core] = info
+}
 
 // SetFilter installs a request-integrity filter (nil clears).
 func (m *Manager) SetFilter(f RequestFilter) { m.filter = f }
@@ -129,7 +172,11 @@ func (m *Manager) HandleRequest(p *noc.Packet) {
 		}
 		value = use
 	}
-	m.pending[p.Src] = value
+	m.pending = cover(m.pending, int(p.Src))
+	if !m.pending[p.Src].set {
+		m.npending++
+	}
+	m.pending[p.Src] = latched{mw: value, set: true}
 	m.ReceivedTotal++
 	if p.Tampered {
 		m.TamperedTotal++
@@ -137,36 +184,39 @@ func (m *Manager) HandleRequest(p *noc.Packet) {
 }
 
 // PendingCount returns the number of cores with a request this epoch.
-func (m *Manager) PendingCount() int { return len(m.pending) }
+func (m *Manager) PendingCount() int { return m.npending }
 
 // AllocateEpoch runs the allocator over the epoch's requests, clears the
-// pending set, and returns the grants sorted by core ID.
+// pending set, and returns the grants sorted by core ID. The returned
+// slice is reused by the next AllocateEpoch; a caller that keeps grants
+// copies them.
 func (m *Manager) AllocateEpoch() []Grant {
-	if len(m.pending) == 0 {
+	if m.npending == 0 {
 		return nil
 	}
-	cores := make([]noc.NodeID, 0, len(m.pending))
-	for c := range m.pending {
-		cores = append(cores, c)
-	}
-	sort.Slice(cores, func(i, j int) bool { return cores[i] < cores[j] })
-
-	reqs := make([]Request, len(cores))
-	for i, c := range cores {
-		info := m.info[c]
-		reqs[i] = Request{
-			Core:        int(c),
-			RequestMW:   m.pending[c],
+	m.reqs, m.out = m.reqs[:0], m.out[:0]
+	for c, req := range m.pending {
+		if !req.set {
+			continue
+		}
+		var info CoreInfo
+		if c < len(m.info) {
+			info = m.info[c]
+		}
+		m.reqs = append(m.reqs, Request{
+			Core:        c,
+			RequestMW:   req.mw,
 			Sensitivity: info.Sensitivity,
 			LevelsMW:    info.LevelsMW,
 			LevelValues: info.LevelValues,
-		}
+		})
+		m.out = append(m.out, Grant{Core: noc.NodeID(c)})
+		m.pending[c] = latched{}
 	}
-	grants := m.alloc.Allocate(m.budgetMW, reqs)
-	out := make([]Grant, len(cores))
-	for i, c := range cores {
-		out[i] = Grant{Core: c, GrantMW: grants[i]}
+	m.npending = 0
+	m.grants = m.alloc.Allocate(m.grants[:0], m.budgetMW, m.reqs)
+	for i := range m.out {
+		m.out[i].GrantMW = m.grants[i]
 	}
-	clear(m.pending)
-	return out
+	return m.out
 }

@@ -198,8 +198,8 @@ func (r *dpReader) byte() byte {
 // FuzzDPOracle checks DPKnapsack's grants against the reference DP,
 // element by element, on fuzzed request sets (zero requests and requests
 // above the top level included), quantisation steps and budgets. Each
-// case runs twice: after a larger call on the same goroutine, whose
-// scratch the second call may reuse dirty, and on its own.
+// case runs twice: on a fresh table, and on the dirty table a larger call
+// (every request twice, over more than twice the budget) left behind.
 func FuzzDPOracle(f *testing.F) {
 	f.Add([]byte{0, 49, 100, 5})
 	f.Add([]byte{3, 0, 150, 2, 1, 0, 9, 2, 0, 20, 1, 0, 9, 2, 0, 20, 1, 0, 1, 3, 2, 200})
@@ -211,9 +211,12 @@ func FuzzDPOracle(f *testing.F) {
 		c := decodeDPCase(data)
 		want := oracleDP{QuantMW: c.quant}.Allocate(c.budget, c.reqs)
 		dp := NewDPKnapsack(c.quant)
+		fresh := dp.allocate(nil, c.budget, c.reqs, new(dpScratch))
+		dirty := new(dpScratch)
 		larger := append(append([]Request(nil), c.reqs...), c.reqs...)
-		dp.Allocate(2*c.budget+uint64(c.quant)*64, larger)
-		for pass, got := range [][]uint32{dp.Allocate(c.budget, c.reqs), NewDPKnapsack(c.quant).Allocate(c.budget, c.reqs)} {
+		dp.allocate(nil, 2*c.budget+uint64(c.quant)*64, larger, dirty)
+		reused := dp.allocate(nil, c.budget, c.reqs, dirty)
+		for pass, got := range [][]uint32{fresh, reused} {
 			if len(got) != len(want) {
 				t.Fatalf("pass %d: %d grants, reference %d", pass, len(got), len(want))
 			}

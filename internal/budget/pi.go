@@ -1,5 +1,7 @@
 package budget
 
+import "slices"
+
 // PIController is the control-theoretic allocator modelled on power-capping
 // controllers [12]. Each core's grant tracks its request through a
 // proportional term; when the tracked grants overshoot the chip budget they
@@ -9,6 +11,7 @@ type PIController struct {
 	// Kp is the proportional gain in (0, 1].
 	Kp   float64
 	prev map[int]float64
+	raw  []float64 // Allocate's tracked grants, reused across calls
 }
 
 var _ Allocator = (*PIController)(nil)
@@ -32,13 +35,14 @@ func (c *PIController) Reset() { c.prev = make(map[int]float64) }
 func (c *PIController) CloneAllocator() Allocator { return NewPIController(c.Kp) }
 
 // Allocate implements Allocator.
-func (c *PIController) Allocate(budgetMW uint64, reqs []Request) []uint32 {
-	grants := make([]uint32, len(reqs))
+func (c *PIController) Allocate(dst []uint32, budgetMW uint64, reqs []Request) []uint32 {
+	dst, grants := extend(dst, len(reqs))
 	if len(reqs) == 0 {
-		return grants
+		return dst
 	}
 	// Proportional tracking toward each (possibly tampered) request.
-	raw := make([]float64, len(reqs))
+	raw := slices.Grow(c.raw[:0], len(reqs))[:len(reqs)]
+	c.raw = raw
 	var total float64
 	for i, r := range reqs {
 		p, ok := c.prev[r.Core]
@@ -65,5 +69,5 @@ func (c *PIController) Allocate(budgetMW uint64, reqs []Request) []uint32 {
 		grants[i] = uint32(g)
 		c.prev[r.Core] = raw[i] * scale
 	}
-	return grants
+	return dst
 }
