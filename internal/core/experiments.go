@@ -157,8 +157,10 @@ func OptimalVsRandom(ctx context.Context, cfg Config, mixName string, threads, n
 	// vary in ρ and η, and a model fitted on them extrapolates wildly.
 	gmCoord := mesh.Coord(gm)
 	placements := make([]attack.Placement, 0, samples+12)
+	rng := trialRNGs.Get().(*rand.Rand)
+	defer trialRNGs.Put(rng)
 	for i := 0; i < samples; i++ {
-		rng := rand.New(rand.NewSource(exp.TrialSeed(seed, i)))
+		rng.Seed(exp.TrialSeed(seed, i))
 		placement, err := attack.RandomPlacement(mesh, nHTs, rng, gm)
 		if err != nil {
 			return nil, err

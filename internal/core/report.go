@@ -75,7 +75,9 @@ type Report struct {
 	TrojanFeatures attack.Features
 }
 
-// report assembles the Report after a campaign finished.
+// report assembles the Report after a campaign finished. The report
+// takes the trace over and copies everything else, so it aliases nothing
+// the run's next reset rewrites.
 func (r *run) report(sc Scenario) (*Report, error) {
 	cfg := r.sys.cfg
 	rep := &Report{
@@ -88,16 +90,14 @@ func (r *run) report(sc Scenario) (*Report, error) {
 		RepairedTampered:  r.manager.RepairedTampered,
 		Epochs:            r.trace,
 	}
+	r.trace = nil
 	if r.voter != nil {
 		rep.DualPathPairs = r.voter.Pairs
 		rep.DualPathMismatches = r.voter.Mismatches
 		rep.DualPathUnpaired = r.voter.Unpaired
 	}
-	freqs := make([]float64, cfg.Power.NumLevels())
-	for i := range freqs {
-		freqs[i] = cfg.Power.Freq(i)
-	}
-	var sources []noc.NodeID
+	rep.Apps = make([]AppResult, 0, len(r.apps))
+	sources := r.sources[:0]
 	for _, app := range r.apps {
 		theta := 0.0
 		avgLevel := 0.0
@@ -110,7 +110,7 @@ func (r *run) report(sc Scenario) (*Report, error) {
 			}
 		}
 		avgLevel /= float64(len(app.cores))
-		phi := app.profile.Sensitivity(freqs, r.memLatNs)
+		phi := app.profile.Sensitivity(r.freqs, r.memLatNs)
 		rep.Apps = append(rep.Apps, AppResult{
 			Name:     app.spec.Name,
 			Role:     app.spec.Role,
@@ -121,6 +121,7 @@ func (r *run) report(sc Scenario) (*Report, error) {
 		})
 		sources = append(sources, app.cores...)
 	}
+	r.sources = sources
 	if r.fleet != nil {
 		rep.Trojan = r.fleet.TotalStats()
 		rep.InfectionPredicted = metrics.InfectionRateXY(r.sys.mesh, r.sys.gm, sc.Trojans.Infected(), sources)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/attack"
 	"repro/internal/exp"
@@ -86,7 +87,8 @@ func InfectionCurve(size int, htCounts []int, trials int) InfectionTrials {
 				return 0, nil
 			}
 			manager := managers[s]
-			rng := rand.New(rand.NewSource(seed))
+			rng := trialRNG(seed)
+			defer trialRNGs.Put(rng)
 			placement, err := attack.RandomPlacement(mesh, m, rng, manager)
 			if err != nil {
 				return 0, err
@@ -122,7 +124,8 @@ func Distribution(sizes []int, denominator, trials int) InfectionTrials {
 			}
 			manager := mesh.Center()
 			m := max(sizes[p]/denominator, 1)
-			rng := rand.New(rand.NewSource(seed))
+			rng := trialRNG(seed)
+			defer trialRNGs.Put(rng)
 			var placement attack.Placement
 			switch s {
 			case 0:
@@ -142,6 +145,19 @@ func Distribution(sizes []int, denominator, trials int) InfectionTrials {
 		t.err = fmt.Errorf("core: invalid denominator %d", denominator)
 	}
 	return t
+}
+
+// trialRNGs pools the trials' random sources. Re-seeding a source in
+// place yields exactly the sequence of rand.New(rand.NewSource(seed)),
+// without allocating one per trial.
+var trialRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
+// trialRNG returns a pooled source seeded with seed; the caller puts it
+// back in trialRNGs once the trial is done with it.
+func trialRNG(seed int64) *rand.Rand {
+	rng := trialRNGs.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
 }
 
 // Space is the number of cells in the flat trial space.

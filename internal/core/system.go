@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
+	"sync"
 
 	"repro/internal/budget"
 	"repro/internal/defense"
@@ -16,8 +16,9 @@ import (
 	"repro/internal/workload"
 )
 
-// System is a configured chip ready to run campaigns. Each Run builds a
-// fresh simulation state, so one System can evaluate many scenarios.
+// System is a configured chip ready to run campaigns. Each run resets a
+// simulation state in place (see run), so one System can evaluate many
+// scenarios, concurrently too.
 type System struct {
 	cfg  Config
 	mesh noc.Mesh
@@ -65,15 +66,23 @@ type appState struct {
 	spec    AppSpec
 	profile workload.Profile
 	cores   []noc.NodeID
+	values  []float64 // expected throughput per DVFS level, for the manager
 }
 
-// run is the per-campaign simulation state.
+// run is the per-campaign simulation state. Its lifecycle: setup takes
+// one from runPool and resets it in place for the scenario, runCampaign
+// returns it to the pool only after building the report — which aliases
+// nothing the next run rewrites (the trace is handed over, not reused) —
+// and a failed or cancelled run is dropped. Everything a run keeps across
+// resets (the network's slabs, the manager's buffers, the packet slab,
+// the address streams and their sources, the delivery handler) is state
+// the next reset overwrites before reading.
 type run struct {
 	sys     *System
-	kernel  *sim.Kernel
-	net     *noc.Network
-	memsys  *mem.System
-	manager *budget.Manager
+	kernel  sim.Kernel
+	net     noc.Network
+	memsys  *mem.System // built fresh for each cache-traffic run
+	manager budget.Manager
 	fleet   *trojan.Fleet
 
 	cores     []coreState
@@ -88,6 +97,65 @@ type run struct {
 	prevMissCount, prevMissLat uint64
 	// last seen manager counters, for per-epoch trace deltas
 	prevReceived, prevTampered, prevFlagged uint64
+
+	// Kept across resets: the run's POWER_REQ, POWER_GRANT and CONFIG_CMD
+	// packets; the delivery handler every node is attached to, bound
+	// once; the per-node address streams (cores[i].stream points into
+	// it), each with its own source; the placement, the CONFIG_CMD agent
+	// ranges, the DVFS frequency and power tables, and the report's
+	// source cores.
+	packets  packetSlab
+	deliver  noc.Handler
+	streams  []mem.AddressStream
+	placed   [][]noc.NodeID
+	ranges   []uint32
+	freqs    []float64
+	levelsMW []uint32
+	sources  []noc.NodeID
+}
+
+// runPool holds the state of finished runs for the next setup.
+var runPool = sync.Pool{New: func() any { return new(run) }}
+
+// packetChunk is the number of packets in one packetSlab chunk.
+const packetChunk = 256
+
+// packetSlab hands out a run's own packets from fixed-size chunks, so a
+// packet never moves while the network holds it. A delivered packet goes
+// back on the free list; rewind makes every packet available again, once
+// the network holds none (at reset).
+type packetSlab struct {
+	chunks []*[packetChunk]noc.Packet
+	used   int // packets handed out of the chunks since the last rewind
+	free   []*noc.Packet
+}
+
+// take returns a slab packet holding p.
+func (s *packetSlab) take(p noc.Packet) *noc.Packet {
+	var slot *noc.Packet
+	if k := len(s.free); k > 0 {
+		slot = s.free[k-1]
+		s.free = s.free[:k-1]
+	} else {
+		c := s.used / packetChunk
+		if c == len(s.chunks) {
+			s.chunks = append(s.chunks, new([packetChunk]noc.Packet))
+		}
+		slot = &s.chunks[c][s.used%packetChunk]
+		s.used++
+	}
+	*slot = p
+	return slot
+}
+
+// release returns a delivered packet for reuse.
+func (s *packetSlab) release(p *noc.Packet) { s.free = append(s.free, p) }
+
+// rewind makes every packet of the slab available again.
+func (s *packetSlab) rewind() {
+	s.used = 0
+	clear(s.free)
+	s.free = s.free[:0]
 }
 
 var _ mem.Env = (*run)(nil)
@@ -127,7 +195,8 @@ func (s *System) mergeObserver(obs Observer) Observer {
 }
 
 // runCampaign is the epoch loop behind RunContext; obs is the final,
-// already-merged observer (nil streams nothing).
+// already-merged observer (nil streams nothing). It runs on state from
+// runPool and returns the state only after a complete run.
 func (s *System) runCampaign(ctx context.Context, sc Scenario, obs Observer) (*Report, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -136,14 +205,26 @@ func (s *System) runCampaign(ctx context.Context, sc Scenario, obs Observer) (*R
 	if err != nil {
 		return nil, err
 	}
+	rep, err := r.campaign(ctx, sc, obs)
+	if err != nil {
+		// A failed or cancelled run stopped anywhere; drop its state.
+		return nil, err
+	}
+	runPool.Put(r)
+	return rep, nil
+}
+
+// campaign runs the set-up scenario's epochs and builds its report.
+func (r *run) campaign(ctx context.Context, sc Scenario, obs Observer) (*Report, error) {
+	cfg := r.sys.cfg
 	active := false
-	for epoch := 0; epoch < s.cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		wantActive := sc.dutyActive(epoch)
 		if r.fleet != nil && (epoch == 0 || wantActive != active) {
-			r.broadcastConfig(sc, wantActive)
+			r.broadcastConfig(wantActive)
 			// The attacker configures ahead of the epoch's request wave:
 			// let the broadcast drain before budget traffic starts.
 			r.drain()
@@ -155,7 +236,7 @@ func (s *System) runCampaign(ctx context.Context, sc Scenario, obs Observer) (*R
 		}
 		grants := r.deliverGrants()
 		r.updateMemLatency()
-		if epoch >= s.cfg.WarmupEpochs {
+		if epoch >= cfg.WarmupEpochs {
 			r.accountEpoch()
 		}
 		r.recordEpoch(epoch, active)
@@ -207,9 +288,18 @@ func (s *System) RunPairContext(ctx context.Context, sc Scenario, obs Observer) 
 // returned slice has one core list per app. This is the exact assignment a
 // Run will use.
 func (s *System) PlaceApps(sc Scenario) ([][]noc.NodeID, error) {
-	out := make([][]noc.NodeID, len(sc.Apps))
+	return s.placeApps(sc, nil)
+}
+
+// placeApps is PlaceApps over out's storage.
+func (s *System) placeApps(sc Scenario, out [][]noc.NodeID) ([][]noc.NodeID, error) {
+	if cap(out) < len(sc.Apps) {
+		out = append(out[:cap(out)], make([][]noc.NodeID, len(sc.Apps)-cap(out))...)
+	}
+	out = out[:len(sc.Apps)]
 	next := noc.NodeID(0)
 	for ai, spec := range sc.Apps {
+		out[ai] = out[ai][:0]
 		for t := 0; t < spec.Threads && int(next) < s.mesh.Nodes(); t++ {
 			if next == s.gm {
 				next++
@@ -243,33 +333,48 @@ func (s Scenario) dutyActive(epoch int) bool {
 	return epoch%period < s.DutyOnEpochs
 }
 
-// setup builds the simulation state for one campaign.
+// setup takes a run state from runPool and resets it for one campaign.
 func (s *System) setup(sc Scenario) (*run, error) {
-	kernel := sim.NewKernel()
-	net, err := noc.New(s.mesh, s.cfg.NoC)
-	if err != nil {
+	r := runPool.Get().(*run)
+	if err := r.reset(s, sc); err != nil {
 		return nil, err
+	}
+	return r, nil
+}
+
+// reset makes r the state of a fresh campaign of sc on s, reusing what
+// r kept from its previous run (see run).
+func (r *run) reset(s *System, sc Scenario) error {
+	r.kernel.Reset()
+	if err := r.net.Reset(s.mesh, s.cfg.NoC); err != nil {
+		return err
 	}
 	// Stateful allocators and filters are cloned per run: runs stay
 	// independent (no cross-run contamination between an attacked run and
 	// its baseline) and RunPairContext may execute them concurrently.
-	manager, err := budget.NewManager(s.gm, budget.CloneAllocator(s.cfg.Allocator), s.cfg.ChipBudgetMW())
-	if err != nil {
-		return nil, err
+	if err := r.manager.Reset(s.gm, budget.CloneAllocator(s.cfg.Allocator), s.cfg.ChipBudgetMW()); err != nil {
+		return err
 	}
-	r := &run{
-		sys:      s,
-		kernel:   kernel,
-		net:      net,
-		manager:  manager,
-		memLatNs: s.cfg.BaselineMemLatencyNs,
-		cores:    make([]coreState, s.mesh.Nodes()),
+	r.packets.rewind()
+	if r.deliver == nil {
+		r.deliver = r.handlePacket
 	}
+	r.sys = s
+	r.memsys, r.fleet, r.voter = nil, nil, nil
+	r.infection = metrics.InfectionCounter{}
+	r.memLatNs = s.cfg.BaselineMemLatencyNs
+	r.trace = make([]EpochRecord, 0, s.cfg.Epochs)
+	r.prevMissCount, r.prevMissLat = 0, 0
+	r.prevReceived, r.prevTampered, r.prevFlagged = 0, 0, 0
+	nodes := s.mesh.Nodes()
+	r.cores = sized(r.cores, nodes)
+	var err error
 	if s.cfg.MemTraffic {
 		r.memsys, err = mem.NewSystem(s.mesh, s.cfg.Mem, r)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		r.streams = sized(r.streams, nodes)
 	}
 
 	// Contiguous thread placement, attackers first in scenario order,
@@ -277,27 +382,29 @@ func (s *System) setup(sc Scenario) (*run, error) {
 	for i := range r.cores {
 		r.cores[i] = coreState{node: noc.NodeID(i), app: -1}
 	}
-	placed, err := s.PlaceApps(sc)
+	r.placed, err = s.placeApps(sc, r.placed)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	r.apps = sized(r.apps, len(sc.Apps))
 	for ai, spec := range sc.Apps {
 		profile, err := workload.ByName(spec.Name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		app := appState{spec: spec, profile: profile, cores: placed[ai]}
+		app := &r.apps[ai]
+		app.spec, app.profile, app.cores = spec, profile, r.placed[ai]
 		for t, node := range app.cores {
 			cs := &r.cores[node]
 			cs.app = ai
 			// Only cache traffic reads the address stream; a budget-only
 			// run leaves it nil rather than seed a source nothing draws from.
 			if r.memsys != nil {
-				cs.stream = mem.NewAddressStream(ai, t, profile.WorkingSetLines, profile.WriteFraction,
-					rand.New(rand.NewSource(s.cfg.Seed+int64(node)*7919+int64(ai))))
+				cs.stream = &r.streams[node]
+				cs.stream.Reset(ai, t, profile.WorkingSetLines, profile.WriteFraction,
+					s.cfg.Seed+int64(node)*7919+int64(ai))
 			}
 		}
-		r.apps = append(r.apps, app)
 	}
 
 	// The hacker's control core: the first node that is not the manager.
@@ -307,17 +414,18 @@ func (s *System) setup(sc Scenario) (*run, error) {
 	}
 
 	// Manager-side OS knowledge and initial DVFS levels.
-	freqs := make([]float64, s.cfg.Power.NumLevels())
-	for i := range freqs {
-		freqs[i] = s.cfg.Power.Freq(i)
+	pw := s.cfg.Power
+	r.freqs, r.levelsMW = r.freqs[:0], r.levelsMW[:0]
+	for i := 0; i < pw.NumLevels(); i++ {
+		r.freqs = append(r.freqs, pw.Freq(i))
+		r.levelsMW = append(r.levelsMW, pw.PowerMW(i))
 	}
-	levelsMW := s.cfg.Power.LevelsMW()
 	for ai := range r.apps {
 		app := &r.apps[ai]
-		phi := app.profile.Sensitivity(freqs, s.cfg.BaselineMemLatencyNs)
-		values := make([]float64, len(freqs))
-		for i, f := range freqs {
-			values[i] = app.profile.Throughput(f, s.cfg.BaselineMemLatencyNs)
+		phi := app.profile.Sensitivity(r.freqs, s.cfg.BaselineMemLatencyNs)
+		app.values = app.values[:0]
+		for _, f := range r.freqs {
+			app.values = append(app.values, app.profile.Throughput(f, s.cfg.BaselineMemLatencyNs))
 		}
 		for _, c := range app.cores {
 			// Cores boot at the lowest DVFS level and ramp up through the
@@ -326,11 +434,14 @@ func (s *System) setup(sc Scenario) (*run, error) {
 			// at the floor — a genuine denial of service.
 			r.cores[c].level = 0
 			r.setRate(&r.cores[c])
-			manager.SetCoreInfo(c, budget.CoreInfo{Sensitivity: phi, LevelsMW: levelsMW, LevelValues: values})
+			r.manager.SetCoreInfo(c, budget.CoreInfo{Sensitivity: phi, LevelsMW: r.levelsMW, LevelValues: app.values})
 		}
 	}
 
-	// Trojan fleet and NoC delivery plumbing.
+	// Trojan fleet and NoC delivery plumbing. CONFIG_CMD packets share
+	// one options field: each attacker application's (base, count) core
+	// range — contiguous placement gives one per app.
+	r.ranges = r.ranges[:0]
 	if sc.HasTrojans() {
 		strategy := sc.Strategy
 		if strategy == nil {
@@ -338,30 +449,46 @@ func (s *System) setup(sc Scenario) (*run, error) {
 		}
 		r.fleet, err = trojan.NewFleet(sc.Trojans.Nodes, strategy)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if sc.Mode != 0 {
 			if err := r.fleet.SetMode(sc.Mode); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		net.SetInspector(r.fleet)
+		r.net.SetInspector(r.fleet)
+		for _, app := range r.apps {
+			if app.spec.Role == RoleAttacker && len(app.cores) > 0 {
+				r.ranges = append(r.ranges, uint32(app.cores[0]), uint32(len(app.cores)))
+			}
+		}
 	}
 	if s.cfg.Filter != nil {
-		manager.SetFilter(budget.CloneFilter(s.cfg.Filter))
+		r.manager.SetFilter(budget.CloneFilter(s.cfg.Filter))
 	}
 	if s.cfg.DualPathRequests {
 		r.voter = defense.NewDualPathVoter()
 	}
-	for id := noc.NodeID(0); id < noc.NodeID(s.mesh.Nodes()); id++ {
-		id := id
-		net.Attach(id, func(p *noc.Packet) { r.handlePacket(id, p) })
+	for id := noc.NodeID(0); id < noc.NodeID(nodes); id++ {
+		r.net.Attach(id, r.deliver)
 	}
-	return r, nil
+	return nil
 }
 
-// handlePacket dispatches a delivered packet at node id.
-func (r *run) handlePacket(id noc.NodeID, p *noc.Packet) {
+// sized returns s with length n, reusing its backing array when the
+// capacity suffices; the elements keep whatever they held.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// handlePacket dispatches a packet delivered at its destination node.
+// The run's own packets go back to the slab once handled: nothing keeps
+// a delivered packet.
+func (r *run) handlePacket(p *noc.Packet) {
+	id := p.Dst
 	switch p.Type {
 	case noc.TypePowerReq:
 		if id == r.sys.gm {
@@ -374,9 +501,9 @@ func (r *run) handlePacket(id noc.NodeID, p *noc.Packet) {
 						Payload: final, Tampered: tamperedAny,
 					})
 				}
-				return
+			} else {
+				r.manager.HandleRequest(p)
 			}
-			r.manager.HandleRequest(p)
 		}
 	case noc.TypePowerGrant:
 		level, _ := r.sys.cfg.Power.LevelForBudget(float64(p.Payload) / 1000)
@@ -389,27 +516,21 @@ func (r *run) handlePacket(id noc.NodeID, p *noc.Packet) {
 		if r.memsys != nil {
 			r.memsys.HandlePacket(p)
 		}
+		return
 	}
+	r.packets.release(p)
 }
 
 // broadcastConfig sends the Fig 1(b) CONFIG_CMD from the hacker's core to
 // every node, carrying the manager ID, the activation signal, and the
 // attacker applications' core ranges in the options field.
-func (r *run) broadcastConfig(sc Scenario, active bool) {
-	var ranges []uint32
-	for _, app := range r.apps {
-		if app.spec.Role != RoleAttacker || len(app.cores) == 0 {
-			continue
-		}
-		// Contiguous placement: one (base, count) per attacker app.
-		ranges = append(ranges, uint32(app.cores[0]), uint32(len(app.cores)))
-	}
+func (r *run) broadcastConfig(active bool) {
 	for id := noc.NodeID(0); id < noc.NodeID(r.sys.mesh.Nodes()); id++ {
-		p := &noc.Packet{
+		p := r.packets.take(noc.Packet{
 			Src: r.hacker, Dst: id, Type: noc.TypeConfigCmd,
 			Payload: noc.ConfigWord(r.sys.gm, active),
-			Options: ranges,
-		}
+			Options: r.ranges,
+		})
 		if err := r.net.Inject(p); err != nil {
 			panic(fmt.Sprintf("core: config broadcast: %v", err))
 		}
@@ -435,7 +556,7 @@ func (r *run) sendPowerRequests(epoch int) {
 		}
 		for _, c := range app.cores {
 			for class := 0; class < classes; class++ {
-				p := &noc.Packet{Src: c, Dst: r.sys.gm, Type: noc.TypePowerReq, Payload: ask, Class: class}
+				p := r.packets.take(noc.Packet{Src: c, Dst: r.sys.gm, Type: noc.TypePowerReq, Payload: ask, Class: class})
 				if err := r.net.Inject(p); err != nil {
 					panic(fmt.Sprintf("core: power request: %v", err))
 				}
@@ -508,7 +629,7 @@ func (r *run) deliverGrants() int {
 	}
 	grants := r.manager.AllocateEpoch()
 	for _, g := range grants {
-		p := &noc.Packet{Src: r.sys.gm, Dst: g.Core, Type: noc.TypePowerGrant, Payload: g.GrantMW}
+		p := r.packets.take(noc.Packet{Src: r.sys.gm, Dst: g.Core, Type: noc.TypePowerGrant, Payload: g.GrantMW})
 		if err := r.net.Inject(p); err != nil {
 			panic(fmt.Sprintf("core: grant: %v", err))
 		}

@@ -31,6 +31,26 @@ const regionBits = 14 // max 16384 lines per region
 // appIdx. workingSetLines is clamped to the 14-bit region size; writeFrac
 // is the probability that an access is a write.
 func NewAddressStream(appIdx, threadIdx, workingSetLines int, writeFrac float64, rng *rand.Rand) *AddressStream {
+	s := makeAddressStream(appIdx, threadIdx, workingSetLines, writeFrac, rng)
+	return &s
+}
+
+// Reset makes s the stream NewAddressStream builds over
+// rand.New(rand.NewSource(seed)), re-seeding the source s already owns in
+// place — the same sequence without a new source — or making one the
+// first time.
+func (s *AddressStream) Reset(appIdx, threadIdx, workingSetLines int, writeFrac float64, seed int64) {
+	rng := s.rng
+	if rng == nil {
+		rng = rand.New(rand.NewSource(seed))
+	} else {
+		rng.Seed(seed)
+	}
+	*s = makeAddressStream(appIdx, threadIdx, workingSetLines, writeFrac, rng)
+}
+
+// makeAddressStream is NewAddressStream by value.
+func makeAddressStream(appIdx, threadIdx, workingSetLines int, writeFrac float64, rng *rand.Rand) AddressStream {
 	lines := uint64(workingSetLines)
 	if lines < 1 {
 		lines = 1
@@ -39,7 +59,7 @@ func NewAddressStream(appIdx, threadIdx, workingSetLines int, writeFrac float64,
 		lines = 1 << regionBits
 	}
 	base := uint64(appIdx+1) << 24
-	return &AddressStream{
+	return AddressStream{
 		rng:        rng,
 		shared:     base, // region slot 0
 		private:    base | uint64(threadIdx+1)<<regionBits,

@@ -153,6 +153,9 @@ type System struct {
 	cfg   Config
 	env   Env
 	nodes []*nodeState
+	// freeMSHRs holds retired MSHR entries, their waiter lists truncated,
+	// for the next miss.
+	freeMSHRs []*mshrEntry
 }
 
 // NewSystem builds the hierarchy over mesh.
@@ -227,7 +230,10 @@ func (s *System) Issue(node noc.NodeID, addr uint64, write bool) bool {
 		}
 		return false
 	}
-	ns.mshr[addr] = &mshrEntry{write: write, waiters: []waiter{{issuedAt: s.env.Now(), write: write}}}
+	e := s.takeMSHR()
+	e.write = write
+	e.waiters = append(e.waiters, waiter{issuedAt: s.env.Now(), write: write})
+	ns.mshr[addr] = e
 	kind := reqGetS
 	if write {
 		kind = reqGetX
@@ -459,4 +465,17 @@ func (s *System) completeMiss(node noc.NodeID, addr uint64, grant LineState) {
 		ns.stats.MissesCompleted++
 		ns.stats.MissLatencySum += now - w.issuedAt
 	}
+	e.waiters = e.waiters[:0]
+	s.freeMSHRs = append(s.freeMSHRs, e)
+}
+
+// takeMSHR returns an MSHR entry with no waiters, recycled when one is
+// free.
+func (s *System) takeMSHR() *mshrEntry {
+	if k := len(s.freeMSHRs); k > 0 {
+		e := s.freeMSHRs[k-1]
+		s.freeMSHRs = s.freeMSHRs[:k-1]
+		return e
+	}
+	return &mshrEntry{}
 }

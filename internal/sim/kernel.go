@@ -43,6 +43,13 @@ type Kernel struct {
 // only on the schedule, so the same schedule always fires identically.
 func NewKernel() *Kernel { return &Kernel{} }
 
+// Reset returns k to the state NewKernel returns — cycle 0, no events —
+// keeping the queue's storage for the next run.
+func (k *Kernel) Reset() {
+	clear(k.queue)
+	*k = Kernel{queue: k.queue[:0]}
+}
+
 // Now returns the current simulation cycle.
 func (k *Kernel) Now() uint64 { return k.now }
 
