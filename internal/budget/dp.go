@@ -1,6 +1,9 @@
 package budget
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // DPKnapsack is the dynamic-programming allocator modelled on fine-grained
 // runtime power budgeting [9]. It solves a multiple-choice knapsack: each
@@ -75,8 +78,14 @@ func (d DPKnapsack) allocate(dst []uint32, budgetMW uint64, reqs []Request, sc *
 
 	// Core i's candidate (power, value) pairs are choices[first[i]:first[i+1]]:
 	// every level at or below the core's request, or the bare request when
-	// no level fits (a starved core runs on whatever it was granted).
-	choices := sc.choices[:0]
+	// no level fits (a starved core runs on whatever it was granted). The
+	// table lives in a few flat slices, so even a fresh table allocates
+	// as often for many requests as for few.
+	size := 0
+	for _, r := range reqs {
+		size += 1 + len(r.LevelsMW)
+	}
+	choices := slices.Grow(sc.choices[:0], size)
 	first := sized(sc.first, len(reqs)+1)
 	for i, r := range reqs {
 		first[i] = len(choices)
