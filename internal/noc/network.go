@@ -440,8 +440,9 @@ func resizeNIs(nis []nodeNI, k int) []nodeNI {
 }
 
 // reclaimFlits returns to the pool every flit the network still holds —
-// in source queues, input-VC rings and the link pipeline — and clears
-// the link pipeline's slots, ahead of a Reset that zeroes the rest.
+// in source queues, input-VC rings and the link pipeline — and empties
+// the queues and the link pipeline's slots, ahead of a Reset that zeroes
+// the rest.
 func (n *Network) reclaimFlits() {
 	for i := range n.nis {
 		ni := &n.nis[i]
@@ -451,10 +452,9 @@ func (n *Network) reclaimFlits() {
 		clear(ni.queue)
 		n.nis[i] = nodeNI{queue: ni.queue[:0]}
 	}
-	for i, f := range n.flitSlab {
+	for _, f := range n.flitSlab {
 		if f != nil {
 			n.freeFlit(f)
-			n.flitSlab[i] = nil
 		}
 	}
 	for k := 0; k < n.inflLen; k++ {
