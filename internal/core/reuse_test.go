@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -37,7 +38,7 @@ type reuseCase struct {
 	sc  Scenario
 }
 
-// decodeReuseCase reads one campaign from 12 bytes: size (16, 36 or 64
+// decodeReuseCase reads one campaign from 13 bytes: size (16, 36 or 64
 // cores), mix, threads per application, placement, HT count (0 is the
 // clean baseline), allocator, defense, cache traffic, epochs and warm-up,
 // attack class, seed, and epoch length.
@@ -119,10 +120,10 @@ func reportJSON(t *testing.T, rep *Report) []byte {
 // marshal byte-identically, and A's report must not change when B
 // reuses A's state: a report aliases nothing the next reset rewrites.
 func FuzzRunReuse(f *testing.F) {
-	f.Add([]byte{2, 0, 7, 3, 9, 0, 0, 0, 4, 0, 1, 0, 1, 1, 3, 1, 2, 2, 1, 1, 2, 0, 5, 1})
-	f.Add([]byte{0, 1, 2, 0, 3, 2, 1, 1, 2, 1, 3, 2, 2, 0, 9, 2, 14, 1, 3, 0, 4, 0, 8, 0})
-	f.Add([]byte{1, 2, 4, 1, 6, 3, 4, 0, 3, 2, 5, 1, 2, 3, 5, 3, 10, 0, 6, 1, 1, 2, 2, 2})
-	f.Add([]byte{2, 3, 1, 2, 12, 1, 5, 1, 4, 0, 7, 2, 1, 1, 1, 0, 0, 3, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{2, 0, 7, 3, 9, 0, 0, 0, 4, 0, 1, 0, 1, 1, 1, 3, 1, 2, 2, 1, 1, 2, 0, 5, 1, 2})
+	f.Add([]byte{0, 1, 2, 0, 3, 2, 1, 1, 2, 1, 3, 2, 2, 2, 0, 9, 2, 14, 1, 3, 0, 4, 0, 8, 0, 1})
+	f.Add([]byte{1, 2, 4, 1, 6, 3, 4, 0, 3, 2, 5, 1, 0, 2, 3, 5, 3, 10, 0, 6, 1, 1, 2, 2, 2, 0})
+	f.Add([]byte{2, 3, 1, 2, 12, 1, 5, 1, 4, 0, 7, 2, 1, 1, 1, 1, 0, 0, 3, 0, 0, 0, 0, 0, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := reuseReader{data}
 		a, b := decodeReuseCase(t, &r), decodeReuseCase(t, &r)
@@ -209,10 +210,10 @@ func TestReseedMatchesFreshSource(t *testing.T) {
 // report must equal the one a fresh state gives (run it under -race).
 func TestConcurrentPooledRuns(t *testing.T) {
 	inputs := [][]byte{
-		{2, 0, 7, 3, 9, 0, 0, 0, 4, 0, 1, 0},
-		{0, 1, 2, 0, 3, 2, 1, 1, 2, 1, 3, 2},
-		{1, 2, 4, 1, 6, 3, 4, 0, 3, 2, 5, 1},
-		{2, 3, 1, 2, 12, 1, 5, 0, 4, 0, 7, 2},
+		{2, 0, 7, 3, 9, 0, 0, 0, 4, 0, 1, 0, 1},
+		{0, 1, 2, 0, 3, 2, 1, 1, 2, 1, 3, 2, 2},
+		{1, 2, 4, 1, 6, 3, 4, 0, 3, 2, 5, 1, 0},
+		{2, 3, 1, 2, 12, 1, 5, 0, 4, 0, 7, 2, 1},
 	}
 	cases := make([]reuseCase, len(inputs))
 	want := make([][]byte, len(inputs))
@@ -234,7 +235,7 @@ func TestConcurrentPooledRuns(t *testing.T) {
 					return
 				}
 				if b, _ := json.Marshal(rep); !bytes.Equal(b, want[i]) {
-					errs <- "case " + string(rune('0'+i)) + ": pooled report differs from the fresh one"
+					errs <- fmt.Sprintf("case %d: pooled report differs from the fresh one", i)
 				}
 			}
 		}(g)
