@@ -153,9 +153,7 @@ func (s *packetSlab) release(p *noc.Packet) { s.free = append(s.free, p) }
 
 // rewind makes every packet of the slab available again.
 func (s *packetSlab) rewind() {
-	s.used = 0
-	clear(s.free)
-	s.free = s.free[:0]
+	s.used, s.free = 0, s.free[:0]
 }
 
 var _ mem.Env = (*run)(nil)
