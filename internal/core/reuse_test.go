@@ -144,7 +144,11 @@ func FuzzRunReuse(f *testing.F) {
 // returned its state to the pool, a budget-only campaign allocates as
 // often over 20 epochs as over 5, under fair share and under the DP. The
 // test holds one P and stops the collector, so the pool hands each run
-// the state the previous one returned.
+// the state the previous one returned. The runtime fills its
+// type-assertion caches at random call counts, which can add a stray
+// allocation to any one run; AllocsPerRun's average over ten runs,
+// rounded down, leaves those out and still counts one allocation per
+// run, let alone per epoch.
 func TestEpochLoopAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items at random")
@@ -156,7 +160,7 @@ func TestEpochLoopAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mallocs := func(epochs int) uint64 {
+		allocs := func(epochs int) float64 {
 			cfg := fastConfig()
 			cfg.Allocator = alloc
 			cfg.Epochs = epochs
@@ -170,17 +174,15 @@ func TestEpochLoopAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			sc := fastScenario(t, ring)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			if _, err := s.RunContext(context.Background(), sc, nil); err != nil {
-				t.Fatal(err)
-			}
-			runtime.ReadMemStats(&after)
-			return after.Mallocs - before.Mallocs
+			return testing.AllocsPerRun(10, func() {
+				if _, err := s.RunContext(context.Background(), sc, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-		mallocs(5) // warm-up: fills the pool
-		if five, twenty := mallocs(5), mallocs(20); five != twenty {
-			t.Errorf("%s: a run allocates %d times over 5 epochs, %d over 20; want equal", name, five, twenty)
+		allocs(5) // warm-up: fills the pool
+		if five, twenty := allocs(5), allocs(20); five != twenty {
+			t.Errorf("%s: a run allocates %v times over 5 epochs, %v over 20; want equal", name, five, twenty)
 		}
 	}
 }
