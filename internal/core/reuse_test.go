@@ -124,6 +124,9 @@ func FuzzRunReuse(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 2, 1, 1, 2, 1, 3, 2, 2, 2, 0, 9, 2, 14, 1, 3, 0, 4, 0, 8, 0, 1})
 	f.Add([]byte{1, 2, 4, 1, 6, 3, 4, 0, 3, 2, 5, 1, 0, 2, 3, 5, 3, 10, 0, 6, 1, 1, 2, 2, 2, 0})
 	f.Add([]byte{2, 3, 1, 2, 12, 1, 5, 1, 4, 0, 7, 2, 1, 1, 1, 1, 0, 0, 3, 0, 0, 0, 0, 0, 0, 2})
+	// Cache traffic in both campaigns: 16 cores, then 64; 64, then 16.
+	f.Add([]byte{0, 1, 3, 0, 2, 0, 0, 1, 2, 0, 0, 5, 1, 2, 0, 9, 1, 8, 1, 1, 1, 3, 1, 1, 17, 2})
+	f.Add([]byte{2, 2, 6, 2, 10, 2, 0, 1, 4, 1, 2, 42, 0, 0, 3, 2, 1, 1, 0, 2, 1, 1, 0, 0, 9, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := reuseReader{data}
 		a, b := decodeReuseCase(t, &r), decodeReuseCase(t, &r)
@@ -141,12 +144,14 @@ func FuzzRunReuse(f *testing.F) {
 }
 
 // TestEpochLoopAllocatesNothing pins the pooled run state: once a run has
-// returned its state to the pool, a budget-only campaign allocates as
-// often over 20 epochs as over 5, under fair share and under the DP. The
-// test holds one P and stops the collector, so the pool hands each run
-// the state the previous one returned. The runtime fills its
-// type-assertion caches at random call counts, which can add a stray
-// allocation to any one run; AllocsPerRun's average over ten runs,
+// returned its state to the pool, a campaign allocates as often over 20
+// epochs as over 5, budget-only under fair share and under the DP, and
+// with cache traffic. The warm-up runs 20 epochs, so the memory
+// hierarchy's directories and the event queue have grown to what the
+// longer run needs. The test holds one P and stops the collector, so the
+// pool hands each run the state the previous one returned. The runtime
+// fills its type-assertion caches at random call counts, which can add a
+// stray allocation to any one run; AllocsPerRun's average over ten runs,
 // rounded down, leaves those out and still counts one allocation per
 // run, let alone per epoch.
 func TestEpochLoopAllocatesNothing(t *testing.T) {
@@ -155,14 +160,18 @@ func TestEpochLoopAllocatesNothing(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, name := range []string{"fair", "dp"} {
-		alloc, err := budget.ByName(name)
+	for _, tc := range []struct {
+		alloc string
+		mem   bool
+	}{{"fair", false}, {"dp", false}, {"fair", true}} {
+		alloc, err := budget.ByName(tc.alloc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		allocs := func(epochs int) float64 {
 			cfg := fastConfig()
 			cfg.Allocator = alloc
+			cfg.MemTraffic = tc.mem
 			cfg.Epochs = epochs
 			s, err := NewSystem(cfg)
 			if err != nil {
@@ -180,9 +189,9 @@ func TestEpochLoopAllocatesNothing(t *testing.T) {
 				}
 			})
 		}
-		allocs(5) // warm-up: fills the pool
+		allocs(20) // warm-up: fills the pool
 		if five, twenty := allocs(5), allocs(20); five != twenty {
-			t.Errorf("%s: a run allocates %v times over 5 epochs, %v over 20; want equal", name, five, twenty)
+			t.Errorf("%s (cache traffic %v): a run allocates %v times over 5 epochs, %v over 20; want equal", tc.alloc, tc.mem, five, twenty)
 		}
 	}
 }

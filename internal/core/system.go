@@ -74,14 +74,14 @@ type appState struct {
 // returns it to the pool only after building the report — which aliases
 // nothing the next run rewrites (the trace is handed over, not reused) —
 // and a failed or cancelled run is dropped. Everything a run keeps across
-// resets (the network's slabs, the manager's buffers, the packet slab,
-// the address streams and their sources, the delivery handler) is state
-// the next reset overwrites before reading.
+// resets (the network's slabs, the manager's buffers, the memory
+// hierarchy, the packet slab, the address streams and their sources, the
+// delivery handler) is state the next reset overwrites before reading.
 type run struct {
 	sys     *System
-	kernel  sim.Kernel
+	kernel  sim.Kernel[mem.Event]
 	net     noc.Network
-	memsys  *mem.System // built fresh for each cache-traffic run
+	memsys  *mem.System // &hierarchy in a cache-traffic run, else nil
 	manager budget.Manager
 	fleet   *trojan.Fleet
 
@@ -98,20 +98,21 @@ type run struct {
 	// last seen manager counters, for per-epoch trace deltas
 	prevReceived, prevTampered, prevFlagged uint64
 
-	// Kept across resets: the run's POWER_REQ, POWER_GRANT and CONFIG_CMD
-	// packets; the delivery handler every node is attached to, bound
+	// Kept across resets: the memory hierarchy; the run's packets, of
+	// every type; the delivery handler every node is attached to, bound
 	// once; the per-node address streams (cores[i].stream points into
 	// it), each with its own source; the placement, the CONFIG_CMD agent
 	// ranges, the DVFS frequency and power tables, and the report's
 	// source cores.
-	packets  packetSlab
-	deliver  noc.Handler
-	streams  []mem.AddressStream
-	placed   [][]noc.NodeID
-	ranges   []uint32
-	freqs    []float64
-	levelsMW []uint32
-	sources  []noc.NodeID
+	hierarchy mem.System
+	packets   packetSlab
+	deliver   noc.Handler
+	streams   []mem.AddressStream
+	placed    [][]noc.NodeID
+	ranges    []uint32
+	freqs     []float64
+	levelsMW  []uint32
+	sources   []noc.NodeID
 }
 
 // runPool holds the state of finished runs for the next setup.
@@ -162,10 +163,17 @@ var _ mem.Env = (*run)(nil)
 func (r *run) Now() uint64 { return r.kernel.Now() }
 
 // Schedule implements mem.Env.
-func (r *run) Schedule(delay uint64, fn func()) { r.kernel.Schedule(delay, fn) }
+func (r *run) Schedule(delay uint64, ev mem.Event) { r.kernel.Schedule(delay, ev) }
 
-// Inject implements mem.Env.
-func (r *run) Inject(p *noc.Packet) error { return r.net.Inject(p) }
+// Send implements mem.Env: protocol messages ride in the run's packet
+// slab, as every other packet does.
+func (r *run) Send(p noc.Packet) {
+	if err := r.net.Inject(r.packets.take(p)); err != nil {
+		// Inject only fails for malformed packets; that is a simulator
+		// bug, not a runtime condition.
+		panic(fmt.Sprintf("core: memory packet: %v", err))
+	}
+}
 
 // RunContext executes one campaign with cooperative cancellation and
 // optional streaming observation. The context is checked between epochs
@@ -366,12 +374,11 @@ func (r *run) reset(s *System, sc Scenario) error {
 	r.prevReceived, r.prevTampered, r.prevFlagged = 0, 0, 0
 	nodes := s.mesh.Nodes()
 	r.cores = sized(r.cores, nodes)
-	var err error
 	if s.cfg.MemTraffic {
-		r.memsys, err = mem.NewSystem(s.mesh, s.cfg.Mem, r)
-		if err != nil {
+		if err := r.hierarchy.Reset(s.mesh, s.cfg.Mem, r); err != nil {
 			return err
 		}
+		r.memsys = &r.hierarchy
 		r.streams = sized(r.streams, nodes)
 	}
 
@@ -380,6 +387,7 @@ func (r *run) reset(s *System, sc Scenario) error {
 	for i := range r.cores {
 		r.cores[i] = coreState{node: noc.NodeID(i), app: -1}
 	}
+	var err error
 	r.placed, err = s.placeApps(sc, r.placed)
 	if err != nil {
 		return err
@@ -483,8 +491,8 @@ func sized[T any](s []T, n int) []T {
 }
 
 // handlePacket dispatches a packet delivered at its destination node.
-// The run's own packets go back to the slab once handled: nothing keeps
-// a delivered packet.
+// Every packet is the run's own and goes back to the slab once handled:
+// nothing keeps a delivered packet.
 func (r *run) handlePacket(p *noc.Packet) {
 	id := p.Dst
 	switch p.Type {
@@ -511,10 +519,8 @@ func (r *run) handlePacket(p *noc.Packet) {
 		// Endpoint cores ignore configuration packets; the Trojans snooped
 		// them in transit.
 	default:
-		if r.memsys != nil {
-			r.memsys.HandlePacket(p)
-		}
-		return
+		// Memory-protocol messages: only cache-traffic runs send them.
+		r.memsys.HandlePacket(p)
 	}
 	r.packets.release(p)
 }
@@ -578,7 +584,7 @@ func (r *run) runEpochCycles(ctx context.Context) error {
 			r.generateTraffic()
 		}
 		r.net.Step()
-		if err := r.kernel.Run(r.net.Now()); err != nil {
+		if err := r.kernel.Run(r.net.Now(), r.hierarchy.Fire); err != nil {
 			panic(fmt.Sprintf("core: kernel: %v", err))
 		}
 	}
@@ -710,7 +716,7 @@ func (r *run) drain() {
 	limit := 5 * r.sys.cfg.EpochCycles
 	for c := uint64(0); c < limit && r.net.Busy(); c++ {
 		r.net.Step()
-		if err := r.kernel.Run(r.net.Now()); err != nil {
+		if err := r.kernel.Run(r.net.Now(), r.hierarchy.Fire); err != nil {
 			panic(fmt.Sprintf("core: kernel: %v", err))
 		}
 	}

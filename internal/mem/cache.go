@@ -58,13 +58,29 @@ type Cache struct {
 	slab []cacheLine // materialised sets, ways consecutive, row-major
 }
 
-// NewCache builds a cache with the given geometry. sets and ways must be
-// positive.
+// NewCache builds a cache with the given geometry: the reset of a zero
+// Cache. sets and ways must be positive.
 func NewCache(sets, ways int) *Cache {
+	c := new(Cache)
+	c.reset(sets, ways)
+	return c
+}
+
+// reset empties c and gives it the geometry sets × ways. It zeroes the
+// set index and truncates the slab, allocating a new index only when
+// sets outgrows the old one.
+func (c *Cache) reset(sets, ways int) {
 	if sets <= 0 || ways <= 0 {
 		panic("mem: cache geometry must be positive")
 	}
-	return &Cache{sets: sets, ways: ways, slot: make([]uint32, sets)}
+	c.sets, c.ways = sets, ways
+	if cap(c.slot) < sets {
+		c.slot = make([]uint32, sets)
+	} else {
+		c.slot = c.slot[:sets]
+		clear(c.slot)
+	}
+	c.slab = c.slab[:0]
 }
 
 // L1DGeometry returns the Table I L1-D geometry: 16 KB, 2-way, 32 B lines →

@@ -2,21 +2,23 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/noc"
 )
 
-// Env is the environment the memory system runs in: a clock, a way to
-// schedule future work, and a fabric to inject packets into. The core
-// simulator implements it over the event kernel and the NoC; tests may use
-// a loopback fake.
+// Env is the environment the memory system runs in: a clock, a queue of
+// future protocol steps, and a fabric to send packets into. The core
+// simulator implements it over the event kernel and the NoC; tests may
+// use a loopback fake.
 type Env interface {
 	// Now returns the current cycle.
 	Now() uint64
-	// Schedule runs fn after delay cycles.
-	Schedule(delay uint64, fn func())
-	// Inject sends a packet into the NoC.
-	Inject(p *noc.Packet) error
+	// Schedule hands ev to (*System).Fire after delay cycles; events due
+	// in the same cycle fire in the order they were scheduled.
+	Schedule(delay uint64, ev Event)
+	// Send injects a copy of p into the NoC.
+	Send(p noc.Packet)
 }
 
 // Config holds the memory-hierarchy parameters of Table I.
@@ -85,10 +87,11 @@ const (
 	dirOwned
 )
 
-// dirEntry is the full-map directory record for one line at its home node.
+// dirEntry is the full-map directory record for one line at its home
+// node. The zero entry is an uncached line.
 type dirEntry struct {
 	state   dirState
-	sharers map[noc.NodeID]struct{}
+	sharers []noc.NodeID // ascending, while state is dirShared
 	owner   noc.NodeID
 }
 
@@ -118,6 +121,52 @@ type mshrEntry struct {
 	waiters []waiter
 }
 
+// recycler owns every MSHR entry or home transaction a system has made.
+// get hands back the entry put last, before it allocates one; the
+// caller empties what it gets. reset frees every entry in the order they
+// were made, so the entries a run gets, and the storage they kept, do not
+// depend on what the previous run left in flight.
+type recycler[T any] struct {
+	all, free []*T
+}
+
+func (r *recycler[T]) get() *T {
+	if k := len(r.free); k > 0 {
+		x := r.free[k-1]
+		r.free = r.free[:k-1]
+		return x
+	}
+	x := new(T)
+	r.all = append(r.all, x)
+	return x
+}
+
+func (r *recycler[T]) put(x *T) { r.free = append(r.free, x) }
+
+func (r *recycler[T]) reset() { r.free = append(r.free[:0], r.all...) }
+
+// Event is one deferred step of the protocol at a home node: the system
+// schedules it through Env, and the environment hands it back to Fire
+// when it falls due. Events are plain records, so scheduling one
+// allocates nothing.
+type Event struct {
+	kind  eventKind
+	home  noc.NodeID
+	addr  uint64
+	req   noc.NodeID
+	grant LineState
+}
+
+type eventKind uint8
+
+const (
+	// evProcess: the L2 access latency has passed; consult the directory.
+	evProcess eventKind = iota
+	// evFill: main memory answered; install the line in the L2 slice and
+	// grant it.
+	evFill
+)
+
 // NodeStats counts per-node memory events.
 type NodeStats struct {
 	Reads, Writes     uint64
@@ -137,12 +186,11 @@ func (s NodeStats) AvgMissLatency() float64 {
 }
 
 type nodeState struct {
-	l1    *Cache
-	l2    *Cache
-	dir   map[uint64]*dirEntry
-	busy  map[uint64]*homeTxn
-	mshr  map[uint64]*mshrEntry
-	stats NodeStats
+	l1, l2 Cache
+	dir    map[uint64]dirEntry
+	busy   map[uint64]*homeTxn
+	mshr   map[uint64]*mshrEntry
+	stats  NodeStats
 }
 
 // System is the distributed MESI memory hierarchy. One instance covers the
@@ -152,28 +200,52 @@ type System struct {
 	mesh  noc.Mesh
 	cfg   Config
 	env   Env
-	nodes []*nodeState
-	// freeMSHRs holds retired MSHR entries, their waiter lists truncated,
-	// for the next miss.
-	freeMSHRs []*mshrEntry
+	nodes []nodeState
+	mshrs recycler[mshrEntry]
+	txns  recycler[homeTxn]
 }
 
-// NewSystem builds the hierarchy over mesh.
+// NewSystem builds the hierarchy over mesh: the reset of a zero System.
 func NewSystem(mesh noc.Mesh, cfg Config, env Env) (*System, error) {
-	if err := cfg.Validate(); err != nil {
+	s := new(System)
+	if err := s.Reset(mesh, cfg, env); err != nil {
 		return nil, err
 	}
-	s := &System{mesh: mesh, cfg: cfg, env: env, nodes: make([]*nodeState, mesh.Nodes())}
-	for i := range s.nodes {
-		s.nodes[i] = &nodeState{
-			l1:   NewCache(cfg.L1Sets, cfg.L1Ways),
-			l2:   NewCache(cfg.L2Sets, cfg.L2Ways),
-			dir:  make(map[uint64]*dirEntry),
-			busy: make(map[uint64]*homeTxn),
-			mshr: make(map[uint64]*mshrEntry),
-		}
-	}
 	return s, nil
+}
+
+// Reset makes s the hierarchy NewSystem(mesh, cfg, env) returns — empty
+// caches and directories, nothing in flight, zero statistics — keeping
+// its storage: the nodes, the caches' set indices and slabs, the maps,
+// and every MSHR entry and home transaction, in flight or not. Storage
+// is reallocated only when the mesh or a cache geometry outgrows it.
+func (s *System) Reset(mesh noc.Mesh, cfg Config, env Env) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	s.mesh, s.cfg, s.env = mesh, cfg, env
+	n := mesh.Nodes()
+	if k := cap(s.nodes); k < n {
+		s.nodes = append(s.nodes[:k], make([]nodeState, n-k)...)
+	}
+	s.nodes = s.nodes[:n]
+	for i := range s.nodes {
+		ns := &s.nodes[i]
+		ns.l1.reset(cfg.L1Sets, cfg.L1Ways)
+		ns.l2.reset(cfg.L2Sets, cfg.L2Ways)
+		if ns.dir == nil {
+			ns.dir = make(map[uint64]dirEntry)
+			ns.busy = make(map[uint64]*homeTxn)
+			ns.mshr = make(map[uint64]*mshrEntry)
+		}
+		clear(ns.dir)
+		clear(ns.busy)
+		clear(ns.mshr)
+		ns.stats = NodeStats{}
+	}
+	s.mshrs.reset()
+	s.txns.reset()
+	return nil
 }
 
 // Home returns the home node of a line (address-interleaved L2).
@@ -192,7 +264,7 @@ func (s *System) Outstanding(id noc.NodeID) int { return len(s.nodes[id].mshr) }
 // (MSHRs full, or a write colliding with an in-flight read) — the caller
 // models this as a core stall and retries.
 func (s *System) Issue(node noc.NodeID, addr uint64, write bool) bool {
-	ns := s.nodes[node]
+	ns := &s.nodes[node]
 	if write {
 		ns.stats.Writes++
 	} else {
@@ -230,15 +302,15 @@ func (s *System) Issue(node noc.NodeID, addr uint64, write bool) bool {
 		}
 		return false
 	}
-	e := s.takeMSHR()
+	e := s.mshrs.get()
 	e.write = write
-	e.waiters = append(e.waiters, waiter{issuedAt: s.env.Now(), write: write})
+	e.waiters = append(e.waiters[:0], waiter{issuedAt: s.env.Now(), write: write})
 	ns.mshr[addr] = e
 	kind := reqGetS
 	if write {
 		kind = reqGetX
 	}
-	s.send(&noc.Packet{
+	s.env.Send(noc.Packet{
 		Src: node, Dst: s.Home(addr), Type: noc.TypeMemReadReq,
 		Payload: uint32(addr), Options: reqOptions[kind],
 	})
@@ -247,7 +319,7 @@ func (s *System) Issue(node noc.NodeID, addr uint64, write bool) bool {
 
 // HandlePacket dispatches a memory-protocol packet delivered at its
 // destination node. The caller (the chip model) wires every node's NoC
-// handler to this method.
+// handler to this method; nothing keeps p once it returns.
 func (s *System) HandlePacket(p *noc.Packet) {
 	addr := uint64(p.Payload)
 	switch p.Type {
@@ -266,34 +338,35 @@ func (s *System) HandlePacket(p *noc.Packet) {
 	}
 }
 
-func (s *System) send(p *noc.Packet) {
-	if err := s.env.Inject(p); err != nil {
-		// Inject only fails for malformed packets; that is a simulator bug,
-		// not a runtime condition.
-		panic(fmt.Sprintf("mem: inject: %v", err))
+// Fire runs a protocol step the system scheduled, once it is due.
+func (s *System) Fire(ev Event) {
+	switch ev.kind {
+	case evProcess:
+		s.homeProcess(ev.home, ev.addr)
+	case evFill:
+		s.nodes[ev.home].l2.Insert(ev.addr, Shared, s.env.Now())
+		s.homeGrant(ev.home, ev.addr, ev.req, ev.grant)
 	}
 }
 
 // homeReceive enqueues or starts a home-side transaction for addr.
 func (s *System) homeReceive(home noc.NodeID, req queuedReq, addr uint64) {
-	ns := s.nodes[home]
+	ns := &s.nodes[home]
 	if txn, busy := ns.busy[addr]; busy {
 		txn.queue = append(txn.queue, req)
 		return
 	}
-	ns.busy[addr] = &homeTxn{kind: req.kind, requester: req.requester}
-	s.env.Schedule(s.cfg.L2Latency, func() { s.homeProcess(home, addr) })
+	txn := s.txns.get()
+	*txn = homeTxn{kind: req.kind, requester: req.requester, queue: txn.queue[:0]}
+	ns.busy[addr] = txn
+	s.env.Schedule(s.cfg.L2Latency, Event{kind: evProcess, home: home, addr: addr})
 }
 
 // homeProcess runs after the L2 access latency and consults the directory.
 func (s *System) homeProcess(home noc.NodeID, addr uint64) {
-	ns := s.nodes[home]
+	ns := &s.nodes[home]
 	txn := ns.busy[addr]
-	entry, ok := ns.dir[addr]
-	if !ok {
-		entry = &dirEntry{state: dirUncached}
-		ns.dir[addr] = entry
-	}
+	entry := ns.dir[addr]
 	switch txn.kind {
 	case wbKind:
 		// Owner writes back a Modified line: install in L2, release
@@ -301,10 +374,10 @@ func (s *System) homeProcess(home noc.NodeID, addr uint64) {
 		// gets an ack.
 		if entry.state == dirOwned && entry.owner == txn.requester {
 			entry.state = dirUncached
-			entry.sharers = nil
 		}
+		ns.dir[addr] = entry
 		ns.l2.Insert(addr, Modified, s.env.Now())
-		s.send(&noc.Packet{Src: home, Dst: txn.requester, Type: noc.TypeMemWriteAck, Payload: uint32(addr)})
+		s.env.Send(noc.Packet{Src: home, Dst: txn.requester, Type: noc.TypeMemWriteAck, Payload: uint32(addr)})
 		s.homeFinish(home, addr)
 
 	case reqGetS:
@@ -318,7 +391,7 @@ func (s *System) homeProcess(home noc.NodeID, addr uint64) {
 			}
 			// Recall the line from its owner, then grant exclusively.
 			txn.waitAcks = 1
-			s.send(&noc.Packet{Src: home, Dst: entry.owner, Type: noc.TypeCohInvalidate, Payload: uint32(addr)})
+			s.env.Send(noc.Packet{Src: home, Dst: entry.owner, Type: noc.TypeCohInvalidate, Payload: uint32(addr)})
 		case dirShared:
 			s.homeGrant(home, addr, txn.requester, Shared)
 		default: // dirUncached
@@ -333,15 +406,17 @@ func (s *System) homeProcess(home noc.NodeID, addr uint64) {
 				return
 			}
 			txn.waitAcks = 1
-			s.send(&noc.Packet{Src: home, Dst: entry.owner, Type: noc.TypeCohInvalidate, Payload: uint32(addr)})
+			s.env.Send(noc.Packet{Src: home, Dst: entry.owner, Type: noc.TypeCohInvalidate, Payload: uint32(addr)})
 		case dirShared:
+			// The sharer list ascends, so the invalidations leave in node
+			// order.
 			acks := 0
-			for sh := range entry.sharers {
+			for _, sh := range entry.sharers {
 				if sh == txn.requester {
 					continue
 				}
 				acks++
-				s.send(&noc.Packet{Src: home, Dst: sh, Type: noc.TypeCohInvalidate, Payload: uint32(addr)})
+				s.env.Send(noc.Packet{Src: home, Dst: sh, Type: noc.TypeCohInvalidate, Payload: uint32(addr)})
 			}
 			if acks == 0 {
 				s.homeGrant(home, addr, txn.requester, Modified)
@@ -358,39 +433,36 @@ func (s *System) homeProcess(home noc.NodeID, addr uint64) {
 // grants immediately, a miss pays the main-memory latency and installs the
 // line in the slice.
 func (s *System) fetchIntoL2ThenGrant(home noc.NodeID, addr uint64, req noc.NodeID, grant LineState) {
-	ns := s.nodes[home]
+	ns := &s.nodes[home]
 	if ns.l2.Lookup(addr) != Invalid {
 		ns.l2.Touch(addr, s.env.Now())
 		s.homeGrant(home, addr, req, grant)
 		return
 	}
-	s.env.Schedule(s.cfg.MemLatency, func() {
-		ns.l2.Insert(addr, Shared, s.env.Now())
-		s.homeGrant(home, addr, req, grant)
-	})
+	s.env.Schedule(s.cfg.MemLatency, Event{kind: evFill, home: home, addr: addr, req: req, grant: grant})
 }
 
 // homeGrant sends the data reply, updates the directory, and unblocks the
 // line.
 func (s *System) homeGrant(home noc.NodeID, addr uint64, req noc.NodeID, grant LineState) {
-	ns := s.nodes[home]
+	ns := &s.nodes[home]
 	entry := ns.dir[addr]
 	switch grant {
 	case Shared:
 		if entry.state != dirShared {
 			entry.state = dirShared
-			entry.sharers = make(map[noc.NodeID]struct{})
+			entry.sharers = entry.sharers[:0]
 		}
-		if entry.sharers == nil {
-			entry.sharers = make(map[noc.NodeID]struct{})
+		if i, found := slices.BinarySearch(entry.sharers, req); !found {
+			entry.sharers = slices.Insert(entry.sharers, i, req)
 		}
-		entry.sharers[req] = struct{}{}
 	case Exclusive, Modified:
 		entry.state = dirOwned
 		entry.owner = req
-		entry.sharers = nil
+		entry.sharers = entry.sharers[:0]
 	}
-	s.send(&noc.Packet{
+	ns.dir[addr] = entry
+	s.env.Send(noc.Packet{
 		Src: home, Dst: req, Type: noc.TypeMemReadReply,
 		Payload: uint32(addr), Options: grantOptions[grant],
 	})
@@ -398,36 +470,36 @@ func (s *System) homeGrant(home noc.NodeID, addr uint64, req noc.NodeID, grant L
 }
 
 // homeFinish releases the per-line lock and starts the next queued
-// transaction, if any.
+// transaction, if any, in the same record.
 func (s *System) homeFinish(home noc.NodeID, addr uint64) {
-	ns := s.nodes[home]
+	ns := &s.nodes[home]
 	txn := ns.busy[addr]
 	if txn == nil {
 		return
 	}
 	if len(txn.queue) == 0 {
 		delete(ns.busy, addr)
+		s.txns.put(txn)
 		return
 	}
 	next := txn.queue[0]
-	rest := txn.queue[1:]
-	ns.busy[addr] = &homeTxn{kind: next.kind, requester: next.requester, queue: rest}
-	s.env.Schedule(s.cfg.L2Latency, func() { s.homeProcess(home, addr) })
+	txn.queue = txn.queue[:copy(txn.queue, txn.queue[1:])]
+	txn.kind, txn.requester, txn.waitAcks = next.kind, next.requester, 0
+	s.env.Schedule(s.cfg.L2Latency, Event{kind: evProcess, home: home, addr: addr})
 }
 
 // invalidateAt handles a CohInvalidate at a (possibly former) line holder.
 func (s *System) invalidateAt(node noc.NodeID, addr uint64, home noc.NodeID) {
-	ns := s.nodes[node]
+	ns := &s.nodes[node]
 	ns.l1.Invalidate(addr)
 	ns.stats.InvalidationsRecv++
 	// A Modified line's data rides back with the ack in this model.
-	s.send(&noc.Packet{Src: node, Dst: home, Type: noc.TypeCohAck, Payload: uint32(addr)})
+	s.env.Send(noc.Packet{Src: node, Dst: home, Type: noc.TypeCohAck, Payload: uint32(addr)})
 }
 
 // ackAt handles a CohAck at the home node.
 func (s *System) ackAt(home noc.NodeID, addr uint64) {
-	ns := s.nodes[home]
-	txn, ok := ns.busy[addr]
+	txn, ok := s.nodes[home].busy[addr]
 	if !ok || txn.waitAcks == 0 {
 		return // vacuous ack from a stale sharer
 	}
@@ -440,16 +512,13 @@ func (s *System) ackAt(home noc.NodeID, addr uint64) {
 		// After a recall the requester is the only holder: grant Exclusive.
 		grant = Exclusive
 	}
-	entry := ns.dir[addr]
-	entry.state = dirUncached
-	entry.sharers = nil
 	s.homeGrant(home, addr, txn.requester, grant)
 }
 
 // completeMiss installs the granted line at the requester and retires all
 // coalesced waiters.
 func (s *System) completeMiss(node noc.NodeID, addr uint64, grant LineState) {
-	ns := s.nodes[node]
+	ns := &s.nodes[node]
 	e, ok := ns.mshr[addr]
 	if !ok {
 		return // defensive: duplicate reply
@@ -458,24 +527,12 @@ func (s *System) completeMiss(node noc.NodeID, addr uint64, grant LineState) {
 	evAddr, evState, evicted := ns.l1.Insert(addr, grant, s.env.Now())
 	if evicted && evState == Modified {
 		ns.stats.Writebacks++
-		s.send(&noc.Packet{Src: node, Dst: s.Home(evAddr), Type: noc.TypeMemWriteReq, Payload: uint32(evAddr)})
+		s.env.Send(noc.Packet{Src: node, Dst: s.Home(evAddr), Type: noc.TypeMemWriteReq, Payload: uint32(evAddr)})
 	}
 	now := s.env.Now()
 	for _, w := range e.waiters {
 		ns.stats.MissesCompleted++
 		ns.stats.MissLatencySum += now - w.issuedAt
 	}
-	e.waiters = e.waiters[:0]
-	s.freeMSHRs = append(s.freeMSHRs, e)
-}
-
-// takeMSHR returns an MSHR entry with no waiters, recycled when one is
-// free.
-func (s *System) takeMSHR() *mshrEntry {
-	if k := len(s.freeMSHRs); k > 0 {
-		e := s.freeMSHRs[k-1]
-		s.freeMSHRs = s.freeMSHRs[:k-1]
-		return e
-	}
-	return &mshrEntry{}
+	s.mshrs.put(e)
 }

@@ -3,62 +3,70 @@ package mem
 import (
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/noc"
+	"repro/internal/sim"
 )
 
 // fakeEnv is a loopback environment: packets are delivered to the memory
 // system itself after a fixed flight time, with no NoC in between. It lets
 // the protocol be unit-tested in isolation.
 type fakeEnv struct {
-	now      uint64
-	seq      uint64
-	events   []fakeEvent
+	k        sim.Kernel[fakeEvent]
 	sys      *System
 	netDelay uint64
-	sent     []noc.Packet // copies, for assertions
+	sent     []noc.Packet // copies, in send order, for assertions
 }
 
+// fakeEvent is a protocol step to fire, or a packet to deliver.
 type fakeEvent struct {
-	at  uint64
-	seq uint64
-	fn  func()
+	step    Event
+	deliver bool
+	pkt     noc.Packet
 }
 
-func (e *fakeEnv) Now() uint64 { return e.now }
+func (e *fakeEnv) Now() uint64 { return e.k.Now() }
 
-func (e *fakeEnv) Schedule(delay uint64, fn func()) {
-	e.seq++
-	e.events = append(e.events, fakeEvent{at: e.now + delay, seq: e.seq, fn: fn})
+func (e *fakeEnv) Schedule(delay uint64, ev Event) {
+	e.k.Schedule(delay, fakeEvent{step: ev})
 }
 
-func (e *fakeEnv) Inject(p *noc.Packet) error {
-	e.sent = append(e.sent, *p)
-	pc := *p
-	e.Schedule(e.netDelay, func() { e.sys.HandlePacket(&pc) })
-	return nil
+func (e *fakeEnv) Send(p noc.Packet) {
+	e.sent = append(e.sent, p)
+	e.k.Schedule(e.netDelay, fakeEvent{deliver: true, pkt: p})
+}
+
+// fire delivers a packet or fires a protocol step.
+func (e *fakeEnv) fire(ev fakeEvent) {
+	if ev.deliver {
+		e.sys.HandlePacket(&ev.pkt)
+	} else {
+		e.sys.Fire(ev.step)
+	}
 }
 
 // run drains the event queue deterministically.
 func (e *fakeEnv) run(t *testing.T) {
 	t.Helper()
-	for guard := 0; len(e.events) > 0; guard++ {
-		if guard > 100000 {
-			t.Fatal("protocol livelock: event queue never drains")
-		}
-		sort.Slice(e.events, func(i, j int) bool {
-			if e.events[i].at != e.events[j].at {
-				return e.events[i].at < e.events[j].at
-			}
-			return e.events[i].seq < e.events[j].seq
-		})
-		ev := e.events[0]
-		e.events = e.events[1:]
-		e.now = ev.at
-		ev.fn()
+	if !e.step(100000) {
+		t.Fatal("protocol livelock: event queue never drains")
 	}
+}
+
+// step fires at most n events and reports whether the queue drained.
+func (e *fakeEnv) step(n int) bool {
+	if n > 0 {
+		fired := 0
+		e.k.Drain(func(ev fakeEvent) {
+			if fired++; fired == n {
+				e.k.Stop()
+			}
+			e.fire(ev)
+		})
+	}
+	return e.k.Pending() == 0
 }
 
 func (e *fakeEnv) countSent(t noc.PacketType) int {
@@ -185,43 +193,49 @@ func TestWriteMissGrantsModified(t *testing.T) {
 	}
 }
 
+// TestWriteInvalidatesSharers seeds a Shared line with four sharers (the
+// directory never grants S on its own) and writes it from a fifth node:
+// every sharer is invalidated, and the invalidations leave in ascending
+// node order. The case repeats on 20 fresh systems, so an order that
+// depends on map iteration fails here almost surely.
 func TestWriteInvalidatesSharers(t *testing.T) {
-	sys, env := newTestSystem(t)
 	const addr = 400
-	home := sys.Home(addr)
-	// Force a Shared directory state: reader A, then the home grants E;
-	// to get true sharing we need the dirShared path. Build it: A reads
-	// (E), B writes (recall + M), then downgrade: C reads → recall → E.
-	// Simplest Shared state: use grant path via two readers after a
-	// write? The protocol grants E to a sole reader, so Shared arises only
-	// from... homeGrant(Shared) on dirShared. Seed it directly.
-	ns := sys.nodes[home]
-	ns.dir[addr] = &dirEntry{state: dirShared, sharers: map[noc.NodeID]struct{}{1: {}, 2: {}}}
-	sys.nodes[1].l1.Insert(addr, Shared, 0)
-	sys.nodes[2].l1.Insert(addr, Shared, 0)
-
-	sys.Issue(3, addr, true) // GetX must invalidate nodes 1 and 2
-	env.run(t)
-	if got := sys.nodes[3].l1.Lookup(addr); got != Modified {
-		t.Errorf("writer state = %v, want M", got)
-	}
-	if sys.nodes[1].l1.Lookup(addr) != Invalid || sys.nodes[2].l1.Lookup(addr) != Invalid {
-		t.Error("sharers must be invalidated")
-	}
-	if env.countSent(noc.TypeCohInvalidate) != 2 {
-		t.Errorf("invalidations sent = %d, want 2", env.countSent(noc.TypeCohInvalidate))
-	}
-	if sys.Stats(1).InvalidationsRecv != 1 || sys.Stats(2).InvalidationsRecv != 1 {
-		t.Error("invalidation counters wrong")
+	sharers := []noc.NodeID{2, 5, 9, 14}
+	for rep := 0; rep < 20; rep++ {
+		sys, env := newTestSystem(t)
+		sys.nodes[sys.Home(addr)].dir[addr] = dirEntry{state: dirShared, sharers: slices.Clone(sharers)}
+		for _, id := range sharers {
+			sys.nodes[id].l1.Insert(addr, Shared, 0)
+		}
+		sys.Issue(3, addr, true) // GetX must invalidate every sharer
+		env.run(t)
+		if got := sys.nodes[3].l1.Lookup(addr); got != Modified {
+			t.Errorf("writer state = %v, want M", got)
+		}
+		var dsts []noc.NodeID
+		for _, p := range env.sent {
+			if p.Type == noc.TypeCohInvalidate {
+				dsts = append(dsts, p.Dst)
+			}
+		}
+		if !slices.Equal(dsts, sharers) {
+			t.Fatalf("system %d: invalidations went to %v, want %v in that order", rep, dsts, sharers)
+		}
+		for _, id := range sharers {
+			if sys.nodes[id].l1.Lookup(addr) != Invalid {
+				t.Errorf("sharer %d must be invalidated", id)
+			}
+			if got := sys.Stats(id).InvalidationsRecv; got != 1 {
+				t.Errorf("sharer %d received %d invalidations, want 1", id, got)
+			}
+		}
 	}
 }
 
 func TestSharedReadersStayShared(t *testing.T) {
 	sys, env := newTestSystem(t)
 	const addr = 480
-	home := sys.Home(addr)
-	ns := sys.nodes[home]
-	ns.dir[addr] = &dirEntry{state: dirShared, sharers: map[noc.NodeID]struct{}{1: {}}}
+	sys.nodes[sys.Home(addr)].dir[addr] = dirEntry{state: dirShared, sharers: []noc.NodeID{1}}
 	sys.nodes[1].l1.Insert(addr, Shared, 0)
 	sys.Issue(2, addr, false)
 	env.run(t)
@@ -230,6 +244,9 @@ func TestSharedReadersStayShared(t *testing.T) {
 	}
 	if got := sys.nodes[1].l1.Lookup(addr); got != Shared {
 		t.Errorf("first reader state = %v, want S (undisturbed)", got)
+	}
+	if got := sys.nodes[sys.Home(addr)].dir[addr].sharers; !slices.Equal(got, []noc.NodeID{1, 2}) {
+		t.Errorf("sharers = %v, want [1 2]", got)
 	}
 }
 
@@ -314,7 +331,7 @@ func TestWritebackOnModifiedEviction(t *testing.T) {
 	}
 	// The written-back line's home directory no longer lists node 2.
 	home := sys.Home(addrs[0])
-	if e := sys.nodes[home].dir[addrs[0]]; e != nil && e.state == dirOwned && e.owner == 2 {
+	if e := sys.nodes[home].dir[addrs[0]]; e.state == dirOwned && e.owner == 2 {
 		t.Error("directory still records node 2 as owner after writeback")
 	}
 }

@@ -13,69 +13,64 @@ import "errors"
 // before the horizon was reached.
 var ErrStopped = errors.New("sim: stopped")
 
-// Event is a callback scheduled to fire at a specific cycle.
-type Event func()
-
-type scheduledEvent struct {
+type scheduledEvent[E any] struct {
 	at  uint64
 	seq uint64 // tie-break: FIFO among same-cycle events
-	fn  Event
+	ev  E
 }
 
 // before orders events by (at, seq). seq is unique, so the order is total
 // and any binary heap over it pops the same sequence.
-func (e *scheduledEvent) before(o *scheduledEvent) bool {
+func (e *scheduledEvent[E]) before(o *scheduledEvent[E]) bool {
 	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
-// Kernel is a discrete-event simulation kernel. The zero value is not
-// usable; construct with NewKernel.
-type Kernel struct {
+// Kernel is a discrete-event simulation kernel over events of type E:
+// plain records that Run and Drain hand to a fire function, so a model
+// schedules its steps as data rather than as callbacks. The zero value is
+// an empty kernel at cycle 0.
+type Kernel[E any] struct {
 	now uint64
 	seq uint64
 	// queue is a binary min-heap on (at, seq), held by value so scheduling
 	// allocates nothing once the slice has grown to the run's peak.
-	queue   []scheduledEvent
+	queue   []scheduledEvent[E]
 	stopped bool
 }
 
-// NewKernel returns an empty kernel at cycle 0. Its event order depends
-// only on the schedule, so the same schedule always fires identically.
-func NewKernel() *Kernel { return &Kernel{} }
-
-// Reset returns k to the state NewKernel returns — cycle 0, no events —
-// keeping the queue's storage for the next run.
-func (k *Kernel) Reset() {
+// Reset returns k to the zero state — cycle 0, no events — keeping the
+// queue's storage for the next run.
+func (k *Kernel[E]) Reset() {
 	clear(k.queue)
-	*k = Kernel{queue: k.queue[:0]}
+	*k = Kernel[E]{queue: k.queue[:0]}
 }
 
 // Now returns the current simulation cycle.
-func (k *Kernel) Now() uint64 { return k.now }
+func (k *Kernel[E]) Now() uint64 { return k.now }
 
 // Pending reports the number of events still queued.
-func (k *Kernel) Pending() int { return len(k.queue) }
+func (k *Kernel[E]) Pending() int { return len(k.queue) }
 
-// Schedule enqueues fn to fire delay cycles from now. A zero delay fires
+// Schedule enqueues ev to fire delay cycles from now. A zero delay fires
 // later in the current cycle, after all previously scheduled events for
 // this cycle.
-func (k *Kernel) Schedule(delay uint64, fn Event) {
-	k.push(k.now+delay, fn)
+func (k *Kernel[E]) Schedule(delay uint64, ev E) {
+	k.push(k.now+delay, ev)
 }
 
-// ScheduleAt enqueues fn for an absolute cycle. Scheduling in the past is
+// ScheduleAt enqueues ev for an absolute cycle. Scheduling in the past is
 // coerced to the current cycle.
-func (k *Kernel) ScheduleAt(cycle uint64, fn Event) {
+func (k *Kernel[E]) ScheduleAt(cycle uint64, ev E) {
 	if cycle < k.now {
 		cycle = k.now
 	}
-	k.push(cycle, fn)
+	k.push(cycle, ev)
 }
 
-// push adds fn at cycle at and sifts it up the heap.
-func (k *Kernel) push(at uint64, fn Event) {
+// push adds ev at cycle at and sifts it up the heap.
+func (k *Kernel[E]) push(at uint64, ev E) {
 	k.seq++
-	k.queue = append(k.queue, scheduledEvent{at: at, seq: k.seq, fn: fn})
+	k.queue = append(k.queue, scheduledEvent[E]{at: at, seq: k.seq, ev: ev})
 	q := k.queue
 	for i := len(q) - 1; i > 0; {
 		p := (i - 1) / 2
@@ -88,12 +83,12 @@ func (k *Kernel) push(at uint64, fn Event) {
 }
 
 // pop removes and returns the earliest event.
-func (k *Kernel) pop() scheduledEvent {
+func (k *Kernel[E]) pop() scheduledEvent[E] {
 	q := k.queue
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = scheduledEvent{} // drop the callback for the collector
+	q[n] = scheduledEvent[E]{} // drop what the event references, for the collector
 	q = q[:n]
 	for i := 0; ; {
 		m := 2*i + 1
@@ -114,12 +109,12 @@ func (k *Kernel) pop() scheduledEvent {
 }
 
 // Stop makes the current Run return after the in-flight event completes.
-func (k *Kernel) Stop() { k.stopped = true }
+func (k *Kernel[E]) Stop() { k.stopped = true }
 
-// Run executes events until the queue drains or the horizon cycle is
-// passed (events at cycle == horizon still fire). It returns ErrStopped if
-// Stop was called, otherwise nil.
-func (k *Kernel) Run(horizon uint64) error {
+// Run fires events through fire until the queue drains or the horizon
+// cycle is passed (events at cycle == horizon still fire). It returns
+// ErrStopped if Stop was called, otherwise nil.
+func (k *Kernel[E]) Run(horizon uint64, fire func(E)) error {
 	k.stopped = false
 	for len(k.queue) > 0 {
 		if k.queue[0].at > horizon {
@@ -128,7 +123,7 @@ func (k *Kernel) Run(horizon uint64) error {
 		}
 		next := k.pop()
 		k.now = next.at
-		next.fn()
+		fire(next.ev)
 		if k.stopped {
 			return ErrStopped
 		}
@@ -139,14 +134,14 @@ func (k *Kernel) Run(horizon uint64) error {
 	return nil
 }
 
-// Drain executes all remaining events regardless of cycle. It returns
-// ErrStopped if Stop was called.
-func (k *Kernel) Drain() error {
+// Drain fires all remaining events through fire regardless of cycle. It
+// returns ErrStopped if Stop was called.
+func (k *Kernel[E]) Drain(fire func(E)) error {
 	k.stopped = false
 	for len(k.queue) > 0 {
 		next := k.pop()
 		k.now = next.at
-		next.fn()
+		fire(next.ev)
 		if k.stopped {
 			return ErrStopped
 		}

@@ -10,12 +10,12 @@ import (
 )
 
 func TestScheduleAndRunOrder(t *testing.T) {
-	k := NewKernel()
+	k := new(Kernel[func()])
 	var order []int
 	k.Schedule(10, func() { order = append(order, 2) })
 	k.Schedule(5, func() { order = append(order, 1) })
 	k.Schedule(20, func() { order = append(order, 3) })
-	if err := k.Run(100); err != nil {
+	if err := k.Run(100, call); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	want := []int{1, 2, 3}
@@ -27,13 +27,13 @@ func TestScheduleAndRunOrder(t *testing.T) {
 }
 
 func TestSameCycleFIFO(t *testing.T) {
-	k := NewKernel()
+	k := new(Kernel[func()])
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
 		k.Schedule(7, func() { order = append(order, i) })
 	}
-	if err := k.Run(10); err != nil {
+	if err := k.Run(10, call); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	for i := range order {
@@ -44,10 +44,10 @@ func TestSameCycleFIFO(t *testing.T) {
 }
 
 func TestNowAdvances(t *testing.T) {
-	k := NewKernel()
+	k := new(Kernel[func()])
 	var at uint64
 	k.Schedule(42, func() { at = k.Now() })
-	if err := k.Run(100); err != nil {
+	if err := k.Run(100, call); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if at != 42 {
@@ -59,10 +59,10 @@ func TestNowAdvances(t *testing.T) {
 }
 
 func TestHorizonLeavesFutureEvents(t *testing.T) {
-	k := NewKernel()
+	k := new(Kernel[func()])
 	fired := false
 	k.Schedule(50, func() { fired = true })
-	if err := k.Run(49); err != nil {
+	if err := k.Run(49, call); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if fired {
@@ -71,7 +71,7 @@ func TestHorizonLeavesFutureEvents(t *testing.T) {
 	if k.Pending() != 1 {
 		t.Errorf("Pending = %d, want 1", k.Pending())
 	}
-	if err := k.Run(50); err != nil {
+	if err := k.Run(50, call); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !fired {
@@ -80,13 +80,13 @@ func TestHorizonLeavesFutureEvents(t *testing.T) {
 }
 
 func TestEventsScheduledDuringRun(t *testing.T) {
-	k := NewKernel()
+	k := new(Kernel[func()])
 	var hits []uint64
 	k.Schedule(1, func() {
 		hits = append(hits, k.Now())
 		k.Schedule(2, func() { hits = append(hits, k.Now()) })
 	})
-	if err := k.Run(10); err != nil {
+	if err := k.Run(10, call); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if len(hits) != 2 || hits[0] != 1 || hits[1] != 3 {
@@ -95,11 +95,11 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 }
 
 func TestStop(t *testing.T) {
-	k := NewKernel()
+	k := new(Kernel[func()])
 	count := 0
 	k.Schedule(1, func() { count++; k.Stop() })
 	k.Schedule(2, func() { count++ })
-	if err := k.Run(10); !errors.Is(err, ErrStopped) {
+	if err := k.Run(10, call); !errors.Is(err, ErrStopped) {
 		t.Fatalf("err = %v, want ErrStopped", err)
 	}
 	if count != 1 {
@@ -108,12 +108,12 @@ func TestStop(t *testing.T) {
 }
 
 func TestScheduleAtPastCoerced(t *testing.T) {
-	k := NewKernel()
+	k := new(Kernel[func()])
 	var at uint64 = 999
 	k.Schedule(10, func() {
 		k.ScheduleAt(3, func() { at = k.Now() }) // in the past: coerced to now
 	})
-	if err := k.Run(20); err != nil {
+	if err := k.Run(20, call); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if at != 10 {
@@ -122,11 +122,11 @@ func TestScheduleAtPastCoerced(t *testing.T) {
 }
 
 func TestDrain(t *testing.T) {
-	k := NewKernel()
+	k := new(Kernel[func()])
 	count := 0
 	k.Schedule(1_000_000, func() { count++ })
 	k.Schedule(2_000_000, func() { count++ })
-	if err := k.Drain(); err != nil {
+	if err := k.Drain(call); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 	if count != 2 {
@@ -146,7 +146,7 @@ func TestRunOrderProperty(t *testing.T) {
 	type stamp struct{ at, seq uint64 }
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		k := NewKernel()
+		k := new(Kernel[func()])
 		var scheduled, fired []stamp
 		ok := true
 		var schedule func(depth int)
@@ -177,11 +177,11 @@ func TestRunOrderProperty(t *testing.T) {
 			for i := rng.Intn(15); i > 0; i-- {
 				schedule(0)
 			}
-			if err := k.Run(k.Now() + uint64(rng.Intn(15))); err != nil {
+			if err := k.Run(k.Now()+uint64(rng.Intn(15)), call); err != nil {
 				return false
 			}
 		}
-		if err := k.Drain(); err != nil || k.Pending() != 0 {
+		if err := k.Drain(call); err != nil || k.Pending() != 0 {
 			return false
 		}
 		want := slices.Clone(scheduled)
@@ -199,21 +199,32 @@ func TestRunOrderProperty(t *testing.T) {
 }
 
 // TestScheduleRunAllocatesNothing pins the value-typed event heap: once
-// the queue has grown, scheduling a prebuilt callback and running it
-// allocates nothing.
+// the queue has grown, scheduling a record and firing it allocates
+// nothing.
 func TestScheduleRunAllocatesNothing(t *testing.T) {
-	k := NewKernel()
-	fn := func() {}
+	type record struct {
+		kind uint8
+		addr uint64
+	}
+	k := new(Kernel[record])
+	var sum uint64
+	fire := func(r record) { sum += r.addr }
 	for i := 0; i < 8; i++ {
-		k.Schedule(uint64(i), fn)
+		k.Schedule(uint64(i), record{addr: uint64(i)})
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		k.Schedule(8, fn)
-		if err := k.Run(k.Now() + 1); err != nil {
+		k.Schedule(8, record{kind: 1, addr: 8})
+		if err := k.Run(k.Now()+1, fire); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("Schedule+Run allocates %v times per event, want 0", allocs)
 	}
+	if sum == 0 {
+		t.Error("no record fired")
+	}
 }
+
+// call fires a callback event: the tests above schedule closures.
+func call(fn func()) { fn() }
