@@ -8,6 +8,7 @@ package trojan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/noc"
@@ -46,15 +47,19 @@ func (a *AgentMatcher) AddSingle(id noc.NodeID) {
 	a.singles[id] = struct{}{}
 }
 
-// AddRange registers a contiguous block of attacker core IDs.
+// AddRange registers a contiguous block of attacker core IDs. A range the
+// matcher already holds takes no second register, as AddSingle's IDs do
+// not, so repeated CONFIG_CMD broadcasts of one range cannot fill the
+// register file.
 func (a *AgentMatcher) AddRange(base noc.NodeID, count int) {
-	if count <= 0 {
+	r := agentRange{base: base, count: count}
+	if count <= 0 || slices.Contains(a.ranges, r) {
 		return
 	}
 	if len(a.singles)+len(a.ranges) >= maxAgentRegisters {
 		return
 	}
-	a.ranges = append(a.ranges, agentRange{base: base, count: count})
+	a.ranges = append(a.ranges, r)
 }
 
 // Matches reports whether id is a registered attacker agent.

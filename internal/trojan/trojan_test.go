@@ -188,6 +188,25 @@ func TestAgentMatcherCapacity(t *testing.T) {
 	}
 }
 
+// TestAgentMatcherKeepsOneRegisterPerRange latches one range as often as
+// repeated CONFIG_CMD broadcasts do, then a second range: the copies take
+// no registers, so both ranges match.
+func TestAgentMatcherKeepsOneRegisterPerRange(t *testing.T) {
+	var m AgentMatcher
+	for i := 0; i < 20; i++ {
+		m.AddRange(4, 3)
+	}
+	m.AddRange(20, 2)
+	for _, id := range []noc.NodeID{4, 6, 20, 21} {
+		if !m.Matches(id) {
+			t.Errorf("core %d must match", id)
+		}
+	}
+	if m.Matches(7) || m.Matches(22) {
+		t.Error("cores outside both ranges must not match")
+	}
+}
+
 func TestAgentMatcherRejectsEmptyRange(t *testing.T) {
 	var m AgentMatcher
 	m.AddRange(10, 0)
