@@ -158,9 +158,11 @@ func FuzzSystemReuse(f *testing.F) {
 
 // TestResetAllocatesNothing resets a used Table I hierarchy of 16×16
 // nodes, left mid-flight, a second time after the same use: the caches'
-// indices and slabs, the maps and the free lists all have room, so the
-// reset allocates no byte.
+// indices and slabs, the maps and the recyclers' lists all have room, so
+// the reset allocates no byte. The test holds one P, so no other
+// goroutine's allocation lands between the two readings.
 func TestResetAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ops := make([]byte, 3*reuseOps)
 	rand.New(rand.NewSource(7)).Read(ops)
 	c := reuseCase{mesh: len(reuseMeshes) - 1, cfg: DefaultConfig(), netDelay: 10, ops: ops}
