@@ -286,7 +286,7 @@ func workerLifecycle(ctx context.Context, logger *slog.Logger, coordinator, self
 		heartbeat = 5 * time.Second
 	}
 	client := &http.Client{Timeout: 5 * time.Second}
-	rng := rand.New(rand.NewSource(exp.StreamSeed(1, "register/"+selfURL)))
+	rng := rand.New(exp.NewSource(exp.StreamSeed(1, "register/"+selfURL)))
 	var id string
 	registered := false
 	attempt := 0

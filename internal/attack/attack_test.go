@@ -130,9 +130,11 @@ func TestRingClusterExcludes(t *testing.T) {
 
 func TestInfectedSet(t *testing.T) {
 	p := Placement{Nodes: []noc.NodeID{3, 7}}
-	inf := p.Infected()
-	if !inf[3] || !inf[7] || inf[5] {
-		t.Errorf("Infected() = %v", inf)
+	var inf noc.NodeSet
+	inf.Add(60) // replaced, not kept
+	p.Infected(&inf)
+	if !inf.Has(3) || !inf.Has(7) || inf.Has(5) || inf.Has(60) || inf.Len() != 2 {
+		t.Errorf("Infected() = %v", inf.Words())
 	}
 }
 
@@ -145,7 +147,9 @@ func TestForInfectionRateReachesTarget(t *testing.T) {
 			t.Errorf("target %v: achieved only %v with %d HTs", target, achieved, p.Size())
 		}
 		// Cross-check against the closed-form predictor.
-		rate := metrics.InfectionRateXY(m, gm, p.Infected(), nil)
+		var infected noc.NodeSet
+		p.Infected(&infected)
+		rate := metrics.InfectionRateXY(metrics.NewCovers(m, gm), &infected, nil)
 		if math.Abs(rate-achieved) > 1e-12 {
 			t.Errorf("achieved %v disagrees with predictor %v", achieved, rate)
 		}

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/noc"
 )
@@ -80,6 +81,8 @@ func RankPlacements(m noc.Mesh, gm noc.NodeID, model *EffectModel, opts Optimize
 
 	var top []Candidate
 	seen := make(map[string]bool)
+	s := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(s)
 	evaluated := 0
 	// The paper's three enumeration axes: m, distance (via center), and
 	// density (via radius).
@@ -87,7 +90,7 @@ func RankPlacements(m noc.Mesh, gm noc.NodeID, model *EffectModel, opts Optimize
 		for cy := 0; cy < m.Height; cy += stride {
 			for cx := 0; cx < m.Width; cx += stride {
 				for radius := 0; radius <= radiusMax; radius++ {
-					p, err := RingCluster(m, noc.Coord{X: cx, Y: cy}, count, float64(radius), gm)
+					p, err := s.RingCluster(m, noc.Coord{X: cx, Y: cy}, count, float64(radius), gm)
 					if err != nil {
 						return nil, evaluated, err
 					}
@@ -107,6 +110,7 @@ func RankPlacements(m noc.Mesh, gm noc.NodeID, model *EffectModel, opts Optimize
 						continue
 					}
 					seen[key] = true
+					p.Nodes = slices.Clone(p.Nodes) // p aliases s
 					top = insertCandidate(top, Candidate{Placement: p, Features: f, PredictedQ: q}, k)
 				}
 			}

@@ -5,10 +5,13 @@
 package attack
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/noc"
@@ -19,14 +22,8 @@ type Placement struct {
 	Nodes []noc.NodeID
 }
 
-// Infected returns the placement as a membership set.
-func (p Placement) Infected() map[noc.NodeID]bool {
-	m := make(map[noc.NodeID]bool, len(p.Nodes))
-	for _, n := range p.Nodes {
-		m[n] = true
-	}
-	return m
-}
+// Infected makes s the placement's membership set, keeping s's storage.
+func (p Placement) Infected(s *noc.NodeSet) { s.Set(p.Nodes) }
 
 // Size returns the number of Trojans.
 func (p Placement) Size() int { return len(p.Nodes) }
@@ -41,36 +38,93 @@ func validateCount(m noc.Mesh, count int) error {
 	return nil
 }
 
-// nearestTo returns the count mesh nodes closest to the real-valued
-// coordinate (cx, cy) by Manhattan distance, excluding the given nodes,
-// with deterministic tie-breaking by node ID.
-func nearestTo(m noc.Mesh, cx, cy float64, count int, exclude map[noc.NodeID]bool) []noc.NodeID {
-	type scored struct {
-		id noc.NodeID
-		d  float64
+// Scratch holds the placement generators' working buffers. A caller that
+// draws placement after placement (a trial loop, a fleet search) keeps
+// one and allocates nothing once it has grown; the package-level
+// generators take one from a pool and return a copy of what they drew.
+// The zero value is ready to use. A Scratch is not safe for concurrent
+// use.
+type Scratch struct {
+	exclude noc.NodeSet
+	ids     []noc.NodeID
+	scored  []scoredNode
+	perm    []int
+	nodes   []noc.NodeID
+}
+
+// scoredNode is a node and its distance from a generator's target.
+type scoredNode struct {
+	id noc.NodeID
+	d  float64
+}
+
+// byDistance orders nodes by distance, then by ID: a total order, so any
+// sort yields the same sequence.
+func byDistance(a, b scoredNode) int {
+	if a.d != b.d {
+		return cmp.Compare(a.d, b.d)
 	}
-	all := make([]scored, 0, m.Nodes())
+	return cmp.Compare(a.id, b.id)
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// pooled runs gen on a pooled Scratch and returns a copy of the placement
+// it drew, which the Scratch's next use would overwrite.
+func pooled(gen func(s *Scratch) (Placement, error)) (Placement, error) {
+	s := scratchPool.Get().(*Scratch)
+	p, err := gen(s)
+	p.Nodes = slices.Clone(p.Nodes)
+	scratchPool.Put(s)
+	return p, err
+}
+
+// excluding makes s's exclude set hold exclude's routers.
+func (s *Scratch) excluding(exclude []noc.NodeID) {
+	s.exclude.Clear()
+	for _, e := range exclude {
+		if e >= 0 {
+			s.exclude.Add(e)
+		}
+	}
+}
+
+// permute is rng.Perm(n) written into s's buffer: the same loop, so it
+// draws exactly what Perm draws.
+func (s *Scratch) permute(rng *rand.Rand, n int) []int {
+	if cap(s.perm) < n {
+		s.perm = make([]int, n)
+	}
+	m := s.perm[:n]
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}
+
+// placed sorts s's drawn nodes and returns them as a placement that
+// aliases s.
+func (s *Scratch) placed() Placement {
+	slices.Sort(s.nodes)
+	return Placement{Nodes: s.nodes}
+}
+
+// nearest returns the mesh nodes outside s's exclude set ordered by
+// Manhattan distance from the real-valued coordinate (cx, cy), ties by
+// node ID.
+func (s *Scratch) nearest(m noc.Mesh, cx, cy float64) []scoredNode {
+	s.scored = s.scored[:0]
 	for id := noc.NodeID(0); id < noc.NodeID(m.Nodes()); id++ {
-		if exclude[id] {
+		if s.exclude.Has(id) {
 			continue
 		}
 		c := m.Coord(id)
-		all = append(all, scored{id: id, d: math.Abs(float64(c.X)-cx) + math.Abs(float64(c.Y)-cy)})
+		s.scored = append(s.scored, scoredNode{id: id, d: math.Abs(float64(c.X)-cx) + math.Abs(float64(c.Y)-cy)})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].d != all[j].d {
-			return all[i].d < all[j].d
-		}
-		return all[i].id < all[j].id
-	})
-	if count > len(all) {
-		count = len(all)
-	}
-	out := make([]noc.NodeID, count)
-	for i := 0; i < count; i++ {
-		out[i] = all[i].id
-	}
-	return out
+	slices.SortFunc(s.scored, byDistance)
+	return s.scored
 }
 
 // CenterCluster places count Trojans "close to the center of the chip"
@@ -80,76 +134,82 @@ func nearestTo(m noc.Mesh, cx, cy float64, count int, exclude map[noc.NodeID]boo
 // in exclude (typically the manager) are never infected. A nil rng packs
 // the cluster tightly instead of sampling.
 func CenterCluster(m noc.Mesh, count int, rng *rand.Rand, exclude ...noc.NodeID) (Placement, error) {
+	return pooled(func(s *Scratch) (Placement, error) { return s.CenterCluster(m, count, rng, exclude...) })
+}
+
+// CenterCluster is the package's CenterCluster on s's buffers; the
+// placement aliases s until its next use.
+func (s *Scratch) CenterCluster(m noc.Mesh, count int, rng *rand.Rand, exclude ...noc.NodeID) (Placement, error) {
 	cx := float64(m.Width-1) / 2
 	cy := float64(m.Height-1) / 2
-	return regionCluster(m, cx, cy, count, rng, exclude)
+	return s.regionCluster(m, cx, cy, count, rng, exclude)
 }
 
 // CornerCluster places count Trojans in "a concentrated area near one
 // corner" (Fig 4), sampled like CenterCluster but around (0, 0).
 func CornerCluster(m noc.Mesh, count int, rng *rand.Rand, exclude ...noc.NodeID) (Placement, error) {
-	return regionCluster(m, 0, 0, count, rng, exclude)
+	return pooled(func(s *Scratch) (Placement, error) { return s.CornerCluster(m, count, rng, exclude...) })
+}
+
+// CornerCluster is the package's CornerCluster on s's buffers; the
+// placement aliases s until its next use.
+func (s *Scratch) CornerCluster(m noc.Mesh, count int, rng *rand.Rand, exclude ...noc.NodeID) (Placement, error) {
+	return s.regionCluster(m, 0, 0, count, rng, exclude)
 }
 
 // regionCluster samples count nodes from the smallest Manhattan ball
 // around (cx, cy) containing at least 2×count eligible nodes.
-func regionCluster(m noc.Mesh, cx, cy float64, count int, rng *rand.Rand, exclude []noc.NodeID) (Placement, error) {
+func (s *Scratch) regionCluster(m noc.Mesh, cx, cy float64, count int, rng *rand.Rand, exclude []noc.NodeID) (Placement, error) {
 	if err := validateCount(m, count); err != nil {
 		return Placement{}, err
 	}
-	ex := make(map[noc.NodeID]bool, len(exclude))
-	for _, e := range exclude {
-		ex[e] = true
-	}
+	s.excluding(exclude)
 	// Eligible nodes ordered by distance from the region center.
-	pool := nearestTo(m, cx, cy, m.Nodes(), ex)
+	pool := s.nearest(m, cx, cy)
 	if count > len(pool) {
 		return Placement{}, fmt.Errorf("attack: %d Trojans exceed %d eligible nodes", count, len(pool))
 	}
-	regionSize := 2 * count
-	if regionSize > len(pool) {
-		regionSize = len(pool)
-	}
-	region := pool[:regionSize]
-	var nodes []noc.NodeID
+	region := pool[:min(2*count, len(pool))]
+	s.nodes = s.nodes[:0]
 	if rng == nil {
-		nodes = append(nodes, region[:count]...)
+		for _, n := range region[:count] {
+			s.nodes = append(s.nodes, n.id)
+		}
 	} else {
-		picks := rng.Perm(len(region))[:count]
-		nodes = make([]noc.NodeID, count)
-		for i, p := range picks {
-			nodes[i] = region[p]
+		for _, p := range s.permute(rng, len(region))[:count] {
+			s.nodes = append(s.nodes, region[p].id)
 		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	return Placement{Nodes: nodes}, nil
+	return s.placed(), nil
 }
 
 // RandomPlacement draws count distinct routers uniformly — the "HTs
 // distributed randomly" distribution of Fig 4. Nodes in exclude are never
 // chosen.
 func RandomPlacement(m noc.Mesh, count int, rng *rand.Rand, exclude ...noc.NodeID) (Placement, error) {
+	return pooled(func(s *Scratch) (Placement, error) { return s.RandomPlacement(m, count, rng, exclude...) })
+}
+
+// RandomPlacement is the package's RandomPlacement on s's buffers; the
+// placement aliases s until its next use.
+func (s *Scratch) RandomPlacement(m noc.Mesh, count int, rng *rand.Rand, exclude ...noc.NodeID) (Placement, error) {
 	if err := validateCount(m, count); err != nil {
 		return Placement{}, err
 	}
-	ex := make(map[noc.NodeID]bool, len(exclude))
-	for _, e := range exclude {
-		ex[e] = true
-	}
-	pool := make([]noc.NodeID, 0, m.Nodes())
+	s.excluding(exclude)
+	pool := s.ids[:0]
 	for id := noc.NodeID(0); id < noc.NodeID(m.Nodes()); id++ {
-		if !ex[id] {
+		if !s.exclude.Has(id) {
 			pool = append(pool, id)
 		}
 	}
+	s.ids = pool
 	if count > len(pool) {
 		return Placement{}, fmt.Errorf("attack: %d Trojans exceed %d eligible nodes", count, len(pool))
 	}
 	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-	nodes := make([]noc.NodeID, count)
-	copy(nodes, pool[:count])
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	return Placement{Nodes: nodes}, nil
+	s.nodes = append(s.nodes[:0], pool[:count]...)
+	return s.placed(), nil
 }
 
 // RingCluster places count Trojans whose Manhattan distance to the given
@@ -157,41 +217,34 @@ func RandomPlacement(m noc.Mesh, count int, rng *rand.Rand, exclude ...noc.NodeI
 // cluster; larger radii spread the fleet, raising the Definition 8 η. The
 // exclude set (typically the global manager) is never infected.
 func RingCluster(m noc.Mesh, center noc.Coord, count int, radius float64, exclude ...noc.NodeID) (Placement, error) {
+	return pooled(func(s *Scratch) (Placement, error) { return s.RingCluster(m, center, count, radius, exclude...) })
+}
+
+// RingCluster is the package's RingCluster on s's buffers; the placement
+// aliases s until its next use.
+func (s *Scratch) RingCluster(m noc.Mesh, center noc.Coord, count int, radius float64, exclude ...noc.NodeID) (Placement, error) {
 	if err := validateCount(m, count); err != nil {
 		return Placement{}, err
 	}
-	ex := make(map[noc.NodeID]bool, len(exclude))
-	for _, e := range exclude {
-		ex[e] = true
-	}
-	type scored struct {
-		id noc.NodeID
-		d  float64
-	}
-	all := make([]scored, 0, m.Nodes())
+	s.excluding(exclude)
+	s.scored = s.scored[:0]
 	for id := noc.NodeID(0); id < noc.NodeID(m.Nodes()); id++ {
-		if ex[id] {
+		if s.exclude.Has(id) {
 			continue
 		}
 		c := m.Coord(id)
 		md := math.Abs(float64(c.X-center.X)) + math.Abs(float64(c.Y-center.Y))
-		all = append(all, scored{id: id, d: math.Abs(md - radius)})
+		s.scored = append(s.scored, scoredNode{id: id, d: math.Abs(md - radius)})
 	}
-	if count > len(all) {
-		return Placement{}, fmt.Errorf("attack: %d Trojans exceed %d eligible nodes", count, len(all))
+	if count > len(s.scored) {
+		return Placement{}, fmt.Errorf("attack: %d Trojans exceed %d eligible nodes", count, len(s.scored))
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].d != all[j].d {
-			return all[i].d < all[j].d
-		}
-		return all[i].id < all[j].id
-	})
-	nodes := make([]noc.NodeID, count)
-	for i := 0; i < count; i++ {
-		nodes[i] = all[i].id
+	slices.SortFunc(s.scored, byDistance)
+	s.nodes = s.nodes[:0]
+	for _, n := range s.scored[:count] {
+		s.nodes = append(s.nodes, n.id)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	return Placement{Nodes: nodes}, nil
+	return s.placed(), nil
 }
 
 func growFleet(size int) int {
@@ -215,30 +268,34 @@ func BalancedForInfectionRate(m noc.Mesh, gm noc.NodeID, target float64, groups 
 	if trialsPerSize < 1 {
 		trialsPerSize = 1
 	}
+	covers := metrics.NewCovers(m, gm)
+	s := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(s)
 	var (
-		best      Placement
+		best      []noc.NodeID
 		bestRate  float64
 		bestScore = math.Inf(1)
+		infected  noc.NodeSet
 	)
 	maxHTs := m.Nodes() - 1
 	for size := 1; size <= maxHTs; size = growFleet(size) {
 		reached := false
 		for trial := 0; trial < trialsPerSize; trial++ {
-			p, err := RandomPlacement(m, size, rng, gm)
+			p, err := s.RandomPlacement(m, size, rng, gm)
 			if err != nil {
 				break
 			}
-			infected := p.Infected()
-			rate := metrics.InfectionRateXY(m, gm, infected, nil)
+			p.Infected(&infected)
+			rate := metrics.InfectionRateXY(covers, &infected, nil)
 			score := math.Abs(rate - target)
 			for _, g := range groups {
 				if len(g) == 0 {
 					continue
 				}
-				score += math.Abs(metrics.InfectionRateXY(m, gm, infected, g)-target) / float64(len(groups))
+				score += math.Abs(metrics.InfectionRateXY(covers, &infected, g)-target) / float64(len(groups))
 			}
 			if score < bestScore {
-				best, bestRate, bestScore = p, rate, score
+				best, bestRate, bestScore = append(best[:0], p.Nodes...), rate, score
 			}
 			if rate >= target {
 				reached = true
@@ -248,7 +305,7 @@ func BalancedForInfectionRate(m noc.Mesh, gm noc.NodeID, target float64, groups 
 			break
 		}
 	}
-	return best, bestRate
+	return Placement{Nodes: best}, bestRate
 }
 
 // ForInfectionRate greedily builds a placement achieving at least the
@@ -260,45 +317,30 @@ func ForInfectionRate(m noc.Mesh, gm noc.NodeID, target float64, maxHTs int) (Pl
 	if target <= 0 || maxHTs < 1 {
 		return Placement{}, 0
 	}
-	// Path sets per source.
-	sources := make([]noc.NodeID, 0, m.Nodes()-1)
-	for id := noc.NodeID(0); id < noc.NodeID(m.Nodes()); id++ {
-		if id != gm {
-			sources = append(sources, id)
-		}
-	}
-	coverage := make(map[noc.NodeID][]int) // router -> indexes of sources it covers
-	for si, src := range sources {
-		for _, r := range m.PathXY(src, gm) {
-			if r == gm {
-				continue
-			}
-			coverage[r] = append(coverage[r], si)
-		}
-	}
-	covered := make([]bool, len(sources))
+	// Every source but the manager; no router but the manager's covers the
+	// manager, so the covers of the candidates count sources only.
+	sources := m.Nodes() - 1
+	covers := metrics.NewCovers(m, gm)
+	covered := make([]uint64, covers.Words())
 	nCovered := 0
 	var picked []noc.NodeID
-	for len(picked) < maxHTs && float64(nCovered)/float64(len(sources)) < target {
+	for len(picked) < maxHTs && float64(nCovered)/float64(sources) < target {
 		// needed is how many more sources must be covered to hit the
 		// target. Prefer the router whose marginal gain meets the need
 		// with the LEAST overshoot; when no single router suffices, take
 		// the largest gain. This keeps achieved rates close to requested
 		// ones across the whole Fig 5 sweep instead of jumping straight
 		// to a high-coverage hub next to the manager.
-		needed := int(math.Ceil(target*float64(len(sources)))) - nCovered
+		needed := int(math.Ceil(target*float64(sources))) - nCovered
 		bestOver, bestOverGain := noc.NodeID(-1), int(^uint(0)>>1) // min gain ≥ needed
 		bestUnder, bestUnderGain := noc.NodeID(-1), 0              // max gain < needed
 		for id := noc.NodeID(0); id < noc.NodeID(m.Nodes()); id++ {
-			srcs, ok := coverage[id]
-			if !ok {
+			if id == gm {
 				continue
 			}
 			gain := 0
-			for _, si := range srcs {
-				if !covered[si] {
-					gain++
-				}
+			for w, c := range covered {
+				gain += bits.OnesCount64(covers.Word(id, w) &^ c)
 			}
 			if gain == 0 {
 				continue
@@ -318,14 +360,12 @@ func ForInfectionRate(m noc.Mesh, gm noc.NodeID, target float64, maxHTs int) (Pl
 			break
 		}
 		picked = append(picked, best)
-		for _, si := range coverage[best] {
-			if !covered[si] {
-				covered[si] = true
-				nCovered++
-			}
+		for w := range covered {
+			gained := covers.Word(best, w) &^ covered[w]
+			covered[w] |= gained
+			nCovered += bits.OnesCount64(gained)
 		}
-		delete(coverage, best)
 	}
-	sort.Slice(picked, func(i, j int) bool { return picked[i] < picked[j] })
-	return Placement{Nodes: picked}, float64(nCovered) / float64(len(sources))
+	slices.Sort(picked)
+	return Placement{Nodes: picked}, float64(nCovered) / float64(sources)
 }

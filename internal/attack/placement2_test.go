@@ -33,9 +33,11 @@ func TestBalancedForInfectionRateBalancesGroups(t *testing.T) {
 	if math.Abs(rate-target) > 0.2 {
 		t.Errorf("overall rate %v too far from %v", rate, target)
 	}
-	infected := p.Infected()
-	lRate := metrics.InfectionRateXY(m, gm, infected, left)
-	rRate := metrics.InfectionRateXY(m, gm, infected, right)
+	var infected noc.NodeSet
+	p.Infected(&infected)
+	covers := metrics.NewCovers(m, gm)
+	lRate := metrics.InfectionRateXY(covers, &infected, left)
+	rRate := metrics.InfectionRateXY(covers, &infected, right)
 	if math.Abs(lRate-rRate) > 0.45 {
 		t.Errorf("group rates %v vs %v are badly unbalanced", lRate, rRate)
 	}
@@ -57,16 +59,18 @@ func TestBalancedForInfectionRateDegenerate(t *testing.T) {
 func TestRateOverSubsets(t *testing.T) {
 	m := noc.Mesh{Width: 4, Height: 4}
 	gm := m.ID(noc.Coord{X: 0, Y: 0})
-	infected := Placement{Nodes: []noc.NodeID{m.ID(noc.Coord{X: 1, Y: 0})}}.Infected()
+	var infected noc.NodeSet
+	Placement{Nodes: []noc.NodeID{m.ID(noc.Coord{X: 1, Y: 0})}}.Infected(&infected)
+	covers := metrics.NewCovers(m, gm)
 	hot := m.ID(noc.Coord{X: 3, Y: 0})  // path crosses (1,0)
 	cold := m.ID(noc.Coord{X: 0, Y: 3}) // path stays in column 0
-	if got := metrics.InfectionRateXY(m, gm, infected, []noc.NodeID{hot}); got != 1 {
+	if got := metrics.InfectionRateXY(covers, &infected, []noc.NodeID{hot}); got != 1 {
 		t.Errorf("hot source rate = %v, want 1", got)
 	}
-	if got := metrics.InfectionRateXY(m, gm, infected, []noc.NodeID{cold}); got != 0 {
+	if got := metrics.InfectionRateXY(covers, &infected, []noc.NodeID{cold}); got != 0 {
 		t.Errorf("cold source rate = %v, want 0", got)
 	}
-	if got := metrics.InfectionRateXY(m, gm, infected, []noc.NodeID{}); got != 0 {
+	if got := metrics.InfectionRateXY(covers, &infected, []noc.NodeID{}); got != 0 {
 		t.Errorf("empty sources = %v, want 0", got)
 	}
 	// nil means all non-manager sources: must agree with listing them.
@@ -76,8 +80,8 @@ func TestRateOverSubsets(t *testing.T) {
 			all = append(all, id)
 		}
 	}
-	got := metrics.InfectionRateXY(m, gm, infected, nil)
-	want := metrics.InfectionRateXY(m, gm, infected, all)
+	got := metrics.InfectionRateXY(covers, &infected, nil)
+	want := metrics.InfectionRateXY(covers, &infected, all)
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("nil sources = %v, all sources listed = %v", got, want)
 	}

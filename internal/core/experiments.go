@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/attack"
 	"repro/internal/exp"
@@ -41,7 +40,9 @@ func QVsInfection(ctx context.Context, cfg Config, mixName string, threads int, 
 	}
 	mesh := sys.Mesh()
 	gm := sys.ManagerNode()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	st := trialStates.Get().(*trialState)
+	defer trialStates.Put(st)
+	st.rng.Seed(cfg.Seed)
 	// Coverage balance groups: the placement sampler targets the same
 	// infection rate within the victim cores and the attacker cores, so
 	// one lucky fleet cannot cover exactly one application's quadrant.
@@ -76,7 +77,7 @@ func QVsInfection(ctx context.Context, cfg Config, mixName string, threads int, 
 				// Random fleets intercept victim and attacker traffic in
 				// unbiased proportion, matching how the paper sweeps the
 				// Fig 5 x-axis.
-				placement, _ := attack.BalancedForInfectionRate(mesh, gm, target, groups, 8, rng)
+				placement, _ := attack.BalancedForInfectionRate(mesh, gm, target, groups, 8, st.rng)
 				sc.Trojans = placement
 				row.HTs = placement.Size()
 			} else {
@@ -157,11 +158,11 @@ func OptimalVsRandom(ctx context.Context, cfg Config, mixName string, threads, n
 	// vary in ρ and η, and a model fitted on them extrapolates wildly.
 	gmCoord := mesh.Coord(gm)
 	placements := make([]attack.Placement, 0, samples+12)
-	rng := trialRNGs.Get().(*rand.Rand)
-	defer trialRNGs.Put(rng)
+	st := trialStates.Get().(*trialState)
+	defer trialStates.Put(st)
 	for i := 0; i < samples; i++ {
-		rng.Seed(exp.TrialSeed(seed, i))
-		placement, err := attack.RandomPlacement(mesh, nHTs, rng, gm)
+		st.rng.Seed(exp.TrialSeed(seed, i))
+		placement, err := attack.RandomPlacement(mesh, nHTs, st.rng, gm)
 		if err != nil {
 			return nil, err
 		}

@@ -124,7 +124,8 @@ func (r *run) report(sc Scenario) (*Report, error) {
 	r.sources = sources
 	if r.fleet != nil {
 		rep.Trojan = r.fleet.TotalStats()
-		rep.InfectionPredicted = metrics.InfectionRateXY(r.sys.mesh, r.sys.gm, sc.Trojans.Infected(), sources)
+		sc.Trojans.Infected(&r.infected)
+		rep.InfectionPredicted = metrics.InfectionRateXY(r.sys.routeCovers(), &r.infected, sources)
 		f, err := attack.FeaturesFor(r.sys.mesh, r.sys.gm, sc.Trojans)
 		if err != nil {
 			return nil, err

@@ -14,6 +14,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/budget"
 	"repro/internal/defense"
+	"repro/internal/exp"
 	"repro/internal/trojan"
 	"repro/internal/workload"
 )
@@ -127,6 +128,13 @@ func FuzzRunReuse(f *testing.F) {
 	// Cache traffic in both campaigns: 16 cores, then 64; 64, then 16.
 	f.Add([]byte{0, 1, 3, 0, 2, 0, 0, 1, 2, 0, 0, 5, 1, 2, 0, 9, 1, 8, 1, 1, 1, 3, 1, 1, 17, 2})
 	f.Add([]byte{2, 2, 6, 2, 10, 2, 0, 1, 4, 1, 2, 42, 0, 0, 3, 2, 1, 1, 0, 2, 1, 1, 0, 0, 9, 1})
+	// Two fleets on one 36-core mesh: A a 7-HT ring under mix-1, B a
+	// 4-HT ring over the same routers under mix-3, whose attackers sit
+	// elsewhere, then the same with B in drop mode. B's Trojans reuse A's
+	// table slots; a reset that kept A's counters or agent registers
+	// moves B's report.
+	f.Add([]byte{1, 0, 5, 3, 7, 0, 0, 0, 3, 1, 0, 5, 1, 1, 2, 4, 3, 4, 0, 0, 0, 3, 0, 0, 9, 1})
+	f.Add([]byte{1, 0, 5, 3, 7, 0, 0, 0, 3, 1, 0, 5, 1, 1, 2, 4, 3, 4, 0, 0, 0, 3, 0, 1, 9, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := reuseReader{data}
 		a, b := decodeReuseCase(t, &r), decodeReuseCase(t, &r)
@@ -196,12 +204,76 @@ func TestEpochLoopAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestPooledRunAllocatesOnlyItsReport pins the pooled run state of a
+// budget-only run with Trojans: once a run has returned its state to the
+// pool and the System has built its route covers, the next run allocates
+// only its report — the Report, its per-application results, its epoch
+// trace and the two Φ vectors of its features — and no fleet, infected
+// set or cover.
+func TestPooledRunAllocatesOnlyItsReport(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s, err := NewSystem(fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh := s.Mesh()
+	ring, err := attack.RingCluster(mesh, mesh.Coord(s.ManagerNode()), 6, 1, s.ManagerNode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := fastScenario(t, ring)
+	run := func() {
+		if _, err := s.RunContext(context.Background(), sc, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	const report = 5
+	if n := testing.AllocsPerRun(10, run); n > report {
+		t.Errorf("a pooled run with %d Trojans allocates %v times, want at most %d (its report)", ring.Size(), n, report)
+	}
+}
+
+// TestInfectionTrialCellAllocatesNothing pins the closed-form trials: once
+// a worker's pooled trial state has grown, one Fig 3/4 cell — re-seed,
+// draw the fleet, take its infected set, count its covers — allocates
+// nothing, for every series of both trial spaces.
+func TestInfectionTrialCellAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tr := range []InfectionTrials{
+		InfectionCurve(128, []int{0, 4, 40}, 2),
+		Distribution([]int{64, 256}, 8, 2),
+	} {
+		covers := tr.covers(0, tr.Space())
+		for flat := 0; flat < tr.Space(); flat++ {
+			cell := func() {
+				if _, err := tr.cell(covers, flat, 7); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cell()
+			if n := testing.AllocsPerRun(20, cell); n != 0 {
+				t.Errorf("%s cell %d allocates %v times, want 0", tr.title, flat, n)
+			}
+		}
+	}
+}
+
 // TestReseedMatchesFreshSource pins the re-seed rule pooled sources rely
-// on: after a source has been advanced by every method the simulator
-// calls on one, Seed(s) makes it draw exactly what
-// rand.New(rand.NewSource(s)) draws.
+// on: after a source from exp.NewSource has been advanced by every method
+// the simulator calls on one, Seed(s) makes it draw exactly what
+// rand.New(rand.NewSource(s)) draws. (exp's FuzzSourceOracle compares the
+// two sources at any seed.)
 func TestReseedMatchesFreshSource(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
+	rng := rand.New(exp.NewSource(99))
 	rng.Intn(17)
 	rng.Float64()
 	rng.Perm(33)

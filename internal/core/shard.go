@@ -55,9 +55,12 @@ type InfectionTrials struct {
 	err error
 	// params fingerprints the resolved parameters for the artifact.
 	params func(seed int64) any
-	// rate computes one trial: the infection rate of the fleet of series
-	// s at point p, drawn from an RNG seeded with seed.
-	rate func(s, p int, seed int64) (float64, error)
+	// chip returns the mesh, the manager and the fleet size of series s
+	// at point p. A fleet of 0 Trojans infects nothing and draws nothing.
+	chip func(s, p int) (noc.Mesh, noc.NodeID, int, error)
+	// place draws series s's fleet of count Trojans from rng on g's
+	// buffers.
+	place func(g *attack.Scratch, s int, mesh noc.Mesh, gm noc.NodeID, count int, rng *rand.Rand) (attack.Placement, error)
 }
 
 // InfectionCurve is the Fig 3 trial space (E3/E4): infection rate versus
@@ -81,19 +84,11 @@ func InfectionCurve(size int, htCounts []int, trials int) InfectionTrials {
 				Seed     int64 `json:"seed"`
 			}{size, htCounts, trials, seed}
 		},
-		rate: func(s, p int, seed int64) (float64, error) {
-			m := htCounts[p]
-			if m == 0 {
-				return 0, nil
-			}
-			manager := managers[s]
-			rng := trialRNG(seed)
-			defer trialRNGs.Put(rng)
-			placement, err := attack.RandomPlacement(mesh, m, rng, manager)
-			if err != nil {
-				return 0, err
-			}
-			return metrics.InfectionRateXY(mesh, manager, placement.Infected(), nil), nil
+		chip: func(s, p int) (noc.Mesh, noc.NodeID, int, error) {
+			return mesh, managers[s], htCounts[p], nil
+		},
+		place: func(g *attack.Scratch, _ int, mesh noc.Mesh, gm noc.NodeID, count int, rng *rand.Rand) (attack.Placement, error) {
+			return g.RandomPlacement(mesh, count, rng, gm)
 		},
 	}
 }
@@ -117,28 +112,22 @@ func Distribution(sizes []int, denominator, trials int) InfectionTrials {
 				Seed        int64 `json:"seed"`
 			}{sizes, denominator, trials, seed}
 		},
-		rate: func(s, p int, seed int64) (float64, error) {
+		chip: func(_, p int) (noc.Mesh, noc.NodeID, int, error) {
 			mesh, err := noc.MeshForSize(sizes[p])
 			if err != nil {
-				return 0, err
+				return noc.Mesh{}, 0, 0, err
 			}
-			manager := mesh.Center()
-			m := max(sizes[p]/denominator, 1)
-			rng := trialRNG(seed)
-			defer trialRNGs.Put(rng)
-			var placement attack.Placement
+			return mesh, mesh.Center(), max(sizes[p]/denominator, 1), nil
+		},
+		place: func(g *attack.Scratch, s int, mesh noc.Mesh, gm noc.NodeID, count int, rng *rand.Rand) (attack.Placement, error) {
 			switch s {
 			case 0:
-				placement, err = attack.CenterCluster(mesh, m, rng, manager)
+				return g.CenterCluster(mesh, count, rng, gm)
 			case 1:
-				placement, err = attack.RandomPlacement(mesh, m, rng, manager)
+				return g.RandomPlacement(mesh, count, rng, gm)
 			default:
-				placement, err = attack.CornerCluster(mesh, m, rng, manager)
+				return g.CornerCluster(mesh, count, rng, gm)
 			}
-			if err != nil {
-				return 0, err
-			}
-			return metrics.InfectionRateXY(mesh, manager, placement.Infected(), nil), nil
 		},
 	}
 	if denominator < 1 {
@@ -147,18 +136,19 @@ func Distribution(sizes []int, denominator, trials int) InfectionTrials {
 	return t
 }
 
-// trialRNGs pools the trials' random sources. Re-seeding a source in
-// place yields exactly the sequence of rand.New(rand.NewSource(seed)),
-// without allocating one per trial.
-var trialRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
-
-// trialRNG returns a pooled source seeded with seed; the caller puts it
-// back in trialRNGs once the trial is done with it.
-func trialRNG(seed int64) *rand.Rand {
-	rng := trialRNGs.Get().(*rand.Rand)
-	rng.Seed(seed)
-	return rng
+// trialState is a worker's kept state for closed-form trials and fleet
+// searches: a source re-seeded per trial, the placement generators'
+// buffers and an infected set.
+type trialState struct {
+	rng      *rand.Rand
+	gen      attack.Scratch
+	infected noc.NodeSet
 }
+
+// trialStates pools trial states. Re-seeding a source in place yields
+// exactly the sequence of rand.New(exp.NewSource(seed)), which is
+// math/rand's, without allocating a source per trial.
+var trialStates = sync.Pool{New: func() any { return &trialState{rng: rand.New(exp.NewSource(1))} }}
 
 // Space is the number of cells in the flat trial space.
 func (t InfectionTrials) Space() int { return len(t.series) * len(t.points) * t.trials }
@@ -185,12 +175,61 @@ func (t InfectionTrials) Run(ctx context.Context, seed int64, workers, lo, hi in
 	if space := t.Space(); lo < 0 || hi > space || lo > hi {
 		return nil, fmt.Errorf("core: shard range [%d, %d) invalid for trial space %d", lo, hi, space)
 	}
-	block := len(t.points) * t.trials
+	covers := t.covers(lo, hi)
 	return exp.Run(ctx, workers, hi-lo, func(_ context.Context, i int) (float64, error) {
-		flat := lo + i
-		inner := flat % block
-		return t.rate(flat/block, inner/t.trials, exp.TrialSeed(seed, inner))
+		return t.cell(covers, lo+i, seed)
 	})
+}
+
+// covers builds, once for the shard, the route covers of every chip that
+// cells [lo, hi) place a fleet on. Entry s*len(points)+p serves series s
+// at point p, and chips with one mesh and manager share one entry. A chip
+// that fails to build is left nil: its cells report the error.
+func (t InfectionTrials) covers(lo, hi int) []*metrics.Covers {
+	type chipKey struct {
+		mesh noc.Mesh
+		gm   noc.NodeID
+	}
+	built := map[chipKey]*metrics.Covers{}
+	out := make([]*metrics.Covers, len(t.series)*len(t.points))
+	for flat := lo; flat < hi; flat = (flat/t.trials + 1) * t.trials {
+		k := flat / t.trials
+		mesh, gm, count, err := t.chip(k/len(t.points), k%len(t.points))
+		if err != nil || count == 0 {
+			continue
+		}
+		key := chipKey{mesh, gm}
+		if built[key] == nil {
+			built[key] = metrics.NewCovers(mesh, gm)
+		}
+		out[k] = built[key]
+	}
+	return out
+}
+
+// cell computes cell flat of the trial space: the closed-form infection
+// rate of the fleet its trial seed draws, on a pooled trial state, over
+// the shard's covers.
+func (t InfectionTrials) cell(covers []*metrics.Covers, flat int, seed int64) (float64, error) {
+	block := len(t.points) * t.trials
+	inner := flat % block
+	s, p := flat/block, inner/t.trials
+	mesh, gm, count, err := t.chip(s, p)
+	if err != nil {
+		return 0, err
+	}
+	if count == 0 {
+		return 0, nil
+	}
+	st := trialStates.Get().(*trialState)
+	defer trialStates.Put(st)
+	st.rng.Seed(exp.TrialSeed(seed, inner))
+	placement, err := t.place(&st.gen, s, mesh, gm, count, st.rng)
+	if err != nil {
+		return 0, err
+	}
+	placement.Infected(&st.infected)
+	return metrics.InfectionRateXY(covers[flat/t.trials], &st.infected, nil), nil
 }
 
 // Table assembles experiment id's artifact, titled as paper figure fig

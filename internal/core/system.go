@@ -23,6 +23,11 @@ type System struct {
 	cfg  Config
 	mesh noc.Mesh
 	gm   noc.NodeID
+
+	// coverOnce builds covers, the closed-form infection predictor's
+	// index of the manager's routes, for the first run with Trojans.
+	coverOnce sync.Once
+	covers    *metrics.Covers
 }
 
 // NewSystem validates cfg and prepares a chip model.
@@ -48,6 +53,13 @@ func (s *System) ManagerNode() noc.NodeID { return s.gm }
 
 // Config returns the chip configuration.
 func (s *System) Config() Config { return s.cfg }
+
+// routeCovers returns the chip's route covers toward its manager, built
+// once per System.
+func (s *System) routeCovers() *metrics.Covers {
+	s.coverOnce.Do(func() { s.covers = metrics.NewCovers(s.mesh, s.gm) })
+	return s.covers
+}
 
 // coreState is one tile's runtime state.
 type coreState struct {
@@ -75,15 +87,16 @@ type appState struct {
 // nothing the next run rewrites (the trace is handed over, not reused) —
 // and a failed or cancelled run is dropped. Everything a run keeps across
 // resets (the network's slabs, the manager's buffers, the memory
-// hierarchy, the packet slab, the address streams and their sources, the
-// delivery handler) is state the next reset overwrites before reading.
+// hierarchy, the Trojan fleet, the packet slab, the address streams and
+// their sources, the delivery handler) is state the next reset overwrites
+// before reading.
 type run struct {
 	sys     *System
 	kernel  sim.Kernel[mem.Event]
 	net     noc.Network
 	memsys  *mem.System // &hierarchy in a cache-traffic run, else nil
 	manager budget.Manager
-	fleet   *trojan.Fleet
+	fleet   *trojan.Fleet // &trojans in a run with Trojans, else nil
 
 	cores     []coreState
 	apps      []appState
@@ -98,13 +111,15 @@ type run struct {
 	// last seen manager counters, for per-epoch trace deltas
 	prevReceived, prevTampered, prevFlagged uint64
 
-	// Kept across resets: the memory hierarchy; the run's packets, of
-	// every type; the delivery handler every node is attached to, bound
-	// once; the per-node address streams (cores[i].stream points into
-	// it), each with its own source; the placement, the CONFIG_CMD agent
-	// ranges, the DVFS frequency and power tables, and the report's
-	// source cores.
+	// Kept across resets: the memory hierarchy; the Trojan fleet and its
+	// infected set; the run's packets, of every type; the delivery handler
+	// every node is attached to, bound once; the per-node address streams
+	// (cores[i].stream points into it), each with its own source; the
+	// placement, the CONFIG_CMD agent ranges, the DVFS frequency and power
+	// tables, and the report's source cores.
 	hierarchy mem.System
+	trojans   trojan.Fleet
+	infected  noc.NodeSet
 	packets   packetSlab
 	deliver   noc.Handler
 	streams   []mem.AddressStream
@@ -453,10 +468,10 @@ func (r *run) reset(s *System, sc Scenario) error {
 		if strategy == nil {
 			strategy = trojan.DefaultStrategy()
 		}
-		r.fleet, err = trojan.NewFleet(sc.Trojans.Nodes, strategy)
-		if err != nil {
+		if err := r.trojans.Reset(sc.Trojans.Nodes, strategy); err != nil {
 			return err
 		}
+		r.fleet = &r.trojans
 		if sc.Mode != 0 {
 			if err := r.fleet.SetMode(sc.Mode); err != nil {
 				return err

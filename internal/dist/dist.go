@@ -355,7 +355,7 @@ func (c *Coordinator) Register(url string) (string, bool) {
 		id:      id,
 		url:     url,
 		backoff: breakerBaseBackoff,
-		rng:     rand.New(rand.NewSource(exp.StreamSeed(c.opts.Seed, "breaker/"+url))),
+		rng:     rand.New(exp.NewSource(exp.StreamSeed(c.opts.Seed, "breaker/"+url))),
 	})
 	return id, true
 }

@@ -39,6 +39,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/exp"
 )
 
 // Mode is one injected failure class.
@@ -133,7 +135,7 @@ func Parse(spec string) (*Set, error) {
 	if len(s.rules) == 0 {
 		return nil, nil
 	}
-	s.rng = rand.New(rand.NewSource(seed))
+	s.rng = rand.New(exp.NewSource(seed))
 	return s, nil
 }
 

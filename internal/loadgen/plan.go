@@ -169,7 +169,7 @@ func BuildPlan(cfg Config) (*Plan, error) {
 	}
 	var ops []Op
 	for c := 0; c < cfg.Clients; c++ {
-		rng := rand.New(rand.NewSource(exp.StreamSeed(cfg.Seed, fmt.Sprintf("client-%d", c))))
+		rng := rand.New(exp.NewSource(exp.StreamSeed(cfg.Seed, fmt.Sprintf("client-%d", c))))
 		lastSub := -1 // plan index of this client's latest submission
 		emit := func(seq int, atMicros int64) {
 			op := Op{

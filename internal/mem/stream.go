@@ -1,6 +1,10 @@
 package mem
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/exp"
+)
 
 // AddressStream generates the synthetic per-thread address trace that
 // replaces real benchmark memory traces (see the substitution table in
@@ -36,13 +40,13 @@ func NewAddressStream(appIdx, threadIdx, workingSetLines int, writeFrac float64,
 }
 
 // Reset makes s the stream NewAddressStream builds over
-// rand.New(rand.NewSource(seed)), re-seeding the source s already owns in
+// rand.New(exp.NewSource(seed)), re-seeding the source s already owns in
 // place — the same sequence without a new source — or making one the
 // first time.
 func (s *AddressStream) Reset(appIdx, threadIdx, workingSetLines int, writeFrac float64, seed int64) {
 	rng := s.rng
 	if rng == nil {
-		rng = rand.New(rand.NewSource(seed))
+		rng = rand.New(exp.NewSource(seed))
 	} else {
 		rng.Seed(seed)
 	}

@@ -23,8 +23,10 @@ func ExampleAttackEffectQ() {
 func ExampleInfectionRateXY() {
 	mesh := noc.Mesh{Width: 4, Height: 1}
 	gm := mesh.ID(noc.Coord{X: 0, Y: 0})
-	infected := map[noc.NodeID]bool{mesh.ID(noc.Coord{X: 1, Y: 0}): true}
-	rate := metrics.InfectionRateXY(mesh, gm, infected, nil)
+	covers := metrics.NewCovers(mesh, gm) // once per chip and manager
+	var infected noc.NodeSet
+	infected.Add(mesh.ID(noc.Coord{X: 1, Y: 0}))
+	rate := metrics.InfectionRateXY(covers, &infected, nil)
 	fmt.Printf("infection rate = %.2f\n", rate)
 	// Output: infection rate = 1.00
 }

@@ -127,7 +127,7 @@ func TestDensityEtaTightVsSpread(t *testing.T) {
 
 func TestInfectionRateXYNoTrojans(t *testing.T) {
 	m := noc.Mesh{Width: 8, Height: 8}
-	if got := InfectionRateXY(m, m.Center(), nil, nil); got != 0 {
+	if got := InfectionRateXY(NewCovers(m, m.Center()), setOf(), nil); got != 0 {
 		t.Errorf("rate = %v, want 0", got)
 	}
 }
@@ -136,8 +136,7 @@ func TestInfectionRateXYManagerRouterInterceptsAll(t *testing.T) {
 	// An HT in the manager's own router sees every request: rate 1.
 	m := noc.Mesh{Width: 8, Height: 8}
 	gm := m.Center()
-	infected := map[noc.NodeID]bool{gm: true}
-	if got := InfectionRateXY(m, gm, infected, nil); got != 1 {
+	if got := InfectionRateXY(NewCovers(m, gm), setOf(gm), nil); got != 1 {
 		t.Errorf("rate = %v, want 1", got)
 	}
 }
@@ -148,9 +147,8 @@ func TestInfectionRateXYSingleOffPathTrojan(t *testing.T) {
 	m := noc.Mesh{Width: 8, Height: 8}
 	gm := m.ID(noc.Coord{X: 0, Y: 0})
 	far := m.ID(noc.Coord{X: 7, Y: 7})
-	infected := map[noc.NodeID]bool{far: true}
 	want := 1.0 / 63.0
-	if got := InfectionRateXY(m, gm, infected, nil); math.Abs(got-want) > 1e-12 {
+	if got := InfectionRateXY(NewCovers(m, gm), setOf(far), nil); math.Abs(got-want) > 1e-12 {
 		t.Errorf("rate = %v, want %v", got, want)
 	}
 }
@@ -163,7 +161,7 @@ func TestInfectionRateXYColumnTrojan(t *testing.T) {
 	gm := m.ID(noc.Coord{X: 0, Y: 0})
 	ht := m.ID(noc.Coord{X: 0, Y: 2})
 	infected := map[noc.NodeID]bool{ht: true}
-	got := InfectionRateXY(m, gm, infected, nil)
+	got := InfectionRateXY(NewCovers(m, gm), setOf(ht), nil)
 	// Exhaustive check.
 	hit := 0
 	for id := noc.NodeID(0); id < 16; id++ {
@@ -186,7 +184,7 @@ func TestInfectionRateXYColumnTrojan(t *testing.T) {
 func TestInfectionRateXYCustomSources(t *testing.T) {
 	m := noc.Mesh{Width: 4, Height: 4}
 	gm := m.ID(noc.Coord{X: 0, Y: 0})
-	infected := map[noc.NodeID]bool{m.ID(noc.Coord{X: 1, Y: 0}): true}
+	infected := setOf(m.ID(noc.Coord{X: 1, Y: 0}))
 	hot := m.ID(noc.Coord{X: 3, Y: 0})  // XY path crosses (1,0)
 	cold := m.ID(noc.Coord{X: 0, Y: 3}) // path stays in column 0
 	for _, tc := range []struct {
@@ -198,10 +196,12 @@ func TestInfectionRateXYCustomSources(t *testing.T) {
 		{"cold", []noc.NodeID{cold}, 0},
 		{"hot and cold", []noc.NodeID{hot, cold}, 0.5},
 		{"empty", []noc.NodeID{}, 0},
+		// A listed source counts once per listing.
+		{"hot twice and cold", []noc.NodeID{hot, cold, hot}, 2.0 / 3},
 		// nil means every non-manager source: (1,0), (2,0) and (3,0) of 15.
 		{"nil", nil, 3.0 / 15},
 	} {
-		if got := InfectionRateXY(m, gm, infected, tc.sources); math.Abs(got-tc.want) > 1e-12 {
+		if got := InfectionRateXY(NewCovers(m, gm), infected, tc.sources); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("%s sources: rate = %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -212,12 +212,15 @@ func TestInfectionRateXYCustomSources(t *testing.T) {
 func TestInfectionRateXYAgreesWithPathWalk(t *testing.T) {
 	m := noc.Mesh{Width: 6, Height: 5}
 	gm := m.Center()
+	covers := NewCovers(m, gm)
 	f := func(raw []uint8) bool {
 		infected := make(map[noc.NodeID]bool)
+		var set noc.NodeSet
 		for _, r := range raw {
 			infected[noc.NodeID(int(r)%m.Nodes())] = true
+			set.Add(noc.NodeID(int(r) % m.Nodes()))
 		}
-		got := InfectionRateXY(m, gm, infected, nil)
+		got := InfectionRateXY(covers, &set, nil)
 		hit, total := 0, 0
 		for id := noc.NodeID(0); id < noc.NodeID(m.Nodes()); id++ {
 			if id == gm {
@@ -237,6 +240,13 @@ func TestInfectionRateXYAgreesWithPathWalk(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// setOf returns the set of ids.
+func setOf(ids ...noc.NodeID) *noc.NodeSet {
+	s := new(noc.NodeSet)
+	s.Set(ids)
+	return s
 }
 
 func TestInfectionCounter(t *testing.T) {

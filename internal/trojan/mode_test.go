@@ -40,7 +40,7 @@ func TestFleetSetMode(t *testing.T) {
 }
 
 func TestDropModeVerdicts(t *testing.T) {
-	tr := NewTrojan(5)
+	tr := NewTrojan()
 	tr.observe(configPacket(7, 119, true), ZeroStrategy{}, ModeDrop)
 
 	victim := powerReq(3, 119, 4000)
@@ -64,7 +64,7 @@ func TestDropModeVerdicts(t *testing.T) {
 }
 
 func TestLoopbackModeVerdicts(t *testing.T) {
-	tr := NewTrojan(5)
+	tr := NewTrojan()
 	tr.observe(configPacket(7, 119, true), ZeroStrategy{}, ModeLoopback)
 
 	victim := powerReq(3, 119, 4000)
@@ -85,7 +85,7 @@ func TestLoopbackModeVerdicts(t *testing.T) {
 
 func TestInactiveModesForwardEverything(t *testing.T) {
 	for _, mode := range []Mode{ModeDrop, ModeLoopback} {
-		tr := NewTrojan(5)
+		tr := NewTrojan()
 		// Configured but deactivated.
 		tr.observe(configPacket(7, 119, false), ZeroStrategy{}, mode)
 		p := powerReq(3, 119, 4000)
@@ -98,7 +98,7 @@ func TestInactiveModesForwardEverything(t *testing.T) {
 func TestFalseDataModeIgnoresBoostInOtherModes(t *testing.T) {
 	// In drop mode even attacker boosting is disabled: the circuit's
 	// functional module is repurposed.
-	tr := NewTrojan(5)
+	tr := NewTrojan()
 	s := ScaleStrategy{VictimFactor: 0.25, BoostFactor: 2}
 	tr.observe(configPacket(7, 119, true), s, ModeDrop)
 	agent := powerReq(7, 119, 4000)

@@ -9,7 +9,6 @@ package trojan
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/noc"
 )
@@ -20,12 +19,15 @@ import (
 // small number of base/length range registers (configured through the
 // CONFIG_CMD options field). This is the one place the implementation
 // extends the paper's circuit, and it stays hardware-plausible: a range
-// register is two comparators.
+// register is two comparators. The register file is fixed storage, as in
+// hardware: the zero value is empty.
 type AgentMatcher struct {
-	singles map[noc.NodeID]struct{}
-	ranges  []agentRange
+	regs [maxAgentRegisters]agentRange
+	n    int // registers in use
 }
 
+// agentRange is one register: a (base, count) range, or the single ID
+// base when count is 0.
 type agentRange struct {
 	base  noc.NodeID
 	count int
@@ -35,16 +37,21 @@ type agentRange struct {
 // hardware would.
 const maxAgentRegisters = 8
 
-// AddSingle registers one attacker core ID. It silently drops entries
-// beyond the register-file capacity, as saturating hardware would.
+// holds reports whether the matcher has register r.
+func (a *AgentMatcher) holds(r agentRange) bool {
+	return slices.Contains(a.regs[:a.n], r)
+}
+
+// AddSingle registers one attacker core ID. An ID the matcher already
+// holds takes no second register, and it silently drops entries beyond
+// the register-file capacity, as saturating hardware would.
 func (a *AgentMatcher) AddSingle(id noc.NodeID) {
-	if a.singles == nil {
-		a.singles = make(map[noc.NodeID]struct{})
-	}
-	if len(a.singles)+len(a.ranges) >= maxAgentRegisters {
+	r := agentRange{base: id}
+	if a.n >= maxAgentRegisters || a.holds(r) {
 		return
 	}
-	a.singles[id] = struct{}{}
+	a.regs[a.n] = r
+	a.n++
 }
 
 // AddRange registers a contiguous block of attacker core IDs. A range the
@@ -53,22 +60,20 @@ func (a *AgentMatcher) AddSingle(id noc.NodeID) {
 // register file.
 func (a *AgentMatcher) AddRange(base noc.NodeID, count int) {
 	r := agentRange{base: base, count: count}
-	if count <= 0 || slices.Contains(a.ranges, r) {
+	if count <= 0 || a.holds(r) {
 		return
 	}
-	if len(a.singles)+len(a.ranges) >= maxAgentRegisters {
+	if a.n >= maxAgentRegisters {
 		return
 	}
-	a.ranges = append(a.ranges, r)
+	a.regs[a.n] = r
+	a.n++
 }
 
 // Matches reports whether id is a registered attacker agent.
 func (a *AgentMatcher) Matches(id noc.NodeID) bool {
-	if _, ok := a.singles[id]; ok {
-		return true
-	}
-	for _, r := range a.ranges {
-		if id >= r.base && id < r.base+noc.NodeID(r.count) {
+	for _, r := range a.regs[:a.n] {
+		if r.count == 0 && id == r.base || r.count > 0 && id >= r.base && id < r.base+noc.NodeID(r.count) {
 			return true
 		}
 	}
@@ -123,8 +128,6 @@ type Stats struct {
 
 // Trojan is one implanted HT instance in one router.
 type Trojan struct {
-	router noc.NodeID
-
 	// Local registers per Fig 2(a).
 	gm         noc.NodeID
 	configured bool
@@ -134,11 +137,8 @@ type Trojan struct {
 	stats Stats
 }
 
-// NewTrojan implants an unconfigured, inactive Trojan at router id.
-func NewTrojan(router noc.NodeID) *Trojan { return &Trojan{router: router} }
-
-// Router returns the infected router's node ID.
-func (t *Trojan) Router() noc.NodeID { return t.router }
+// NewTrojan returns an unconfigured, inactive Trojan.
+func NewTrojan() *Trojan { return new(Trojan) }
 
 // Configured reports whether a CONFIG_CMD has been latched.
 func (t *Trojan) Configured() bool { return t.configured }
@@ -215,9 +215,13 @@ func (t *Trojan) latchConfig(p *noc.Packet) {
 
 // Fleet is the set of Trojans implanted in a chip. It implements
 // noc.Inspector, dispatching RC-stage packets to the Trojan in the matching
-// router.
+// router: a presence mask over router IDs says which routers hold one, and
+// a router-indexed table says where it is. Reset rewrites a fleet in place,
+// so a fleet kept with a run's state allocates nothing once it has grown.
 type Fleet struct {
-	trojans  map[noc.NodeID]*Trojan
+	present  noc.NodeSet
+	slot     []int32  // router -> index in trojans, read only when present
+	trojans  []Trojan // in the order the routers were given
 	strategy Strategy
 	mode     Mode
 }
@@ -228,21 +232,39 @@ var _ noc.Inspector = (*Fleet)(nil)
 // strategy, in the paper's false-data mode. Duplicate router IDs are
 // rejected.
 func NewFleet(routers []noc.NodeID, strategy Strategy) (*Fleet, error) {
-	if strategy == nil {
-		return nil, fmt.Errorf("trojan: fleet needs a strategy")
-	}
-	f := &Fleet{
-		trojans:  make(map[noc.NodeID]*Trojan, len(routers)),
-		strategy: strategy,
-		mode:     ModeFalseData,
-	}
-	for _, r := range routers {
-		if _, dup := f.trojans[r]; dup {
-			return nil, fmt.Errorf("trojan: duplicate Trojan at router %d", r)
-		}
-		f.trojans[r] = NewTrojan(r)
+	f := new(Fleet)
+	if err := f.Reset(routers, strategy); err != nil {
+		return nil, err
 	}
 	return f, nil
+}
+
+// Reset makes f the fleet NewFleet(routers, strategy) returns: unconfigured,
+// inactive Trojans with empty registers and zero counters, in false-data
+// mode. It keeps f's storage. After an error f is unusable until the next
+// successful Reset.
+func (f *Fleet) Reset(routers []noc.NodeID, strategy Strategy) error {
+	if strategy == nil {
+		return fmt.Errorf("trojan: fleet needs a strategy")
+	}
+	f.strategy, f.mode = strategy, ModeFalseData
+	f.present.Clear()
+	f.trojans = f.trojans[:0]
+	for _, r := range routers {
+		if r < 0 {
+			return fmt.Errorf("trojan: invalid router %d", r)
+		}
+		if f.present.Has(r) {
+			return fmt.Errorf("trojan: duplicate Trojan at router %d", r)
+		}
+		if int(r) >= len(f.slot) {
+			f.slot = append(f.slot, make([]int32, int(r)+1-len(f.slot))...)
+		}
+		f.present.Add(r)
+		f.slot[r] = int32(len(f.trojans))
+		f.trojans = append(f.trojans, Trojan{})
+	}
+	return nil
 }
 
 // SetMode switches the fleet to another Section II-B attack class.
@@ -261,8 +283,8 @@ func (f *Fleet) Mode() Mode { return f.mode }
 
 // InspectRC implements noc.Inspector.
 func (f *Fleet) InspectRC(router noc.NodeID, p *noc.Packet) noc.Verdict {
-	if t, ok := f.trojans[router]; ok {
-		return t.observe(p, f.strategy, f.mode)
+	if f.present.Has(router) {
+		return f.trojans[f.slot[router]].observe(p, f.strategy, f.mode)
 	}
 	return noc.VerdictForward
 }
@@ -270,23 +292,19 @@ func (f *Fleet) InspectRC(router noc.NodeID, p *noc.Packet) noc.Verdict {
 // Size returns the number of implanted Trojans.
 func (f *Fleet) Size() int { return len(f.trojans) }
 
-// Locations returns the infected router IDs in ascending order.
-func (f *Fleet) Locations() []noc.NodeID {
-	out := make([]noc.NodeID, 0, len(f.trojans))
-	for r := range f.trojans {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // At returns the Trojan at router id, or nil.
-func (f *Fleet) At(id noc.NodeID) *Trojan { return f.trojans[id] }
+func (f *Fleet) At(id noc.NodeID) *Trojan {
+	if !f.present.Has(id) {
+		return nil
+	}
+	return &f.trojans[f.slot[id]]
+}
 
 // TotalStats sums all Trojans' counters.
 func (f *Fleet) TotalStats() Stats {
 	var s Stats
-	for _, t := range f.trojans {
+	for i := range f.trojans {
+		t := &f.trojans[i]
 		s.PowerReqSeen += t.stats.PowerReqSeen
 		s.Modified += t.stats.Modified
 		s.Boosted += t.stats.Boosted

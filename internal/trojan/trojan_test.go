@@ -22,7 +22,7 @@ func powerReq(src, dst noc.NodeID, mw uint32) *noc.Packet {
 }
 
 func TestUnconfiguredTrojanIsInert(t *testing.T) {
-	tr := NewTrojan(5)
+	tr := NewTrojan()
 	p := powerReq(1, 9, 4000)
 	tr.observe(p, ZeroStrategy{}, ModeFalseData)
 	if p.Tampered || p.Payload != 4000 {
@@ -34,7 +34,7 @@ func TestUnconfiguredTrojanIsInert(t *testing.T) {
 }
 
 func TestConfigLatching(t *testing.T) {
-	tr := NewTrojan(5)
+	tr := NewTrojan()
 	tr.observe(configPacket(7, 119, true), ZeroStrategy{}, ModeFalseData)
 	if !tr.Configured() || !tr.Active() {
 		t.Fatal("config packet must configure and activate")
@@ -51,7 +51,7 @@ func TestConfigLatching(t *testing.T) {
 }
 
 func TestVictimTampering(t *testing.T) {
-	tr := NewTrojan(5)
+	tr := NewTrojan()
 	tr.observe(configPacket(7, 119, true), ZeroStrategy{}, ModeFalseData)
 	p := powerReq(3, 119, 4000) // victim: src 3 is not an agent, dst is GM
 	tr.observe(p, ZeroStrategy{}, ModeFalseData)
@@ -64,7 +64,7 @@ func TestVictimTampering(t *testing.T) {
 }
 
 func TestAgentRequestNotCutByZeroStrategy(t *testing.T) {
-	tr := NewTrojan(5)
+	tr := NewTrojan()
 	tr.observe(configPacket(7, 119, true), ZeroStrategy{}, ModeFalseData)
 	p := powerReq(7, 119, 4000) // the agent itself
 	tr.observe(p, ZeroStrategy{}, ModeFalseData)
@@ -74,7 +74,7 @@ func TestAgentRequestNotCutByZeroStrategy(t *testing.T) {
 }
 
 func TestWrongDestinationIgnored(t *testing.T) {
-	tr := NewTrojan(5)
+	tr := NewTrojan()
 	tr.observe(configPacket(7, 119, true), ZeroStrategy{}, ModeFalseData)
 	p := powerReq(3, 42, 4000) // not the global manager
 	tr.observe(p, ZeroStrategy{}, ModeFalseData)
@@ -84,7 +84,7 @@ func TestWrongDestinationIgnored(t *testing.T) {
 }
 
 func TestDeactivationViaConfig(t *testing.T) {
-	tr := NewTrojan(5)
+	tr := NewTrojan()
 	tr.observe(configPacket(7, 119, true), ZeroStrategy{}, ModeFalseData)
 	tr.observe(configPacket(7, 119, false), ZeroStrategy{}, ModeFalseData) // OFF signal
 	if tr.Active() {
@@ -105,7 +105,7 @@ func TestDeactivationViaConfig(t *testing.T) {
 }
 
 func TestAgentRangeMatching(t *testing.T) {
-	tr := NewTrojan(5)
+	tr := NewTrojan()
 	// Range [64, 128): 64 attacker cores.
 	tr.observe(configPacket(7, 119, true, 64, 64), ZeroStrategy{}, ModeFalseData)
 	for _, id := range []noc.NodeID{64, 100, 127} {
@@ -125,7 +125,7 @@ func TestAgentRangeMatching(t *testing.T) {
 }
 
 func TestScaleStrategyBoostsAttackers(t *testing.T) {
-	tr := NewTrojan(5)
+	tr := NewTrojan()
 	s := ScaleStrategy{VictimFactor: 0.25, BoostFactor: 1.5}
 	tr.observe(configPacket(7, 119, true), s, ModeFalseData)
 	victim := powerReq(3, 119, 4000)
@@ -161,7 +161,7 @@ func TestScaleStrategyNoBoostWhenFactorLEOne(t *testing.T) {
 func TestTamperIdempotentAcrossTrojans(t *testing.T) {
 	// Two HTs on one path: the second must not compound the rewrite.
 	s := ScaleStrategy{VictimFactor: 0.5}
-	t1, t2 := NewTrojan(1), NewTrojan(2)
+	t1, t2 := NewTrojan(), NewTrojan()
 	t1.observe(configPacket(7, 119, true), s, ModeFalseData)
 	t2.observe(configPacket(7, 119, true), s, ModeFalseData)
 	p := powerReq(3, 119, 4000)
@@ -236,7 +236,7 @@ func TestFleetDispatch(t *testing.T) {
 	if f.Size() != 2 {
 		t.Errorf("Size = %d, want 2", f.Size())
 	}
-	locs := f.Locations()
+	locs := locations(f)
 	if len(locs) != 2 || locs[0] != 3 || locs[1] != 9 {
 		t.Errorf("Locations = %v, want [3 9]", locs)
 	}
@@ -303,4 +303,13 @@ func TestCircuitInventory(t *testing.T) {
 	if tr <= 0 || tr > 2000 {
 		t.Errorf("transistor estimate = %d, want a few hundred", tr)
 	}
+}
+
+// locations returns the fleet's infected router IDs in ascending order.
+func locations(f *Fleet) []noc.NodeID {
+	var out []noc.NodeID
+	for r, ok := f.present.Next(0); ok; r, ok = f.present.Next(r + 1) {
+		out = append(out, r)
+	}
+	return out
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/noc"
 	"repro/internal/trojan"
 	"repro/internal/workload"
@@ -108,7 +109,7 @@ func (s *Sim) Trojans(placement string, count int, seed int64) (Placement, error
 	if err != nil {
 		return Placement{}, err
 	}
-	return gen(s.sys.Mesh(), s.sys.ManagerNode(), count, rand.New(rand.NewSource(seed)))
+	return gen(s.sys.Mesh(), s.sys.ManagerNode(), count, rand.New(exp.NewSource(seed)))
 }
 
 // TrojansForInfection builds the smallest placement predicted to reach
