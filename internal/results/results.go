@@ -84,7 +84,10 @@ func HashConfig(params any) string {
 // Revision reports the VCS revision baked into the running binary by the
 // Go toolchain, or "unknown" for unstamped builds (tests, go run outside a
 // checkout).
-func Revision() string {
+//
+// The binary's build info cannot change while it runs, so it is parsed
+// once, on the first call.
+var Revision = sync.OnceValue(func() string {
 	if info, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range info.Settings {
 			if s.Key == "vcs.revision" {
@@ -93,7 +96,7 @@ func Revision() string {
 		}
 	}
 	return "unknown"
-}
+})
 
 // Build fingerprints the binary that computed a result: its VCS revision,
 // Go toolchain and GOARCH. The compiler fuses multiply-adds into FMA

@@ -217,3 +217,17 @@ func TestWriteFormatDispatchesEveryFormat(t *testing.T) {
 		t.Errorf("WriteFormat(xml) = %v, want unknown-format error", err)
 	}
 }
+
+// TestRevisionParsesBuildInfoOnce pins the memo: after the first call,
+// Revision — read for every table's Meta and every health check —
+// allocates nothing and answers the same.
+func TestRevisionParsesBuildInfoOnce(t *testing.T) {
+	first := Revision()
+	if n := testing.AllocsPerRun(100, func() {
+		if Revision() != first {
+			t.Fatal("Revision changed between calls")
+		}
+	}); n != 0 {
+		t.Errorf("Revision allocates %v times per call after the first, want 0", n)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -149,19 +150,24 @@ func (l *eventLog) close() {
 // everything the log still holds — Last-Event-ID resume passes the last
 // id the client saw), a channel of subsequent events (closed when the
 // log closes), and a cancel function the subscriber must call when done.
+//
+// A subscriber to a sealed log gets its replay and the one shared closed
+// channel, so a late subscription allocates only its replay.
 func (l *eventLog) subscribe(after int) (replay []event, ch <-chan event, cancel func()) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, ev := range l.events {
-		if ev.id > after {
-			replay = append(replay, ev)
-		}
+	// Events are held in id order: the replay is a suffix.
+	first := len(l.events)
+	for first > 0 && l.events[first-1].id > after {
+		first--
+	}
+	if first < len(l.events) {
+		replay = slices.Clone(l.events[first:])
+	}
+	if l.closed {
+		return replay, sealedEvents, func() {}
 	}
 	c := make(chan event, l.buffer)
-	if l.closed {
-		close(c)
-		return replay, c, func() {}
-	}
 	id := l.nextID
 	l.nextID++
 	l.subs[id] = c
@@ -174,6 +180,14 @@ func (l *eventLog) subscribe(after int) (replay []event, ch <-chan event, cancel
 		}
 	}
 }
+
+// sealedEvents is the channel every subscriber of a sealed log receives:
+// closed, and never holding an event.
+var sealedEvents = func() chan event {
+	c := make(chan event)
+	close(c)
+	return c
+}()
 
 // subscribers reports the live subscriber count — the leak test's probe.
 func (l *eventLog) subscribers() int {
