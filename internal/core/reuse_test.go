@@ -152,12 +152,12 @@ func FuzzRunReuse(f *testing.F) {
 }
 
 // TestEpochLoopAllocatesNothing pins the pooled run state: once a run has
-// returned its state to the pool, a campaign allocates as often over 20
+// returned its state to keptRuns, a campaign allocates as often over 20
 // epochs as over 5, budget-only under fair share and under the DP, and
 // with cache traffic. The warm-up runs 20 epochs, so the memory
 // hierarchy's directories and the event queue have grown to what the
 // longer run needs. The test holds one P and stops the collector, so the
-// pool hands each run the state the previous one returned. The runtime
+// DP's pooled table survives from run to run. The runtime
 // fills its type-assertion caches at random call counts, which can add a
 // stray allocation to any one run; AllocsPerRun's average over ten runs,
 // rounded down, leaves those out and still counts one allocation per
@@ -197,7 +197,7 @@ func TestEpochLoopAllocatesNothing(t *testing.T) {
 				}
 			})
 		}
-		allocs(20) // warm-up: fills the pool
+		allocs(20) // warm-up: fills keptRuns
 		if five, twenty := allocs(5), allocs(20); five != twenty {
 			t.Errorf("%s (cache traffic %v): a run allocates %v times over 5 epochs, %v over 20; want equal", tc.alloc, tc.mem, five, twenty)
 		}
@@ -205,17 +205,18 @@ func TestEpochLoopAllocatesNothing(t *testing.T) {
 }
 
 // TestPooledRunAllocatesOnlyItsReport pins the pooled run state of a
-// budget-only run with Trojans: once a run has returned its state to the
-// pool and the System has built its route covers, the next run allocates
-// only its report — the Report, its per-application results, its epoch
-// trace and the two Φ vectors of its features — and no fleet, infected
-// set or cover.
+// budget-only run with Trojans: once a run has returned its state to
+// keptRuns and the System has built its route covers, the next run
+// allocates only its report — the Report, its per-application results,
+// its epoch trace and the two Φ vectors of its features — and no fleet,
+// infected set or cover. Each run follows two collections: kept states
+// survive them, where a sync.Pool's would not and the run would rebuild
+// its chip.
 func TestPooledRunAllocatesOnlyItsReport(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items at random")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s, err := NewSystem(fastConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -227,6 +228,8 @@ func TestPooledRunAllocatesOnlyItsReport(t *testing.T) {
 	}
 	sc := fastScenario(t, ring)
 	run := func() {
+		runtime.GC()
+		runtime.GC()
 		if _, err := s.RunContext(context.Background(), sc, nil); err != nil {
 			t.Fatal(err)
 		}

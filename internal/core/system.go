@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/budget"
@@ -82,8 +83,8 @@ type appState struct {
 }
 
 // run is the per-campaign simulation state. Its lifecycle: setup takes
-// one from runPool and resets it in place for the scenario, runCampaign
-// returns it to the pool only after building the report — which aliases
+// one from keptRuns and resets it in place for the scenario, runCampaign
+// keeps it again only after building the report — which aliases
 // nothing the next run rewrites (the trace is handed over, not reused) —
 // and a failed or cancelled run is dropped. Everything a run keeps across
 // resets (the network's slabs, the manager's buffers, the memory
@@ -130,8 +131,40 @@ type run struct {
 	sources   []noc.NodeID
 }
 
-// runPool holds the state of finished runs for the next setup.
-var runPool = sync.Pool{New: func() any { return new(run) }}
+// keptRuns holds the state of finished runs for the next setup. Unlike a
+// sync.Pool it survives garbage collections: a collection that emptied it
+// would make the next runs rebuild their chips, about 4 MB for a 256-core
+// run with cache traffic, so how often a workload collects would decide
+// how much it allocates. It keeps at most two states per P, as many as
+// the runs that can execute at once when every P runs an attacked and a
+// baseline run; a state finished beyond that is dropped.
+var keptRuns struct {
+	mu   sync.Mutex
+	free []*run
+}
+
+// takeRun returns a kept run state, or a new one.
+func takeRun() *run {
+	keptRuns.mu.Lock()
+	defer keptRuns.mu.Unlock()
+	n := len(keptRuns.free)
+	if n == 0 {
+		return new(run)
+	}
+	r := keptRuns.free[n-1]
+	keptRuns.free[n-1] = nil
+	keptRuns.free = keptRuns.free[:n-1]
+	return r
+}
+
+// keepRun returns a finished run's state for the next setup.
+func keepRun(r *run) {
+	keptRuns.mu.Lock()
+	defer keptRuns.mu.Unlock()
+	if len(keptRuns.free) < 2*runtime.GOMAXPROCS(0) {
+		keptRuns.free = append(keptRuns.free, r)
+	}
+}
 
 // packetChunk is the number of packets in one packetSlab chunk.
 const packetChunk = 256
@@ -217,7 +250,7 @@ func (s *System) mergeObserver(obs Observer) Observer {
 
 // runCampaign is the epoch loop behind RunContext; obs is the final,
 // already-merged observer (nil streams nothing). It runs on state from
-// runPool and returns the state only after a complete run.
+// the kept states and keeps the state again only after a complete run.
 func (s *System) runCampaign(ctx context.Context, sc Scenario, obs Observer) (*Report, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -231,7 +264,7 @@ func (s *System) runCampaign(ctx context.Context, sc Scenario, obs Observer) (*R
 		// A failed or cancelled run stopped anywhere; drop its state.
 		return nil, err
 	}
-	runPool.Put(r)
+	keepRun(r)
 	return rep, nil
 }
 
@@ -354,9 +387,9 @@ func (s Scenario) dutyActive(epoch int) bool {
 	return epoch%period < s.DutyOnEpochs
 }
 
-// setup takes a run state from runPool and resets it for one campaign.
+// setup takes a kept run state and resets it for one campaign.
 func (s *System) setup(sc Scenario) (*run, error) {
-	r := runPool.Get().(*run)
+	r := takeRun()
 	if err := r.reset(s, sc); err != nil {
 		return nil, err
 	}

@@ -52,29 +52,6 @@ func (s *NodeSet) Len() int {
 	return n
 }
 
-// Next returns the smallest ID in the set that is at least from, and
-// false when there is none. Ranging over a set is
-// for id, ok := s.Next(0); ok; id, ok = s.Next(id + 1).
-func (s *NodeSet) Next(from NodeID) (NodeID, bool) {
-	if from < 0 {
-		from = 0
-	}
-	w := int(from) >> 6
-	if w >= len(s.words) {
-		return 0, false
-	}
-	word := s.words[w] >> (uint(from) & 63) << (uint(from) & 63)
-	for {
-		if word != 0 {
-			return NodeID(w<<6 | bits.TrailingZeros64(word)), true
-		}
-		if w++; w == len(s.words) {
-			return 0, false
-		}
-		word = s.words[w]
-	}
-}
-
 // Words returns the set's bit words, which alias the set: ID i is bit
 // i%64 of word i/64, and IDs past the last word are absent.
 func (s *NodeSet) Words() []uint64 { return s.words }

@@ -8,7 +8,7 @@ import (
 
 // TestNodeSetMatchesMap drives a NodeSet and a map through the same
 // random adds, clears and sets, and compares membership, size and the
-// ascending walk after every step.
+// bit words after every step.
 func TestNodeSetMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var s NodeSet
@@ -46,11 +46,15 @@ func TestNodeSetMatchesMap(t *testing.T) {
 			t.Fatalf("step %d: Len = %d, want %d", step, s.Len(), len(want))
 		}
 		var got []NodeID
-		for id, ok := s.Next(-5); ok; id, ok = s.Next(id + 1) {
-			got = append(got, id)
+		for w, word := range s.Words() {
+			for b := 0; b < 64; b++ {
+				if word>>b&1 == 1 {
+					got = append(got, NodeID(w*64+b))
+				}
+			}
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("step %d: walk = %v, want %v", step, got, want)
+			t.Fatalf("step %d: words hold %v, want %v", step, got, want)
 		}
 	}
 }

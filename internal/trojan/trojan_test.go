@@ -308,8 +308,10 @@ func TestCircuitInventory(t *testing.T) {
 // locations returns the fleet's infected router IDs in ascending order.
 func locations(f *Fleet) []noc.NodeID {
 	var out []noc.NodeID
-	for r, ok := f.present.Next(0); ok; r, ok = f.present.Next(r + 1) {
-		out = append(out, r)
+	for r := noc.NodeID(0); int(r) < len(f.slot); r++ {
+		if f.present.Has(r) {
+			out = append(out, r)
+		}
 	}
 	return out
 }
