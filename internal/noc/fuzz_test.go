@@ -431,12 +431,23 @@ func compareEventLogs(t *testing.T, peer, what string, got, want []oracleEvent) 
 // checkNetworkInvariants counts every flit the network holds (source
 // queues, input VCs, link pipeline) and fails unless the count matches the
 // live-flit counter behind Busy and no VC holds, or has been promised,
-// more than BufDepth flits.
+// more than BufDepth flits. It also checks the one-packet invariant the
+// VC counts rest on: an unowned VC holds, awaits and has passed no flit,
+// and an owned one has passed, holds and awaits no more flits than its
+// owner has; and an NI has injected fewer flits of its head packet than
+// the packet has.
 func checkNetworkInvariants(t *testing.T, n *Network) {
 	t.Helper()
 	live := n.inflLen
 	for i := range n.nis {
-		live += n.nis[i].qlen()
+		ni := &n.nis[i]
+		live -= ni.sent
+		for _, p := range ni.queue[ni.qhead:] {
+			live += p.FlitCount()
+		}
+		if q := ni.queue[ni.qhead:]; len(q) > 0 && ni.sent >= q[0].FlitCount() {
+			t.Fatalf("cycle %d: NI %d has sent %d of its head packet's %d flits", n.now, i, ni.sent, q[0].FlitCount())
+		}
 	}
 	for i := range n.routers {
 		for v := range n.routers[i].vcs {
@@ -444,6 +455,14 @@ func checkNetworkInvariants(t *testing.T, n *Network) {
 			if vc.n < 0 || vc.inflight < 0 || vc.n+vc.inflight > n.depth {
 				t.Fatalf("cycle %d: router %d VC %d holds %d flits with %d in flight, depth %d",
 					n.now, i, v, vc.n, vc.inflight, n.depth)
+			}
+			if vc.owner == nil && (vc.n != 0 || vc.inflight != 0 || vc.left != 0) {
+				t.Fatalf("cycle %d: router %d VC %d has no owner but n=%d inflight=%d left=%d",
+					n.now, i, v, vc.n, vc.inflight, vc.left)
+			}
+			if vc.owner != nil && int(vc.left+vc.n+vc.inflight) > vc.owner.FlitCount() {
+				t.Fatalf("cycle %d: router %d VC %d has left=%d n=%d inflight=%d of a %d-flit packet",
+					n.now, i, v, vc.left, vc.n, vc.inflight, vc.owner.FlitCount())
 			}
 			live += int(vc.n)
 		}

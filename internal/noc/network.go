@@ -136,11 +136,12 @@ type Inspector interface {
 // Handler receives packets fully ejected at a node.
 type Handler func(p *Packet)
 
-// vcState is one input virtual channel of a router. The flit buffer is a
-// fixed-capacity ring of BufDepth slots carved out of the network's flit
-// slab, so steady-state traffic neither re-slices nor reallocates. The
-// struct is kept small (int32 counters, byte-sized route and index)
-// because a network holds 5×VCs of them per router.
+// vcState is one input virtual channel of a router. A VC belongs to one
+// packet from VC allocation until that packet's tail leaves it, and the
+// packet's flits arrive and leave in order, so counts describe the buffer
+// exactly: the head-of-line flit is flit number left of owner. The struct
+// is kept small (int32 counters, byte-sized route and index) because a
+// network holds 5×VCs of them per router.
 type vcState struct {
 	rt *router // owning router, whose VC masks mirror this VC's state
 
@@ -150,9 +151,8 @@ type vcState struct {
 	owner       *Packet
 	reservedDst *vcState // downstream VC reserved by VC allocation
 
-	ring int32 // offset of this VC's ring in Network.flitSlab
-	head int32
-	n    int32
+	n    int32 // flits buffered
+	left int32 // owner's flits that have already left this VC
 	// inflight counts flits sent toward this VC that have not yet arrived.
 	inflight int32
 
@@ -172,6 +172,7 @@ func (v *vcState) reset() {
 	v.rt.req[v.route] &^= bit
 	v.rt.waiting &^= bit
 	v.owner = nil
+	v.left = 0
 	v.route = Local
 	v.routeValid = false
 	v.outVCValid = false
@@ -219,26 +220,25 @@ func (r *router) routed() uint32 {
 }
 
 // inflightFlit is a flit traversing the router pipeline + link toward a
-// downstream input VC. Latency is constant, so a FIFO keeps arrival order.
+// downstream input VC: the next flit of dst's owner. Latency is constant,
+// so a FIFO keeps arrival order.
 type inflightFlit struct {
 	arriveAt uint64
-	flit     *Flit
 	dst      *vcState
 }
 
 // nodeNI is the per-node network interface: an unbounded injection queue
-// (source queue) plus the VC currently allocated to the head-of-queue
-// packet. The queue is drained via qhead instead of re-slicing so its
-// backing array is reused across epochs.
+// (source queue) of packets, how many flits of the head-of-queue packet
+// have been injected, and the VC allocated to that packet. The queue is
+// drained via qhead instead of re-slicing so its backing array is reused
+// across epochs.
 type nodeNI struct {
-	queue  []*Flit
+	queue  []*Packet
 	qhead  int
+	sent   int
 	injVC  *vcState // VC currently allocated to the head-of-queue packet
 	active bool
 }
-
-// qlen returns the number of queued flits not yet injected.
-func (ni *nodeNI) qlen() int { return len(ni.queue) - ni.qhead }
 
 // Stats aggregates network-level counters. The per-type tallies are fixed
 // arrays indexed by PacketType, so a Stats value is a plain value copy —
@@ -311,14 +311,11 @@ type Network struct {
 	activeNIs []int32
 	nisDirty  bool
 
-	// flitSlab backs every input VC's ring buffer: VC k of the network
-	// owns flitSlab[k*depth : (k+1)*depth]. Routers, NIs and VC state are
-	// likewise single slabs, so building a network costs a handful of
-	// allocations however large the mesh.
-	flitSlab []*Flit
-	depth    int32 // cfg.BufDepth
+	depth int32 // cfg.BufDepth
 	// vcSlab backs every router's input VCs: router i owns the 5×VCs
-	// entries from i*5*VCs.
+	// entries from i*5*VCs. Routers and NIs are likewise single slabs, so
+	// building a network costs a handful of allocations however large the
+	// mesh.
 	vcSlab []vcState
 
 	// portVCs maps a flattened VC index to the mask of every VC on the same
@@ -331,10 +328,6 @@ type Network struct {
 	// a pre-dateline lower half and a post-dateline upper half, which
 	// breaks the ring channel-dependency cycles of the torus.
 	dateline [2]bool
-
-	// flitPool recycles Flit objects between ejection and injection so
-	// steady-state traffic does not churn the garbage collector.
-	flitPool []*Flit
 
 	// freeFn is the reusable congestion probe handed to adaptive routing
 	// algorithms; binding the probe point through freeFrom/freeClass avoids
@@ -357,10 +350,9 @@ func New(mesh Mesh, cfg Config) (*Network, error) {
 // Reset returns n to exactly the state New(mesh, cfg) returns — cycle
 // zero, no packets, no handlers, no inspector, zero statistics — so one
 // network can carry run after run. Every slab whose capacity suffices
-// (routers, VC state, network interfaces, flit rings, link pipeline,
-// flit pool) is reused; flits the previous traffic left in the network
-// go back to the pool. On error n is left unusable until a Reset
-// succeeds.
+// (routers, VC state, network interfaces, source queues, link pipeline)
+// is reused; whatever the previous traffic left in the network is
+// dropped. On error n is left unusable until a Reset succeeds.
 func (n *Network) Reset(mesh Mesh, cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -374,7 +366,7 @@ func (n *Network) Reset(mesh Mesh, cfg Config) error {
 			return fmt.Errorf("noc: %s routing requires a wraparound topology", alg.Name())
 		}
 	}
-	n.reclaimFlits()
+	n.emptyQueues()
 	nodes := mesh.Nodes()
 	vcsPerRouter := int(numDirections) * cfg.VCs
 	n.mesh, n.cfg = mesh, cfg
@@ -388,7 +380,6 @@ func (n *Network) Reset(mesh Mesh, cfg Config) error {
 	n.routers = resize(n.routers, nodes)
 	n.nis = resizeNIs(n.nis, nodes)
 	n.handlers = resize(n.handlers, nodes)
-	n.flitSlab = resize(n.flitSlab, nodes*vcsPerRouter*cfg.BufDepth)
 	n.vcSlab = resize(n.vcSlab, nodes*vcsPerRouter)
 	n.busy = resize(n.busy, (nodes+63)/64)
 	for i := range n.routers {
@@ -398,7 +389,6 @@ func (n *Network) Reset(mesh Mesh, cfg Config) error {
 		for v := range r.vcs {
 			r.vcs[v].rt = r
 			r.vcs[v].idx = uint8(v)
-			r.vcs[v].ring = int32((i*vcsPerRouter + v) * cfg.BufDepth)
 		}
 	}
 	n.portVCs = resize(n.portVCs, vcsPerRouter)
@@ -429,7 +419,7 @@ func resize[T any](s []T, k int) []T {
 	return s
 }
 
-// resizeNIs returns nis with length k. reclaimFlits leaves every NI
+// resizeNIs returns nis with length k. emptyQueues leaves every NI
 // within the backing array empty with its queue's capacity, so unlike
 // resize it keeps the elements.
 func resizeNIs(nis []nodeNI, k int) []nodeNI {
@@ -439,30 +429,13 @@ func resizeNIs(nis []nodeNI, k int) []nodeNI {
 	return nis[:k]
 }
 
-// reclaimFlits returns to the pool every flit the network still holds —
-// in source queues, input-VC rings and the link pipeline — and empties
-// the queues and the link pipeline's slots, ahead of a Reset that zeroes
-// the rest.
-func (n *Network) reclaimFlits() {
+// emptyQueues empties the source queues and the link pipeline's slots,
+// keeping their capacity, ahead of a Reset that zeroes the rest.
+func (n *Network) emptyQueues() {
 	for i := range n.nis {
 		ni := &n.nis[i]
-		for _, f := range ni.queue[ni.qhead:] {
-			n.freeFlit(f)
-		}
 		clear(ni.queue)
 		n.nis[i] = nodeNI{queue: ni.queue[:0]}
-	}
-	for _, f := range n.flitSlab {
-		if f != nil {
-			n.freeFlit(f)
-		}
-	}
-	for k := 0; k < n.inflLen; k++ {
-		j := n.inflHead + k
-		if j >= len(n.inflight) {
-			j -= len(n.inflight)
-		}
-		n.freeFlit(n.inflight[j].flit)
 	}
 	clear(n.inflight)
 }
@@ -487,23 +460,6 @@ func (n *Network) Attach(id NodeID, h Handler) { n.handlers[id] = h }
 // SetInspector installs the hardware-Trojan inspection hook (nil clears).
 func (n *Network) SetInspector(i Inspector) { n.inspector = i }
 
-// takeFlit draws a flit from the pool, or allocates when the pool is dry.
-func (n *Network) takeFlit(kind FlitKind, p *Packet, seq int) *Flit {
-	if k := len(n.flitPool); k > 0 {
-		f := n.flitPool[k-1]
-		n.flitPool = n.flitPool[:k-1]
-		f.Kind, f.Packet, f.Seq = kind, p, seq
-		return f
-	}
-	return &Flit{Kind: kind, Packet: p, Seq: seq}
-}
-
-// freeFlit returns a consumed flit to the pool.
-func (n *Network) freeFlit(f *Flit) {
-	f.Packet = nil
-	n.flitPool = append(n.flitPool, f)
-}
-
 // Inject queues p for transmission from p.Src. The source queue is
 // unbounded, so injection never fails for a valid packet.
 func (n *Network) Inject(p *Packet) error {
@@ -526,22 +482,8 @@ func (n *Network) Inject(p *Packet) error {
 	p.rx = 0
 	p.dlDim, p.dlCrossed = 0, false
 	ni := &n.nis[p.Src]
-	count := p.FlitCount()
-	if count == 1 {
-		ni.queue = append(ni.queue, n.takeFlit(HeadTailFlit, p, 0))
-	} else {
-		for i := 0; i < count; i++ {
-			kind := BodyFlit
-			switch i {
-			case 0:
-				kind = HeadFlit
-			case count - 1:
-				kind = TailFlit
-			}
-			ni.queue = append(ni.queue, n.takeFlit(kind, p, i))
-		}
-	}
-	n.liveFlits += count
+	ni.queue = append(ni.queue, p)
+	n.liveFlits += p.FlitCount()
 	if !ni.active {
 		ni.active = true
 		n.activeNIs = append(n.activeNIs, int32(p.Src))
@@ -579,17 +521,9 @@ func (n *Network) RunUntilIdle(maxCycles uint64) (uint64, bool) {
 	return c, !n.Busy()
 }
 
-// peek returns a VC's head-of-line flit; the caller must know vc.n > 0.
-func (n *Network) peek(vc *vcState) *Flit { return n.flitSlab[vc.ring+vc.head] }
-
-// vcPush appends a flit to a VC's ring buffer, marking the VC occupied and
-// its router busy.
-func (n *Network) vcPush(vc *vcState, f *Flit) {
-	i := vc.head + vc.n
-	if i >= n.depth {
-		i -= n.depth
-	}
-	n.flitSlab[vc.ring+i] = f
+// vcPush buffers the next flit of a VC's owner, marking the VC occupied
+// and its router busy.
+func (n *Network) vcPush(vc *vcState) {
 	vc.n++
 	if vc.n == 1 {
 		rt := vc.rt
@@ -601,16 +535,11 @@ func (n *Network) vcPush(vc *vcState, f *Flit) {
 	}
 }
 
-// vcPop removes and returns a VC's head-of-line flit.
-func (n *Network) vcPop(vc *vcState) *Flit {
-	slot := &n.flitSlab[vc.ring+vc.head]
-	f := *slot
-	*slot = nil
-	vc.head++
-	if vc.head == n.depth {
-		vc.head = 0
-	}
+// vcPop removes a VC's head-of-line flit and reports whether it was its
+// packet's tail.
+func (n *Network) vcPop(vc *vcState) (tail bool) {
 	vc.n--
+	vc.left++
 	if vc.n == 0 {
 		rt := vc.rt
 		rt.occupied &^= 1 << vc.idx
@@ -619,7 +548,7 @@ func (n *Network) vcPop(vc *vcState) *Flit {
 			n.busyRouters--
 		}
 	}
-	return f
+	return int(vc.left) == vc.owner.FlitCount()
 }
 
 // linkPush appends a flit to the link-pipeline ring, growing it only when
@@ -657,9 +586,9 @@ func (n *Network) deliverArrivals() {
 		if f.arriveAt > n.now {
 			break // FIFO: constant latency keeps arrivals ordered
 		}
-		n.vcPush(f.dst, f.flit)
+		n.vcPush(f.dst)
 		f.dst.inflight--
-		f.flit, f.dst = nil, nil
+		f.dst = nil
 		n.inflHead++
 		if n.inflHead == len(n.inflight) {
 			n.inflHead = 0
@@ -680,7 +609,7 @@ func (n *Network) injectFromNIs() {
 	for _, id := range n.activeNIs {
 		ni := &n.nis[id]
 		n.injectOne(NodeID(id), ni)
-		if ni.qlen() > 0 {
+		if ni.qhead < len(ni.queue) {
 			n.activeNIs[k] = id
 			k++
 		} else {
@@ -694,13 +623,13 @@ func (n *Network) injectFromNIs() {
 
 // injectOne attempts one flit transfer from node id's source queue.
 func (n *Network) injectOne(id NodeID, ni *nodeNI) {
-	f := ni.queue[ni.qhead]
-	r := &n.routers[id]
-	if f.IsHead() {
+	p := ni.queue[ni.qhead]
+	if ni.sent == 0 {
 		// Allocate a free local input VC within the packet's class. The
 		// Local port is direction 0, so its VCs sit at the start of the
 		// flattened slice.
-		lo, hi := n.cfg.classVCRange(f.Packet.Class)
+		r := &n.routers[id]
+		lo, hi := n.cfg.classVCRange(p.Class)
 		var target *vcState
 		for v := lo; v < hi; v++ {
 			if vc := &r.vcs[v]; vc.free() {
@@ -711,15 +640,17 @@ func (n *Network) injectOne(id NodeID, ni *nodeNI) {
 		if target == nil {
 			return // all local VCs of this class busy this cycle
 		}
-		target.owner = f.Packet
+		target.owner = p
 		ni.injVC = target
 	}
-	if ni.injVC == nil || !ni.injVC.space(n.depth) {
+	if !ni.injVC.space(n.depth) {
 		return
 	}
-	n.vcPush(ni.injVC, f)
-	ni.qhead++
-	if f.IsTail() {
+	n.vcPush(ni.injVC)
+	if ni.sent++; ni.sent == p.FlitCount() {
+		ni.queue[ni.qhead] = nil
+		ni.qhead++
+		ni.sent = 0
 		ni.injVC = nil
 	}
 }
@@ -743,11 +674,10 @@ func (n *Network) routeComputeAt(r *router) {
 			n.consumeDropped(vc)
 			continue
 		}
-		head := n.peek(vc)
-		if !head.IsHead() {
+		if vc.left != 0 {
 			continue
 		}
-		p := head.Packet
+		p := vc.owner
 		if !vc.inspected {
 			// Fig 2(b): the HT sits between the input buffer and
 			// the routing-computation module.
@@ -786,11 +716,8 @@ func (n *Network) routeComputeAt(r *router) {
 // subsequent cycles.
 func (n *Network) consumeDropped(vc *vcState) {
 	for vc.n > 0 {
-		f := n.vcPop(vc)
-		tail := f.IsTail()
-		n.freeFlit(f)
 		n.liveFlits--
-		if tail {
+		if n.vcPop(vc) {
 			n.stats.DroppedPackets++
 			vc.reset()
 			return
@@ -832,7 +759,7 @@ func (n *Network) vcAllocate() {
 func (n *Network) vcAllocateAt(r *router) {
 	for m := r.waiting & r.occupied; m != 0; m &= m - 1 {
 		vc := &r.vcs[bits.TrailingZeros32(m)]
-		if !n.peek(vc).IsHead() {
+		if vc.left != 0 {
 			continue
 		}
 		nb, ok := n.mesh.Neighbor(r.id, vc.route)
@@ -840,7 +767,7 @@ func (n *Network) vcAllocateAt(r *router) {
 			// Routing algorithms never route off-mesh; defensive.
 			continue
 		}
-		p := n.peek(vc).Packet
+		p := vc.owner
 		base := int(vc.route.Opposite()) * n.cfg.VCs
 		lo, hi := n.cfg.classVCRange(p.Class)
 		dim, crossed, wrap := int8(0), false, false
@@ -926,19 +853,14 @@ func (n *Network) arbitrateOutput(r *router, out Direction, usedInputs *uint32) 
 // ejection at the local port, otherwise the link pipeline toward the
 // reserved downstream VC.
 func (n *Network) traverse(r *router, vc *vcState, out Direction) {
-	f := n.vcPop(vc)
-
-	// Read the flit kind before eject: ejection frees the flit to the
-	// pool, and a delivery handler may synchronously Inject a new
-	// packet that recycles (and rewrites) it.
-	tail := f.IsTail()
+	p := vc.owner
+	tail := n.vcPop(vc)
 	if out == Local {
-		n.eject(r.id, f)
+		n.eject(r.id, p, tail)
 	} else {
 		vc.reservedDst.inflight++
 		n.linkPush(inflightFlit{
 			arriveAt: n.now + uint64(n.cfg.RouterCycles+n.cfg.LinkCycles),
-			flit:     f,
 			dst:      vc.reservedDst,
 		})
 	}
@@ -960,13 +882,10 @@ func dimOf(d Direction) int8 {
 	}
 }
 
-// eject consumes a flit at its destination; delivering the tail flit
+// eject consumes a flit of p at its destination; delivering the tail flit
 // completes the packet and fires the node handler.
-func (n *Network) eject(id NodeID, f *Flit) {
-	p := f.Packet
+func (n *Network) eject(id NodeID, p *Packet, tail bool) {
 	p.rx++
-	tail := f.IsTail()
-	n.freeFlit(f)
 	n.liveFlits--
 	if !tail {
 		return

@@ -5,12 +5,59 @@ import "fmt"
 // The seed stepper: the exhaustive-sweep network the reproduction started
 // from, kept as an independent oracle for the production stepper. Every
 // cycle it visits every router and every input VC of every port, with
-// per-VC slice fifos and no worklists, pools or bitmasks, so it shares
-// none of the production stepper's bookkeeping. The production stepper
-// must match it cycle for cycle on plain meshes (FuzzStepperOracle).
-// Adapted from the seed only where today's types differ: Stats holds
-// arrays, and Flits and Config come from the production package. The seed
-// predates the torus, so it has no dateline VC banding.
+// per-VC slice fifos that store every flit and no worklists or bitmasks,
+// so it shares none of the production stepper's bookkeeping. The
+// production stepper must match it cycle for cycle on plain meshes
+// (FuzzStepperOracle). Adapted from the seed only where today's types
+// differ: Stats holds arrays, Config comes from the production package,
+// and the flits below, which the production stepper no longer stores,
+// dropped their unread sequence number. The seed predates the torus, so
+// it has no dateline VC banding.
+
+// FlitKind distinguishes head, body, and tail flits of a wormhole packet.
+type FlitKind int
+
+// Flit kinds. A single-flit packet is HeadTail.
+const (
+	HeadFlit FlitKind = iota + 1
+	BodyFlit
+	TailFlit
+	HeadTailFlit
+)
+
+// Flit is the unit of flow control. All flits of a packet share the Packet
+// pointer; only head flits trigger routing computation (and therefore the
+// Trojan inspection point).
+type Flit struct {
+	Kind   FlitKind
+	Packet *Packet
+}
+
+// IsHead reports whether the flit opens a packet.
+func (f *Flit) IsHead() bool { return f.Kind == HeadFlit || f.Kind == HeadTailFlit }
+
+// IsTail reports whether the flit closes a packet.
+func (f *Flit) IsTail() bool { return f.Kind == TailFlit || f.Kind == HeadTailFlit }
+
+// Flits serialises p into its wormhole flits.
+func Flits(p *Packet) []*Flit {
+	n := p.FlitCount()
+	if n == 1 {
+		return []*Flit{{Kind: HeadTailFlit, Packet: p}}
+	}
+	fs := make([]*Flit, n)
+	for i := 0; i < n; i++ {
+		kind := BodyFlit
+		switch i {
+		case 0:
+			kind = HeadFlit
+		case n - 1:
+			kind = TailFlit
+		}
+		fs[i] = &Flit{Kind: kind, Packet: p}
+	}
+	return fs
+}
 
 // seedVC is one input virtual channel of a seed router.
 type seedVC struct {

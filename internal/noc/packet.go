@@ -153,50 +153,3 @@ func ConfigWord(globalManager NodeID, active bool) uint32 {
 func ParseConfigWord(w uint32) (globalManager NodeID, active bool) {
 	return NodeID((w >> 8) & 0xFFFF), w&(1<<24) != 0
 }
-
-// FlitKind distinguishes head, body, and tail flits of a wormhole packet.
-type FlitKind int
-
-// Flit kinds. A single-flit packet is HeadTail.
-const (
-	HeadFlit FlitKind = iota + 1
-	BodyFlit
-	TailFlit
-	HeadTailFlit
-)
-
-// Flit is the unit of flow control. All flits of a packet share the Packet
-// pointer; only head flits trigger routing computation (and therefore the
-// Trojan inspection point).
-type Flit struct {
-	Kind   FlitKind
-	Packet *Packet
-	// Seq is the flit index within its packet, 0-based.
-	Seq int
-}
-
-// IsHead reports whether the flit opens a packet.
-func (f *Flit) IsHead() bool { return f.Kind == HeadFlit || f.Kind == HeadTailFlit }
-
-// IsTail reports whether the flit closes a packet.
-func (f *Flit) IsTail() bool { return f.Kind == TailFlit || f.Kind == HeadTailFlit }
-
-// Flits serialises p into its wormhole flits.
-func Flits(p *Packet) []*Flit {
-	n := p.FlitCount()
-	if n == 1 {
-		return []*Flit{{Kind: HeadTailFlit, Packet: p}}
-	}
-	fs := make([]*Flit, n)
-	for i := 0; i < n; i++ {
-		kind := BodyFlit
-		switch i {
-		case 0:
-			kind = HeadFlit
-		case n - 1:
-			kind = TailFlit
-		}
-		fs[i] = &Flit{Kind: kind, Packet: p, Seq: i}
-	}
-	return fs
-}
