@@ -468,8 +468,9 @@ func TestDiskSpillSurvivesEvictionAndRestart(t *testing.T) {
 	}
 }
 
-// TestSubmissionValidation rejects malformed bodies with 400 and the
-// registry's canonical unknown-name error.
+// TestSubmissionValidation rejects malformed bodies, and sims that cannot
+// fit their chip, with 400 and the registry's canonical unknown-name
+// error or the fit rule they break.
 func TestSubmissionValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	cases := []struct {
@@ -481,6 +482,10 @@ func TestSubmissionValidation(t *testing.T) {
 		{"/v1/sims", `{"bogus":true}`, "unknown field"},
 		{"/v1/sims", `{"infection":1.5}`, "outside [0, 1)"},
 		{"/v1/sims", `{"placement":"diagonal"}`, "unknown placement"},
+		// Sims that cannot fit their chip: a Trojan on every router
+		// including the manager's, and a fourth app with no core left.
+		{"/v1/sims", `{"cores":64,"threads":15,"hts":64,"epochs":4}`, "64 Trojans exceed 63 eligible nodes"},
+		{"/v1/sims", `{"cores":64,"threads":32,"hts":4,"epochs":4}`, "no cores left for app blackscholes"},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+c.url, "application/json", strings.NewReader(c.body))

@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
+	"repro/internal/core"
 )
 
 // Request is one attacked-versus-clean campaign, named field by field:
@@ -120,14 +121,15 @@ func (r *Request) Normalize() {
 
 // Validate checks the request as it stands, without running it: the
 // scalar ranges, then every named plugin and the configuration they
-// build, so a bad request fails with the registry's canonical error. The
-// placement is checked only without an Infection target, which replaces
-// it.
+// build, so a bad request fails with the registry's canonical error, and
+// last that the apps and the Trojans fit the chip. The placement is
+// checked only without an Infection target, which replaces it.
 func (r *Request) Validate() error {
 	if err := r.checkRanges(); err != nil {
 		return err
 	}
-	if _, err := BuildConfig(r.options()...); err != nil {
+	cfg, err := BuildConfig(r.options()...)
+	if err != nil {
 		return err
 	}
 	if r.Infection == nil {
@@ -135,8 +137,32 @@ func (r *Request) Validate() error {
 			return err
 		}
 	}
-	_, err := r.scenario()
-	return err
+	sc, err := r.scenario()
+	if err != nil {
+		return err
+	}
+	return r.checkFit(cfg, sc.Apps)
+}
+
+// checkFit applies a run's fit rules to the chip cfg describes: the apps
+// fill the nodes besides the manager's in order, clipping the last ones,
+// and every placement generator excludes the manager's router.
+func (r *Request) checkFit(cfg core.Config, apps []AppSpec) error {
+	mesh, err := cfg.Mesh()
+	if err != nil {
+		return err
+	}
+	free, used := mesh.Nodes()-1, 0
+	for _, app := range apps {
+		if used >= free {
+			return fmt.Errorf("no cores left for app %s: the apps before it take all %d cores besides the manager's", app.Name, free)
+		}
+		used += app.Threads
+	}
+	if r.Infection == nil && r.HTs > free {
+		return fmt.Errorf("%d Trojans exceed %d eligible nodes (every node but the manager's)", r.HTs, free)
+	}
+	return nil
 }
 
 // checkRanges rejects the scalars no configuration check covers.
