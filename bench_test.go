@@ -388,10 +388,10 @@ func BenchmarkDPAllocator(b *testing.B) {
 			LevelValues: []float64{0.9, 1.6, 2.2, 2.7, 3.1, 3.4},
 		}
 	}
-	alloc := budget.NewDPKnapsack(100)
+	alloc, st := budget.NewDPKnapsack(100), new(budget.State)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		alloc.Allocate(nil, 120_000, reqs)
+		alloc.Allocate(nil, 120_000, reqs, st)
 	}
 }
 

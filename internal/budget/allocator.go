@@ -14,7 +14,6 @@ package budget
 import (
 	"cmp"
 	"slices"
-	"sync"
 
 	"repro/internal/registry"
 )
@@ -40,35 +39,58 @@ type Request struct {
 }
 
 // Allocator divides a chip budget among requests. Implementations must be
-// deterministic and must produce one grant per request, in order.
+// deterministic and must produce one grant per request, in order. An
+// allocator is an immutable value holding only its parameters: whatever
+// it remembers from call to call lives in the State it is handed, so one
+// allocator serves any number of concurrent runs.
 type Allocator interface {
 	// Allocate appends per-core grants in milliwatts, one per request in
 	// order, to dst and returns the extended slice, as append does: pass
 	// dst[:0] to reuse a buffer, nil for a fresh one. The sum of grants
-	// must not exceed budgetMW (modulo sub-milliwatt rounding).
-	Allocate(dst []uint32, budgetMW uint64, reqs []Request) []uint32
+	// must not exceed budgetMW (modulo sub-milliwatt rounding). st is the
+	// run's allocator state; pass the same State to every call of one run.
+	Allocate(dst []uint32, budgetMW uint64, reqs []Request, st *State) []uint32
 	// Name identifies the allocator in reports and benchmarks.
 	Name() string
 }
 
-// StatefulAllocator is implemented by allocators that carry state across
-// Allocate calls (the PI controller); CloneAllocator hands each independent
-// run a fresh copy so concurrent campaigns never share mutable state.
-type StatefulAllocator interface {
-	Allocator
-	// CloneAllocator returns an equivalent allocator with fresh state.
-	CloneAllocator() Allocator
+// State is what the allocators remember across the Allocate calls of one
+// run, and the buffers they reuse. Its zero value is ready to use; a
+// Manager keeps one and forgets its values on Reset, keeping the buffers.
+type State struct {
+	pi    CoreMemory // the PI controller's tracked grant per core
+	raw   []float64  // the PI controller's tracked grants of one call
+	order []int      // Greedy's upgrade order
+	dp    dpScratch  // the DP's table
 }
 
-// CloneAllocator returns an allocator safe to drive an independent run:
-// stateful allocators are copied with fresh state, stateless ones are
-// returned as-is.
-func CloneAllocator(a Allocator) Allocator {
-	if s, ok := a.(StatefulAllocator); ok {
-		return s.CloneAllocator()
-	}
-	return a
+// CoreMemory is what a stateful plugin remembers per core: one value per
+// core ID, unset until Put. Its zero value is empty.
+type CoreMemory struct {
+	cells []memoryCell
 }
+
+type memoryCell struct {
+	v   float64
+	set bool
+}
+
+// Get returns core's value and whether one was Put.
+func (m *CoreMemory) Get(core int) (float64, bool) {
+	if core < len(m.cells) {
+		return m.cells[core].v, m.cells[core].set
+	}
+	return 0, false
+}
+
+// Put sets core's value.
+func (m *CoreMemory) Put(core int, v float64) {
+	m.cells = cover(m.cells, core)
+	m.cells[core] = memoryCell{v: v, set: true}
+}
+
+// forget unsets every core's value, keeping the storage.
+func (m *CoreMemory) forget() { m.cells = m.cells[:0] }
 
 // Registry is the allocator plugin registry. The four built-in families
 // register here with default parameters; external axes (the SDK, the
@@ -109,7 +131,7 @@ func extend(dst []uint32, n int) (out, tail []uint32) {
 }
 
 // Allocate implements Allocator.
-func (FairShare) Allocate(dst []uint32, budgetMW uint64, reqs []Request) []uint32 {
+func (FairShare) Allocate(dst []uint32, budgetMW uint64, reqs []Request, _ *State) []uint32 {
 	dst, grants := extend(dst, len(reqs))
 	var total uint64
 	for _, r := range reqs {
@@ -142,11 +164,8 @@ var _ Allocator = Greedy{}
 // Name implements Allocator.
 func (Greedy) Name() string { return "greedy" }
 
-// greedyOrders pools Greedy's upgrade-order buffers across calls.
-var greedyOrders = sync.Pool{New: func() any { return new([]int) }}
-
 // Allocate implements Allocator.
-func (Greedy) Allocate(dst []uint32, budgetMW uint64, reqs []Request) []uint32 {
+func (Greedy) Allocate(dst []uint32, budgetMW uint64, reqs []Request, st *State) []uint32 {
 	dst, grants := extend(dst, len(reqs))
 	var spent uint64
 	for i, r := range reqs {
@@ -154,13 +173,11 @@ func (Greedy) Allocate(dst []uint32, budgetMW uint64, reqs []Request) []uint32 {
 		grants[i] = base
 		spent += uint64(base)
 	}
-	buf := greedyOrders.Get().(*[]int)
-	defer greedyOrders.Put(buf)
-	order := (*buf)[:0]
+	order := st.order[:0]
 	for i := range reqs {
 		order = append(order, i)
 	}
-	*buf = order
+	st.order = order
 	slices.SortStableFunc(order, func(a, b int) int {
 		ra, rb := &reqs[a], &reqs[b]
 		if ra.Sensitivity != rb.Sensitivity {

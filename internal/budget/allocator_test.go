@@ -2,6 +2,7 @@ package budget
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -46,7 +47,7 @@ func TestByName(t *testing.T) {
 
 func TestFairShareUnderSubscribed(t *testing.T) {
 	reqs := []Request{req(0, 1000, 1), req(1, 2000, 1)}
-	grants := FairShare{}.Allocate(nil, 10_000, reqs)
+	grants := FairShare{}.Allocate(nil, 10_000, reqs, new(State))
 	if grants[0] != 1000 || grants[1] != 2000 {
 		t.Errorf("grants = %v, want requests honoured in full", grants)
 	}
@@ -54,14 +55,14 @@ func TestFairShareUnderSubscribed(t *testing.T) {
 
 func TestFairShareProportionalScaling(t *testing.T) {
 	reqs := []Request{req(0, 3000, 1), req(1, 1000, 1)}
-	grants := FairShare{}.Allocate(nil, 2000, reqs)
+	grants := FairShare{}.Allocate(nil, 2000, reqs, new(State))
 	if grants[0] != 1500 || grants[1] != 500 {
 		t.Errorf("grants = %v, want [1500 500]", grants)
 	}
 }
 
 func TestFairShareZeroRequests(t *testing.T) {
-	grants := FairShare{}.Allocate(nil, 1000, []Request{req(0, 0, 1), req(1, 0, 1)})
+	grants := FairShare{}.Allocate(nil, 1000, []Request{req(0, 0, 1), req(1, 0, 1)}, new(State))
 	if grants[0] != 0 || grants[1] != 0 {
 		t.Errorf("grants = %v, want zeros", grants)
 	}
@@ -70,7 +71,7 @@ func TestFairShareZeroRequests(t *testing.T) {
 func TestGreedyRespectsBudgetAndRequests(t *testing.T) {
 	reqs := []Request{req(0, 4000, 3.0), req(1, 4000, 1.0), req(2, 4000, 2.0)}
 	budget := uint64(6000)
-	grants := Greedy{}.Allocate(nil, budget, reqs)
+	grants := Greedy{}.Allocate(nil, budget, reqs, new(State))
 	if sumGrants(grants) > budget {
 		t.Fatalf("grants %v exceed budget", grants)
 	}
@@ -88,7 +89,7 @@ func TestGreedyRespectsBudgetAndRequests(t *testing.T) {
 func TestGreedyFloorForEveryone(t *testing.T) {
 	// Even the least sensitive core gets the bottom DVFS level.
 	reqs := []Request{req(0, 4000, 10), req(1, 4000, 0.1)}
-	grants := Greedy{}.Allocate(nil, 8000, reqs)
+	grants := Greedy{}.Allocate(nil, 8000, reqs, new(State))
 	if grants[1] < testLevels[0] {
 		t.Errorf("low-sensitivity core granted %d, want ≥ floor %d", grants[1], testLevels[0])
 	}
@@ -96,7 +97,7 @@ func TestGreedyFloorForEveryone(t *testing.T) {
 
 func TestGreedyTamperedZeroRequestStarves(t *testing.T) {
 	reqs := []Request{req(0, 0, 5.0), req(1, 4000, 1.0)}
-	grants := Greedy{}.Allocate(nil, 8000, reqs)
+	grants := Greedy{}.Allocate(nil, 8000, reqs, new(State))
 	if grants[0] != 0 {
 		t.Errorf("zeroed request granted %d, want 0", grants[0])
 	}
@@ -108,7 +109,7 @@ func TestDPOptimalOnSmallInstance(t *testing.T) {
 		{Core: 0, RequestMW: 4000, LevelsMW: []uint32{100, 200}, LevelValues: []float64{1, 10}},
 		{Core: 1, RequestMW: 4000, LevelsMW: []uint32{100, 200}, LevelValues: []float64{1, 2}},
 	}
-	grants := NewDPKnapsack(1).Allocate(nil, 300, reqs)
+	grants := NewDPKnapsack(1).Allocate(nil, 300, reqs, new(State))
 	// Best: core 0 at 200 (value 10) + core 1 at 100 (value 1) = 11.
 	if grants[0] != 200 || grants[1] != 100 {
 		t.Errorf("grants = %v, want [200 100]", grants)
@@ -129,7 +130,7 @@ func TestDPMatchesBruteForce(t *testing.T) {
 			}
 		}
 		budget := uint64(300 + rng.Intn(600))
-		grants := NewDPKnapsack(1).Allocate(nil, budget, reqs)
+		grants := NewDPKnapsack(1).Allocate(nil, budget, reqs, new(State))
 		gotValue := 0.0
 		for i, g := range grants {
 			for li, lvl := range reqs[i].LevelsMW {
@@ -166,7 +167,7 @@ func TestDPMatchesBruteForce(t *testing.T) {
 func TestDPQuantisationNeverOvershoots(t *testing.T) {
 	reqs := []Request{req(0, 4000, 1), req(1, 4000, 1), req(2, 4000, 1)}
 	for _, budget := range []uint64{1000, 2555, 4001, 9999} {
-		grants := NewDPKnapsack(50).Allocate(nil, budget, reqs)
+		grants := NewDPKnapsack(50).Allocate(nil, budget, reqs, new(State))
 		if sumGrants(grants) > budget {
 			t.Errorf("budget %d: grants %v overshoot", budget, grants)
 		}
@@ -174,16 +175,14 @@ func TestDPQuantisationNeverOvershoots(t *testing.T) {
 }
 
 func TestDPEmptyRequests(t *testing.T) {
-	if got := NewDPKnapsack(50).Allocate(nil, 1000, nil); len(got) != 0 {
+	if got := NewDPKnapsack(50).Allocate(nil, 1000, nil, new(State)); len(got) != 0 {
 		t.Errorf("empty allocation = %v", got)
 	}
 }
 
 // The DP table lives in a fixed set of flat slices, so building a fresh
-// one must not allocate more often as the number of requests grows.
-// Allocate reuses pooled tables, whose hits depend on the collector (and,
-// under the race detector, on chance), so this measures a fresh table on
-// every call.
+// one must not allocate more often as the number of requests grows. This
+// measures a fresh table, in a new State, on every call.
 func TestDPAllocsIndependentOfRequestCount(t *testing.T) {
 	allocs := func(n int) float64 {
 		reqs := make([]Request, n)
@@ -191,7 +190,7 @@ func TestDPAllocsIndependentOfRequestCount(t *testing.T) {
 			reqs[i] = req(i, 4000, 1)
 		}
 		dp := NewDPKnapsack(100)
-		return testing.AllocsPerRun(20, func() { dp.allocate(nil, uint64(n)*2000, reqs, new(dpScratch)) })
+		return testing.AllocsPerRun(20, func() { dp.Allocate(nil, uint64(n)*2000, reqs, new(State)) })
 	}
 	if a8, a64 := allocs(8), allocs(64); a8 != a64 {
 		t.Errorf("Allocate: %v allocs for 8 requests, %v for 64; want equal", a8, a64)
@@ -205,11 +204,11 @@ func TestDPClampsQuant(t *testing.T) {
 }
 
 func TestPIConvergesTowardRequests(t *testing.T) {
-	pi := NewPIController(0.5)
+	pi, st := NewPIController(0.5), new(State)
 	reqs := []Request{req(0, 2000, 1), req(1, 1000, 1)}
 	var grants []uint32
 	for epoch := 0; epoch < 20; epoch++ {
-		grants = pi.Allocate(nil, 10_000, reqs)
+		grants = pi.Allocate(nil, 10_000, reqs, st)
 	}
 	if grants[0] < 1900 || grants[1] < 900 {
 		t.Errorf("grants after convergence = %v, want near requests", grants)
@@ -217,22 +216,40 @@ func TestPIConvergesTowardRequests(t *testing.T) {
 }
 
 func TestPISaturatesAtBudget(t *testing.T) {
-	pi := NewPIController(0.5)
+	pi, st := NewPIController(0.5), new(State)
 	reqs := []Request{req(0, 4000, 1), req(1, 4000, 1)}
 	for epoch := 0; epoch < 20; epoch++ {
-		grants := pi.Allocate(nil, 5000, reqs)
+		grants := pi.Allocate(nil, 5000, reqs, st)
 		if sumGrants(grants) > 5000 {
 			t.Fatalf("epoch %d: grants %v exceed budget", epoch, grants)
 		}
 	}
 }
 
+// A reset manager forgets what the PI controller tracked: the same
+// requests get the grants a fresh manager gives.
 func TestPIResetClearsState(t *testing.T) {
-	pi := NewPIController(0.5)
-	pi.Allocate(nil, 5000, []Request{req(0, 4000, 1)})
-	pi.Reset()
-	if len(pi.prev) != 0 {
-		t.Error("Reset must clear controller state")
+	epochs := func(m *Manager) []Grant {
+		m.SetCoreInfo(1, CoreInfo{Sensitivity: 1, LevelsMW: testLevels, LevelValues: testValues})
+		m.SetCoreInfo(2, CoreInfo{Sensitivity: 1, LevelsMW: testLevels, LevelValues: testValues})
+		var all []Grant
+		for _, mw := range []uint32{4000, 4000, 1200, 3300} {
+			m.HandleRequest(&noc.Packet{Src: 1, Dst: 9, Type: noc.TypePowerReq, Payload: mw})
+			m.HandleRequest(&noc.Packet{Src: 2, Dst: 9, Type: noc.TypePowerReq, Payload: 4000 - mw/2})
+			all = append(all, m.AllocateEpoch()...)
+		}
+		return all
+	}
+	fresh, err := NewManager(9, NewPIController(0.5), 6000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := epochs(fresh)
+	if err := fresh.Reset(9, NewPIController(0.5), 6000); err != nil {
+		t.Fatal(err)
+	}
+	if got := epochs(fresh); !slices.Equal(got, want) {
+		t.Errorf("grants after Reset = %v, fresh manager %v", got, want)
 	}
 }
 
@@ -260,20 +277,14 @@ func TestAttackWorksForEveryAllocator(t *testing.T) {
 	budget := uint64(6000) // insufficient for all three at peak
 	for _, alloc := range All() {
 		t.Run(alloc.Name(), func(t *testing.T) {
-			if pi, ok := alloc.(*PIController); ok {
-				// Converge each scenario independently.
-				var cleanGrants, tamperedGrants []uint32
-				for i := 0; i < 30; i++ {
-					cleanGrants = pi.Allocate(nil, budget, clean)
-				}
-				pi.Reset()
-				for i := 0; i < 30; i++ {
-					tamperedGrants = pi.Allocate(nil, budget, tampered)
-				}
-				assertAttackHelps(t, cleanGrants, tamperedGrants)
-				return
+			// Converge each scenario on its own State.
+			var cleanGrants, tamperedGrants []uint32
+			cleanState, tamperedState := new(State), new(State)
+			for i := 0; i < 30; i++ {
+				cleanGrants = alloc.Allocate(cleanGrants[:0], budget, clean, cleanState)
+				tamperedGrants = alloc.Allocate(tamperedGrants[:0], budget, tampered, tamperedState)
 			}
-			assertAttackHelps(t, alloc.Allocate(nil, budget, clean), alloc.Allocate(nil, budget, tampered))
+			assertAttackHelps(t, cleanGrants, tamperedGrants)
 		})
 	}
 }
@@ -301,7 +312,7 @@ func TestAllocatorInvariants(t *testing.T) {
 		}
 		budget := uint64(500 + rng.Intn(20000))
 		for _, alloc := range All() {
-			grants := alloc.Allocate(nil, budget, reqs)
+			grants := alloc.Allocate(nil, budget, reqs, new(State))
 			if len(grants) != n {
 				return false
 			}

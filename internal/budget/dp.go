@@ -1,9 +1,6 @@
 package budget
 
-import (
-	"slices"
-	"sync"
-)
+import "slices"
 
 // DPKnapsack is the dynamic-programming allocator modelled on fine-grained
 // runtime power budgeting [9]. It solves a multiple-choice knapsack: each
@@ -38,17 +35,15 @@ type dpChoice struct {
 }
 
 // dpScratch is the table of one Allocate call: the candidates, the two
-// rolling rows and the pick table. Calls take it from dpScratchPool, so
-// the table is allocated once and then reused dirty: each call writes
-// every entry it reads before reading it.
+// rolling rows and the pick table. It lives in the run's State, so the
+// table is allocated once and then reused dirty: each call writes every
+// entry it reads before reading it.
 type dpScratch struct {
 	choices []dpChoice
 	first   []int
 	rows    []float64
 	pick    []int16
 }
-
-var dpScratchPool = sync.Pool{New: func() any { return new(dpScratch) }}
 
 // sized returns s with length n, reusing its backing array when the
 // capacity suffices; the elements keep whatever they held.
@@ -60,15 +55,8 @@ func sized[T any](s []T, n int) []T {
 }
 
 // Allocate implements Allocator.
-func (d DPKnapsack) Allocate(dst []uint32, budgetMW uint64, reqs []Request) []uint32 {
-	sc := dpScratchPool.Get().(*dpScratch)
-	dst = d.allocate(dst, budgetMW, reqs, sc)
-	dpScratchPool.Put(sc)
-	return dst
-}
-
-// allocate is Allocate over the table sc.
-func (d DPKnapsack) allocate(dst []uint32, budgetMW uint64, reqs []Request, sc *dpScratch) []uint32 {
+func (d DPKnapsack) Allocate(dst []uint32, budgetMW uint64, reqs []Request, st *State) []uint32 {
+	sc := &st.dp
 	dst, grants := extend(dst, len(reqs))
 	if len(reqs) == 0 {
 		return dst

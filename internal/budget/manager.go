@@ -31,30 +31,13 @@ type Grant struct {
 // calls for "more research on detection and protection"). FilterRequest
 // returns the value the manager should actually use and whether the
 // original was flagged as suspect. Filters see only what real hardware
-// would see: the core ID and the payload as received.
+// would see: the core ID and the payload as received. A filter is an
+// immutable value holding only its parameters: what it learns from the
+// request stream lives in mem, the run's filter memory.
 type RequestFilter interface {
-	FilterRequest(core noc.NodeID, mw uint32) (useMW uint32, flagged bool)
+	FilterRequest(core noc.NodeID, mw uint32, mem *CoreMemory) (useMW uint32, flagged bool)
 	// Name identifies the filter in reports.
 	Name() string
-}
-
-// StatefulFilter is implemented by request filters that learn state from
-// the request stream (the history guard); CloneFilter hands each
-// independent run a fresh copy so concurrent campaigns never share it.
-type StatefulFilter interface {
-	RequestFilter
-	// CloneFilter returns an equivalent filter with fresh state.
-	CloneFilter() RequestFilter
-}
-
-// CloneFilter returns a filter safe to drive an independent run: stateful
-// filters are copied with fresh state, stateless ones are returned as-is.
-// A nil filter stays nil.
-func CloneFilter(f RequestFilter) RequestFilter {
-	if s, ok := f.(StatefulFilter); ok {
-		return s.CloneFilter()
-	}
-	return f
 }
 
 // Manager is the global manager core (Section II-A): it collects POWER_REQ
@@ -64,6 +47,10 @@ type Manager struct {
 	alloc    Allocator
 	budgetMW uint64
 	filter   RequestFilter
+	// state and memory are what the allocator and the filter remember
+	// across epochs.
+	state  State
+	memory CoreMemory
 	// info and pending are indexed by core ID: the OS-level knowledge and
 	// the request latched this epoch (npending of them are set).
 	info     []CoreInfo
@@ -104,8 +91,9 @@ func NewManager(node noc.NodeID, alloc Allocator, budgetMW uint64) (*Manager, er
 }
 
 // Reset returns m to the state NewManager(node, alloc, budgetMW) returns
-// — no core information, no pending requests, no filter, zero counters —
-// keeping its buffers for the next run.
+// — no core information, no pending requests, no filter, nothing the
+// allocator or a filter remembered, zero counters — keeping its buffers
+// for the next run.
 func (m *Manager) Reset(node noc.NodeID, alloc Allocator, budgetMW uint64) error {
 	if alloc == nil {
 		return fmt.Errorf("budget: manager needs an allocator")
@@ -122,7 +110,11 @@ func (m *Manager) Reset(node noc.NodeID, alloc Allocator, budgetMW uint64) error
 		reqs:     m.reqs[:0],
 		grants:   m.grants[:0],
 		out:      m.out[:0],
+		state:    m.state,
+		memory:   m.memory,
 	}
+	m.state.pi.forget()
+	m.memory.forget()
 	return nil
 }
 
@@ -163,7 +155,7 @@ func (m *Manager) HandleRequest(p *noc.Packet) {
 	}
 	value := p.Payload
 	if m.filter != nil {
-		use, flagged := m.filter.FilterRequest(p.Src, value)
+		use, flagged := m.filter.FilterRequest(p.Src, value, &m.memory)
 		if flagged {
 			m.FlaggedTotal++
 			if p.Tampered {
@@ -214,7 +206,7 @@ func (m *Manager) AllocateEpoch() []Grant {
 		m.pending[c] = latched{}
 	}
 	m.npending = 0
-	m.grants = m.alloc.Allocate(m.grants[:0], m.budgetMW, m.reqs)
+	m.grants = m.alloc.Allocate(m.grants[:0], m.budgetMW, m.reqs, &m.state)
 	for i := range m.out {
 		m.out[i].GrantMW = m.grants[i]
 	}

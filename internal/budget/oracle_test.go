@@ -211,11 +211,11 @@ func FuzzDPOracle(f *testing.F) {
 		c := decodeDPCase(data)
 		want := oracleDP{QuantMW: c.quant}.Allocate(c.budget, c.reqs)
 		dp := NewDPKnapsack(c.quant)
-		fresh := dp.allocate(nil, c.budget, c.reqs, new(dpScratch))
-		dirty := new(dpScratch)
+		fresh := dp.Allocate(nil, c.budget, c.reqs, new(State))
+		dirty := new(State)
 		larger := append(append([]Request(nil), c.reqs...), c.reqs...)
-		dp.allocate(nil, 2*c.budget+uint64(c.quant)*64, larger, dirty)
-		reused := dp.allocate(nil, c.budget, c.reqs, dirty)
+		dp.Allocate(nil, 2*c.budget+uint64(c.quant)*64, larger, dirty)
+		reused := dp.Allocate(nil, c.budget, c.reqs, dirty)
 		for pass, got := range [][]uint32{fresh, reused} {
 			if len(got) != len(want) {
 				t.Fatalf("pass %d: %d grants, reference %d", pass, len(got), len(want))

@@ -1,51 +1,41 @@
 package budget
 
-import "slices"
-
 // PIController is the control-theoretic allocator modelled on power-capping
 // controllers [12]. Each core's grant tracks its request through a
 // proportional term; when the tracked grants overshoot the chip budget they
 // are rescaled, which is the actuator saturating. The controller is
-// stateful across epochs: call Reset between independent experiments.
+// stateful across epochs: it keeps each core's tracked grant in the run's
+// State.
 type PIController struct {
 	// Kp is the proportional gain in (0, 1].
-	Kp   float64
-	prev map[int]float64
-	raw  []float64 // Allocate's tracked grants, reused across calls
+	Kp float64
 }
 
-var _ Allocator = (*PIController)(nil)
+var _ Allocator = PIController{}
 
 // NewPIController returns a controller with gain kp (clamped into (0, 1]).
-func NewPIController(kp float64) *PIController {
+func NewPIController(kp float64) PIController {
 	if kp <= 0 || kp > 1 {
 		kp = 0.5
 	}
-	return &PIController{Kp: kp, prev: make(map[int]float64)}
+	return PIController{Kp: kp}
 }
 
 // Name implements Allocator.
-func (*PIController) Name() string { return "pi" }
-
-// Reset clears the controller state.
-func (c *PIController) Reset() { c.prev = make(map[int]float64) }
-
-// CloneAllocator implements StatefulAllocator: each independent run gets a
-// controller with the same gain and fresh tracking state.
-func (c *PIController) CloneAllocator() Allocator { return NewPIController(c.Kp) }
+func (PIController) Name() string { return "pi" }
 
 // Allocate implements Allocator.
-func (c *PIController) Allocate(dst []uint32, budgetMW uint64, reqs []Request) []uint32 {
+func (c PIController) Allocate(dst []uint32, budgetMW uint64, reqs []Request, st *State) []uint32 {
 	dst, grants := extend(dst, len(reqs))
 	if len(reqs) == 0 {
 		return dst
 	}
 	// Proportional tracking toward each (possibly tampered) request.
-	raw := slices.Grow(c.raw[:0], len(reqs))[:len(reqs)]
-	c.raw = raw
+	raw := sized(st.raw, len(reqs))
+	st.raw = raw
 	var total float64
 	for i, r := range reqs {
-		p, ok := c.prev[r.Core]
+		p, ok := st.pi.Get(r.Core)
 		if !ok {
 			p = float64(baseLevelMW(r))
 		}
@@ -67,7 +57,7 @@ func (c *PIController) Allocate(dst []uint32, budgetMW uint64, reqs []Request) [
 			g = float64(r.RequestMW)
 		}
 		grants[i] = uint32(g)
-		c.prev[r.Core] = raw[i] * scale
+		st.pi.Put(r.Core, raw[i]*scale)
 	}
 	return dst
 }

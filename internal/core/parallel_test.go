@@ -12,7 +12,8 @@ import (
 // The parallel-runner determinism contract: every experiment driver must
 // return bit-identical results for one worker and for many, because trials
 // derive their random streams from (seed, trial index) rather than a
-// shared RNG, and per-run mutable state (allocators, filters) is cloned.
+// shared RNG, and what allocators and filters remember lives in each run's
+// manager.
 
 // assertShardDeterministic runs a trial-grid shard with one worker and
 // with several, and requires bit-identical raw cells.
@@ -54,36 +55,49 @@ func TestDistributionShardParallelDeterminism(t *testing.T) {
 	})
 }
 
+// TestRunPairParallelDeterminism runs a pair under fair share and under
+// the PI controller with the range and history guards, whose memory each
+// run's manager keeps: the attacked and baseline runs must not share it.
 func TestRunPairParallelDeterminism(t *testing.T) {
-	run := func(workers int) (*Comparison, error) {
-		cfg := fastConfig()
-		cfg.Workers = workers
-		sys, err := NewSystem(cfg)
-		if err != nil {
-			return nil, err
+	for _, tc := range []struct{ alloc, defense string }{{"fair", "none"}, {"pi", "both"}} {
+		run := func(workers int) (*Comparison, error) {
+			cfg := fastConfig()
+			cfg.Workers = workers
+			alloc, err := budget.ByName(tc.alloc)
+			if err != nil {
+				return nil, err
+			}
+			cfg.Allocator = alloc
+			if err := cfg.SetDefense(tc.defense); err != nil {
+				return nil, err
+			}
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				return nil, err
+			}
+			sc := fastScenario(t, campaignPlacement(t, sys))
+			attacked, baseline, err := sys.RunPairContext(context.Background(), sc, nil)
+			if err != nil {
+				return nil, err
+			}
+			return Compare(attacked, baseline)
 		}
-		sc := fastScenario(t, campaignPlacement(t, sys))
-		attacked, baseline, err := sys.RunPairContext(context.Background(), sc, nil)
+		seq, err := run(1)
 		if err != nil {
-			return nil, err
+			t.Fatalf("%s/%s workers=1: %v", tc.alloc, tc.defense, err)
 		}
-		return Compare(attacked, baseline)
-	}
-	seq, err := run(1)
-	if err != nil {
-		t.Fatalf("workers=1: %v", err)
-	}
-	par, err := run(4)
-	if err != nil {
-		t.Fatalf("workers=4: %v", err)
-	}
-	if seq.Q != par.Q || seq.InfectionMeasured != par.InfectionMeasured {
-		t.Fatalf("RunPair diverges: sequential Q=%v inf=%v, parallel Q=%v inf=%v",
-			seq.Q, seq.InfectionMeasured, par.Q, par.InfectionMeasured)
-	}
-	for i := range seq.PerApp {
-		if seq.PerApp[i] != par.PerApp[i] {
-			t.Fatalf("app %d diverges: %+v vs %+v", i, seq.PerApp[i], par.PerApp[i])
+		par, err := run(4)
+		if err != nil {
+			t.Fatalf("%s/%s workers=4: %v", tc.alloc, tc.defense, err)
+		}
+		if seq.Q != par.Q || seq.InfectionMeasured != par.InfectionMeasured {
+			t.Fatalf("%s/%s: RunPair diverges: sequential Q=%v inf=%v, parallel Q=%v inf=%v",
+				tc.alloc, tc.defense, seq.Q, seq.InfectionMeasured, par.Q, par.InfectionMeasured)
+		}
+		for i := range seq.PerApp {
+			if seq.PerApp[i] != par.PerApp[i] {
+				t.Fatalf("%s/%s: app %d diverges: %+v vs %+v", tc.alloc, tc.defense, i, seq.PerApp[i], par.PerApp[i])
+			}
 		}
 	}
 }
@@ -153,43 +167,5 @@ func TestOptimalVsRandomParallelDeterminism(t *testing.T) {
 	seq, par := run(1), run(8)
 	if *seq != *par {
 		t.Fatalf("study diverges:\nsequential %+v\nparallel   %+v", seq, par)
-	}
-}
-
-// TestStatefulCloning pins the cloning contract the concurrent runners
-// depend on: stateful allocators and filters are copied with fresh state,
-// stateless ones pass through.
-func TestStatefulCloning(t *testing.T) {
-	pi := budget.NewPIController(0.5)
-	clone, ok := budget.CloneAllocator(pi).(*budget.PIController)
-	if !ok {
-		t.Fatal("PI clone lost its type")
-	}
-	if clone == pi {
-		t.Fatal("PI controller must clone to a fresh instance")
-	}
-	fair := budget.FairShare{}
-	if budget.CloneAllocator(fair) != budget.Allocator(fair) {
-		t.Error("stateless allocator should pass through")
-	}
-
-	hg := defense.NewHistoryGuard(0.3, 0.4)
-	hgClone, ok := budget.CloneFilter(hg).(*defense.HistoryGuard)
-	if !ok {
-		t.Fatal("history-guard clone lost its type")
-	}
-	if hgClone == hg {
-		t.Fatal("history guard must clone to a fresh instance")
-	}
-	chain := defense.NewChain(hg)
-	chainClone, ok := budget.CloneFilter(chain).(defense.Chain)
-	if !ok {
-		t.Fatal("chain clone lost its type")
-	}
-	if chainClone.Filters[0] == budget.RequestFilter(hg) {
-		t.Fatal("chain must clone its stateful stages")
-	}
-	if budget.CloneFilter(nil) != nil {
-		t.Error("nil filter must stay nil")
 	}
 }

@@ -135,6 +135,13 @@ func FuzzRunReuse(f *testing.F) {
 	// moves B's report.
 	f.Add([]byte{1, 0, 5, 3, 7, 0, 0, 0, 3, 1, 0, 5, 1, 1, 2, 4, 3, 4, 0, 0, 0, 3, 0, 0, 9, 1})
 	f.Add([]byte{1, 0, 5, 3, 7, 0, 0, 0, 3, 1, 0, 5, 1, 1, 2, 4, 3, 4, 0, 0, 0, 3, 0, 1, 9, 1})
+	// Both campaigns run the PI controller on 36 cores with ring fleets,
+	// under "both" (range and history guards), then under
+	// "dual-path+range" with B in drop mode. A reset that kept the PI's
+	// tracked grants, the history guard's EWMAs or the voter's pending
+	// copies moves B's report.
+	f.Add([]byte{1, 0, 5, 3, 7, 3, 3, 0, 3, 1, 0, 5, 1, 1, 0, 5, 3, 4, 3, 3, 0, 3, 1, 0, 9, 1})
+	f.Add([]byte{1, 0, 5, 3, 7, 3, 5, 0, 3, 1, 1, 5, 1, 1, 0, 5, 3, 4, 3, 5, 0, 3, 1, 1, 9, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := reuseReader{data}
 		a, b := decodeReuseCase(t, &r), decodeReuseCase(t, &r)
@@ -155,19 +162,14 @@ func FuzzRunReuse(f *testing.F) {
 // returned its state to keptRuns, a campaign allocates as often over 20
 // epochs as over 5, budget-only under fair share and under the DP, and
 // with cache traffic. The warm-up runs 20 epochs, so the memory
-// hierarchy's directories and the event queue have grown to what the
-// longer run needs. The test holds one P and stops the collector, so the
-// DP's pooled table survives from run to run. The runtime
-// fills its type-assertion caches at random call counts, which can add a
-// stray allocation to any one run; AllocsPerRun's average over ten runs,
-// rounded down, leaves those out and still counts one allocation per
-// run, let alone per epoch.
+// hierarchy's directories, the event queue and the DP's table in the
+// manager have grown to what the longer run needs. The test holds one P.
+// The runtime fills its type-assertion caches at random call counts,
+// which can add a stray allocation to any one run; AllocsPerRun's average
+// over ten runs, rounded down, leaves those out and still counts one
+// allocation per run, let alone per epoch.
 func TestEpochLoopAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled items at random")
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, tc := range []struct {
 		alloc string
 		mem   bool
@@ -205,39 +207,50 @@ func TestEpochLoopAllocatesNothing(t *testing.T) {
 }
 
 // TestPooledRunAllocatesOnlyItsReport pins the pooled run state of a
-// budget-only run with Trojans: once a run has returned its state to
-// keptRuns and the System has built its route covers, the next run
-// allocates only its report — the Report, its per-application results,
-// its epoch trace and the two Φ vectors of its features — and no fleet,
-// infected set or cover. Each run follows two collections: kept states
-// survive them, where a sync.Pool's would not and the run would rebuild
-// its chip.
+// budget-only run with Trojans, under every allocator and defense: once a
+// run has returned its state to keptRuns and the System has built its
+// route covers, the next run allocates only its report — the Report, its
+// per-application results, its epoch trace and the two Φ vectors of its
+// features — and no fleet, infected set, cover, DP table or filter
+// memory. Each run follows two collections: kept states survive them,
+// where a sync.Pool's would not and the run would rebuild its chip.
 func TestPooledRunAllocatesOnlyItsReport(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled items at random")
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	s, err := NewSystem(fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mesh := s.Mesh()
-	ring, err := attack.RingCluster(mesh, mesh.Coord(s.ManagerNode()), 6, 1, s.ManagerNode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := fastScenario(t, ring)
-	run := func() {
-		runtime.GC()
-		runtime.GC()
-		if _, err := s.RunContext(context.Background(), sc, nil); err != nil {
-			t.Fatal(err)
+	for _, allocName := range budget.Registry.Names() {
+		for _, defenseName := range defense.Registry.Names() {
+			cfg := fastConfig()
+			alloc, err := budget.ByName(allocName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Allocator = alloc
+			if err := cfg.SetDefense(defenseName); err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mesh := s.Mesh()
+			ring, err := attack.RingCluster(mesh, mesh.Coord(s.ManagerNode()), 6, 1, s.ManagerNode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := fastScenario(t, ring)
+			run := func() {
+				runtime.GC()
+				runtime.GC()
+				if _, err := s.RunContext(context.Background(), sc, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			const report = 5
+			if n := testing.AllocsPerRun(10, run); n > report {
+				t.Errorf("%s/%s: a pooled run with %d Trojans allocates %v times, want at most %d (its report)",
+					allocName, defenseName, ring.Size(), n, report)
+			}
 		}
-	}
-	run()
-	const report = 5
-	if n := testing.AllocsPerRun(10, run); n > report {
-		t.Errorf("a pooled run with %d Trojans allocates %v times, want at most %d (its report)", ring.Size(), n, report)
 	}
 }
 

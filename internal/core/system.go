@@ -87,10 +87,10 @@ type appState struct {
 // keeps it again only after building the report — which aliases
 // nothing the next run rewrites (the trace is handed over, not reused) —
 // and a failed or cancelled run is dropped. Everything a run keeps across
-// resets (the network's slabs, the manager's buffers, the memory
-// hierarchy, the Trojan fleet, the packet slab, the address streams and
-// their sources, the delivery handler) is state the next reset overwrites
-// before reading.
+// resets (the network's slabs, the manager's buffers and the allocator's
+// and filter's memory, the memory hierarchy, the Trojan fleet, the voter,
+// the packet slab, the address streams and their sources, the delivery
+// handler) is state the next reset overwrites before reading.
 type run struct {
 	sys     *System
 	kernel  sim.Kernel[mem.Event]
@@ -105,7 +105,7 @@ type run struct {
 	memLatNs  float64
 	hacker    noc.NodeID
 	trace     []EpochRecord
-	voter     *defense.DualPathVoter // nil unless DualPathRequests
+	voter     *defense.DualPathVoter // &voting in a dual-path run, else nil
 
 	// last seen memory stats, for per-epoch latency deltas
 	prevMissCount, prevMissLat uint64
@@ -113,13 +113,14 @@ type run struct {
 	prevReceived, prevTampered, prevFlagged uint64
 
 	// Kept across resets: the memory hierarchy; the Trojan fleet and its
-	// infected set; the run's packets, of every type; the delivery handler
-	// every node is attached to, bound once; the per-node address streams
-	// (cores[i].stream points into it), each with its own source; the
-	// placement, the CONFIG_CMD agent ranges, the DVFS frequency and power
-	// tables, and the report's source cores.
+	// infected set; the dual-path voter; the run's packets, of every type;
+	// the delivery handler every node is attached to, bound once; the
+	// per-node address streams (cores[i].stream points into it), each with
+	// its own source; the placement, the CONFIG_CMD agent ranges, the DVFS
+	// frequency and power tables, and the report's source cores.
 	hierarchy mem.System
 	trojans   trojan.Fleet
+	voting    defense.DualPathVoter
 	infected  noc.NodeSet
 	packets   packetSlab
 	deliver   noc.Handler
@@ -304,13 +305,14 @@ func (r *run) campaign(ctx context.Context, sc Scenario, obs Observer) (*Report,
 
 // RunPairContext runs the scenario and its clean baseline under identical
 // configuration and seeds, returning (attacked, baseline). The two runs
-// are independent simulations (setup clones any stateful allocator or
-// filter), so they fan out over the worker pool; Config.Workers = 1 forces
-// the sequential order and produces bit-identical reports. Cancelling ctx
-// aborts both runs through the worker pool. The observers — obs and any
-// Config.Observer — stream the attacked run only: interleaving two
-// concurrent runs' samples into one callback would make the stream
-// unreadable, and the baseline's epochs carry no attack signal.
+// are independent simulations (each run's manager holds what its
+// allocator and filter remember), so they fan out over the worker pool;
+// Config.Workers = 1 forces the sequential order and produces
+// bit-identical reports. Cancelling ctx aborts both runs through the
+// worker pool. The observers — obs and any Config.Observer — stream the
+// attacked run only: interleaving two concurrent runs' samples into one
+// callback would make the stream unreadable, and the baseline's epochs
+// carry no attack signal.
 func (s *System) RunPairContext(ctx context.Context, sc Scenario, obs Observer) (*Report, *Report, error) {
 	workers := exp.Workers(s.cfg.Workers)
 	if workers > 2 {
@@ -403,10 +405,11 @@ func (r *run) reset(s *System, sc Scenario) error {
 	if err := r.net.Reset(s.mesh, s.cfg.NoC); err != nil {
 		return err
 	}
-	// Stateful allocators and filters are cloned per run: runs stay
-	// independent (no cross-run contamination between an attacked run and
-	// its baseline) and RunPairContext may execute them concurrently.
-	if err := r.manager.Reset(s.gm, budget.CloneAllocator(s.cfg.Allocator), s.cfg.ChipBudgetMW()); err != nil {
+	// The allocator and filter are immutable values; what they remember
+	// lives in the run's manager, so runs stay independent (no cross-run
+	// contamination between an attacked run and its baseline) and
+	// RunPairContext may execute them concurrently.
+	if err := r.manager.Reset(s.gm, s.cfg.Allocator, s.cfg.ChipBudgetMW()); err != nil {
 		return err
 	}
 	r.packets.rewind()
@@ -517,11 +520,10 @@ func (r *run) reset(s *System, sc Scenario) error {
 			}
 		}
 	}
-	if s.cfg.Filter != nil {
-		r.manager.SetFilter(budget.CloneFilter(s.cfg.Filter))
-	}
+	r.manager.SetFilter(s.cfg.Filter)
 	if s.cfg.DualPathRequests {
-		r.voter = defense.NewDualPathVoter()
+		r.voting.Reset()
+		r.voter = &r.voting
 	}
 	for id := noc.NodeID(0); id < noc.NodeID(nodes); id++ {
 		r.net.Attach(id, r.deliver)

@@ -43,8 +43,9 @@ func NewRangeGuard(levelsMW []uint32) (RangeGuard, error) {
 // Name implements budget.RequestFilter.
 func (RangeGuard) Name() string { return "range-guard" }
 
-// FilterRequest implements budget.RequestFilter.
-func (g RangeGuard) FilterRequest(_ noc.NodeID, mw uint32) (uint32, bool) {
+// FilterRequest implements budget.RequestFilter. The guard remembers
+// nothing, so it ignores mem.
+func (g RangeGuard) FilterRequest(_ noc.NodeID, mw uint32, _ *budget.CoreMemory) (uint32, bool) {
 	switch {
 	case mw < g.MinMW:
 		return g.MinMW, true
@@ -62,49 +63,39 @@ func (g RangeGuard) FilterRequest(_ noc.NodeID, mw uint32) (uint32, bool) {
 // activation — but is blind to a Trojan that was active from the first
 // epoch, because the history itself is then poisoned. That failure mode is
 // deliberate and tested: it is the honest limitation of anomaly detection
-// against persistent false-data injection.
+// against persistent false-data injection. The guard keeps each core's
+// EWMA in the run's filter memory.
 type HistoryGuard struct {
 	// Alpha is the EWMA weight of the newest sample, in (0, 1].
 	Alpha float64
 	// Tolerance is the allowed relative deviation from the EWMA before a
 	// request is flagged (for example 0.5 = ±50 %).
 	Tolerance float64
-
-	ewma map[noc.NodeID]float64
 }
 
-var _ budget.RequestFilter = (*HistoryGuard)(nil)
+var _ budget.RequestFilter = HistoryGuard{}
 
 // NewHistoryGuard returns a guard with the given EWMA weight and relative
 // tolerance; out-of-range parameters fall back to 0.3 and 0.5.
-func NewHistoryGuard(alpha, tolerance float64) *HistoryGuard {
+func NewHistoryGuard(alpha, tolerance float64) HistoryGuard {
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.3
 	}
 	if tolerance <= 0 {
 		tolerance = 0.5
 	}
-	return &HistoryGuard{Alpha: alpha, Tolerance: tolerance, ewma: make(map[noc.NodeID]float64)}
+	return HistoryGuard{Alpha: alpha, Tolerance: tolerance}
 }
 
 // Name implements budget.RequestFilter.
-func (*HistoryGuard) Name() string { return "history-guard" }
-
-// Reset clears the per-core history.
-func (g *HistoryGuard) Reset() { g.ewma = make(map[noc.NodeID]float64) }
-
-// CloneFilter implements budget.StatefulFilter: each independent run gets
-// a guard with the same parameters and an empty history.
-func (g *HistoryGuard) CloneFilter() budget.RequestFilter {
-	return NewHistoryGuard(g.Alpha, g.Tolerance)
-}
+func (HistoryGuard) Name() string { return "history-guard" }
 
 // FilterRequest implements budget.RequestFilter.
-func (g *HistoryGuard) FilterRequest(core noc.NodeID, mw uint32) (uint32, bool) {
-	prev, seen := g.ewma[core]
+func (g HistoryGuard) FilterRequest(core noc.NodeID, mw uint32, mem *budget.CoreMemory) (uint32, bool) {
+	prev, seen := mem.Get(int(core))
 	v := float64(mw)
 	if !seen {
-		g.ewma[core] = v
+		mem.Put(int(core), v)
 		return mw, false
 	}
 	dev := v - prev
@@ -115,12 +106,15 @@ func (g *HistoryGuard) FilterRequest(core noc.NodeID, mw uint32) (uint32, bool) 
 		// Suspect: substitute the history and do NOT absorb the outlier.
 		return uint32(prev), true
 	}
-	g.ewma[core] = (1-g.Alpha)*prev + g.Alpha*v
+	mem.Put(int(core), (1-g.Alpha)*prev+g.Alpha*v)
 	return mw, false
 }
 
 // Chain applies filters in order; the output of one feeds the next. A
-// request is flagged if any stage flags it.
+// request is flagged if any stage flags it. Every stage gets the same
+// filter memory, one value per core, so a chain can hold at most one
+// stage that remembers (one history guard); no registered defense chains
+// two.
 type Chain struct {
 	Filters []budget.RequestFilter
 }
@@ -139,22 +133,12 @@ func (c Chain) Name() string {
 	return strings.Join(names, "+")
 }
 
-// CloneFilter implements budget.StatefulFilter: every stage is cloned, so
-// a chain containing a stateful stage is itself safely clonable.
-func (c Chain) CloneFilter() budget.RequestFilter {
-	cloned := make([]budget.RequestFilter, len(c.Filters))
-	for i, f := range c.Filters {
-		cloned[i] = budget.CloneFilter(f)
-	}
-	return Chain{Filters: cloned}
-}
-
 // FilterRequest implements budget.RequestFilter.
-func (c Chain) FilterRequest(core noc.NodeID, mw uint32) (uint32, bool) {
+func (c Chain) FilterRequest(core noc.NodeID, mw uint32, mem *budget.CoreMemory) (uint32, bool) {
 	flagged := false
 	for _, f := range c.Filters {
 		var fl bool
-		mw, fl = f.FilterRequest(core, mw)
+		mw, fl = f.FilterRequest(core, mw, mem)
 		flagged = flagged || fl
 	}
 	return mw, flagged

@@ -1,6 +1,7 @@
 package defense
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -39,7 +40,7 @@ func TestRangeGuardClamps(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, flagged := g.FilterRequest(1, tt.give)
+			got, flagged := g.FilterRequest(1, tt.give, nil)
 			if got != tt.wantMW || flagged != tt.wantFlag {
 				t.Errorf("FilterRequest(%d) = (%d,%v), want (%d,%v)", tt.give, got, flagged, tt.wantMW, tt.wantFlag)
 			}
@@ -51,7 +52,7 @@ func TestRangeGuardClamps(t *testing.T) {
 func TestRangeGuardAlwaysInRange(t *testing.T) {
 	g, _ := NewRangeGuard(testLevels)
 	f := func(mw uint32) bool {
-		got, _ := g.FilterRequest(0, mw)
+		got, _ := g.FilterRequest(0, mw, nil)
 		return got >= g.MinMW && got <= g.MaxMW
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -60,15 +61,15 @@ func TestRangeGuardAlwaysInRange(t *testing.T) {
 }
 
 func TestHistoryGuardFlagsSuddenDrop(t *testing.T) {
-	g := NewHistoryGuard(0.3, 0.5)
+	g, mem := NewHistoryGuard(0.3, 0.5), new(budget.CoreMemory)
 	// Clean history: the core asks for its peak every epoch.
 	for i := 0; i < 5; i++ {
-		if _, flagged := g.FilterRequest(1, 3960); flagged {
+		if _, flagged := g.FilterRequest(1, 3960, mem); flagged {
 			t.Fatal("steady history must not flag")
 		}
 	}
 	// The Trojan activates: the request arrives quartered.
-	use, flagged := g.FilterRequest(1, 990)
+	use, flagged := g.FilterRequest(1, 990, mem)
 	if !flagged {
 		t.Fatal("75% drop must be flagged")
 	}
@@ -76,17 +77,17 @@ func TestHistoryGuardFlagsSuddenDrop(t *testing.T) {
 		t.Errorf("substituted value = %d, want history 3960", use)
 	}
 	// The outlier must not poison the history.
-	if _, flagged := g.FilterRequest(1, 3960); flagged {
+	if _, flagged := g.FilterRequest(1, 3960, mem); flagged {
 		t.Error("return to normal must not flag")
 	}
 }
 
 func TestHistoryGuardFlagsSuddenBoost(t *testing.T) {
-	g := NewHistoryGuard(0.3, 0.5)
+	g, mem := NewHistoryGuard(0.3, 0.5), new(budget.CoreMemory)
 	for i := 0; i < 3; i++ {
-		g.FilterRequest(2, 3960)
+		g.FilterRequest(2, 3960, mem)
 	}
-	if _, flagged := g.FilterRequest(2, 5940); !flagged {
+	if _, flagged := g.FilterRequest(2, 5940, mem); !flagged {
 		t.Error("1.5x boost must be flagged")
 	}
 }
@@ -94,30 +95,48 @@ func TestHistoryGuardFlagsSuddenBoost(t *testing.T) {
 func TestHistoryGuardBlindToPersistentAttack(t *testing.T) {
 	// The honest limitation: a Trojan active from the very first request
 	// poisons the history and is never flagged.
-	g := NewHistoryGuard(0.3, 0.5)
+	g, mem := NewHistoryGuard(0.3, 0.5), new(budget.CoreMemory)
 	for i := 0; i < 10; i++ {
-		if _, flagged := g.FilterRequest(3, 990); flagged {
+		if _, flagged := g.FilterRequest(3, 990, mem); flagged {
 			t.Fatal("persistent tampered value looks like a clean history")
 		}
 	}
 }
 
 func TestHistoryGuardToleratesDrift(t *testing.T) {
-	g := NewHistoryGuard(0.5, 0.5)
+	g, mem := NewHistoryGuard(0.5, 0.5), new(budget.CoreMemory)
 	// Gradual 20% steps stay under the 50% tolerance.
 	for _, v := range []uint32{1000, 1200, 1400, 1600, 1900} {
-		if _, flagged := g.FilterRequest(4, v); flagged {
+		if _, flagged := g.FilterRequest(4, v, mem); flagged {
 			t.Fatalf("gradual drift to %d must not flag", v)
 		}
 	}
 }
 
+// A reset manager forgets the history guard's EWMAs: the same requests
+// get the grants and flags a fresh manager gives.
 func TestHistoryGuardReset(t *testing.T) {
-	g := NewHistoryGuard(0.3, 0.5)
-	g.FilterRequest(1, 4000)
-	g.Reset()
-	if _, flagged := g.FilterRequest(1, 100); flagged {
-		t.Error("first observation after reset must not flag")
+	epochs := func(m *budget.Manager, mws ...uint32) ([]budget.Grant, uint64) {
+		m.SetFilter(NewHistoryGuard(0.3, 0.5))
+		var all []budget.Grant
+		for _, mw := range mws {
+			m.HandleRequest(&noc.Packet{Src: 1, Dst: 9, Type: noc.TypePowerReq, Payload: mw})
+			all = append(all, m.AllocateEpoch()...)
+		}
+		return all, m.FlaggedTotal
+	}
+	fresh, err := budget.NewManager(9, budget.FairShare{}, 8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantFlagged := epochs(fresh, 100, 120, 4000)
+	m, _ := budget.NewManager(9, budget.FairShare{}, 8000)
+	epochs(m, 4000, 4000, 4000)
+	if err := m.Reset(9, budget.FairShare{}, 8000); err != nil {
+		t.Fatal(err)
+	}
+	if got, flagged := epochs(m, 100, 120, 4000); !slices.Equal(got, want) || flagged != wantFlagged {
+		t.Errorf("after Reset: grants %v, %d flagged; fresh manager %v, %d", got, flagged, want, wantFlagged)
 	}
 }
 
@@ -130,20 +149,19 @@ func TestHistoryGuardParameterClamping(t *testing.T) {
 
 func TestChainCombinesFilters(t *testing.T) {
 	rg, _ := NewRangeGuard(testLevels)
-	hg := NewHistoryGuard(0.3, 0.5)
-	c := NewChain(rg, hg)
+	c, mem := NewChain(rg, NewHistoryGuard(0.3, 0.5)), new(budget.CoreMemory)
 	if c.Name() != "range-guard+history-guard" {
 		t.Errorf("Name = %q", c.Name())
 	}
 	// Build a clean history through the chain.
 	for i := 0; i < 4; i++ {
-		if _, flagged := c.FilterRequest(1, 3960); flagged {
+		if _, flagged := c.FilterRequest(1, 3960, mem); flagged {
 			t.Fatal("clean requests must pass the chain")
 		}
 	}
 	// A zeroed request: the range guard clamps to 700, then the history
 	// guard still sees a >50% deviation from 3960 and substitutes it.
-	use, flagged := c.FilterRequest(1, 0)
+	use, flagged := c.FilterRequest(1, 0, mem)
 	if !flagged {
 		t.Fatal("chain must flag a zeroed request")
 	}
@@ -154,7 +172,7 @@ func TestChainCombinesFilters(t *testing.T) {
 
 func TestChainEmptyPassesThrough(t *testing.T) {
 	c := NewChain()
-	use, flagged := c.FilterRequest(1, 1234)
+	use, flagged := c.FilterRequest(1, 1234, nil)
 	if use != 1234 || flagged {
 		t.Error("empty chain must be the identity")
 	}

@@ -1,7 +1,7 @@
 package defense
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/noc"
 )
@@ -19,8 +19,13 @@ import (
 //
 // Blind spot (tested): when both paths cross active Trojans the two copies
 // carry the same rewritten value and no mismatch is visible.
+//
+// The zero value is an empty voter.
 type DualPathVoter struct {
-	pending map[noc.NodeID]pendingCopy
+	// pending holds each core's unpaired copy, indexed by core ID.
+	pending []pendingCopy
+	// unpaired is Flush's result, reused.
+	unpaired []UnpairedCopy
 
 	// Pairs counts completed two-copy comparisons.
 	Pairs uint64
@@ -34,28 +39,30 @@ type DualPathVoter struct {
 type pendingCopy struct {
 	value    uint32
 	tampered bool
+	set      bool
 }
 
-// NewDualPathVoter returns an empty voter.
-func NewDualPathVoter() *DualPathVoter {
-	return &DualPathVoter{pending: make(map[noc.NodeID]pendingCopy)}
+// Reset empties the voter and zeroes its counters, keeping its buffers.
+func (v *DualPathVoter) Reset() {
+	*v = DualPathVoter{pending: v.pending[:0], unpaired: v.unpaired[:0]}
 }
 
 // Observe feeds one delivered request copy. When the second copy of a pair
 // arrives, ready is true and final carries the repaired value; tamperedAny
 // reports whether either copy was modified in flight (measurement only).
 func (v *DualPathVoter) Observe(core noc.NodeID, value uint32, tampered bool) (final uint32, tamperedAny, ready, mismatch bool) {
-	first, ok := v.pending[core]
-	if !ok {
-		v.pending[core] = pendingCopy{value: value, tampered: tampered}
+	if n := len(v.pending); int(core) >= n {
+		v.pending = slices.Grow(v.pending, int(core)+1-n)[:core+1]
+		clear(v.pending[n:])
+	}
+	first := v.pending[core]
+	if !first.set {
+		v.pending[core] = pendingCopy{value: value, tampered: tampered, set: true}
 		return 0, false, false, false
 	}
-	delete(v.pending, core)
+	v.pending[core] = pendingCopy{}
 	v.Pairs++
-	final = value
-	if first.value > final {
-		final = first.value
-	}
+	final = max(first.value, value)
 	mismatch = first.value != value
 	if mismatch {
 		v.Mismatches++
@@ -63,21 +70,20 @@ func (v *DualPathVoter) Observe(core noc.NodeID, value uint32, tampered bool) (f
 	return final, first.tampered || tampered, true, mismatch
 }
 
-// Flush returns (and clears) the copies whose partners never arrived this
-// epoch — lost to a dropping Trojan or still in flight. Each counts as
-// Unpaired. Results are sorted by core for determinism.
+// Flush clears the copies whose partners never arrived this epoch — lost
+// to a dropping Trojan or still in flight — and returns them in core
+// order. Each counts as Unpaired. The result is valid until the next
+// Flush or Reset.
 func (v *DualPathVoter) Flush() []UnpairedCopy {
-	if len(v.pending) == 0 {
-		return nil
-	}
-	out := make([]UnpairedCopy, 0, len(v.pending))
+	v.unpaired = v.unpaired[:0]
 	for core, c := range v.pending {
-		out = append(out, UnpairedCopy{Core: core, Value: c.value, Tampered: c.tampered})
-		v.Unpaired++
+		if c.set {
+			v.unpaired = append(v.unpaired, UnpairedCopy{Core: noc.NodeID(core), Value: c.value, Tampered: c.tampered})
+			v.pending[core] = pendingCopy{}
+		}
 	}
-	v.pending = make(map[noc.NodeID]pendingCopy)
-	sort.Slice(out, func(i, j int) bool { return out[i].Core < out[j].Core })
-	return out
+	v.Unpaired += uint64(len(v.unpaired))
+	return v.unpaired
 }
 
 // UnpairedCopy is a request copy whose duplicate never arrived.

@@ -3,7 +3,7 @@ package defense
 import "testing"
 
 func TestVoterPairsAndRepairs(t *testing.T) {
-	v := NewDualPathVoter()
+	var v DualPathVoter
 	// First copy: tampered down to 990.
 	_, _, ready, _ := v.Observe(3, 990, true)
 	if ready {
@@ -26,7 +26,7 @@ func TestVoterPairsAndRepairs(t *testing.T) {
 }
 
 func TestVoterAgreementIsNotMismatch(t *testing.T) {
-	v := NewDualPathVoter()
+	var v DualPathVoter
 	v.Observe(3, 3960, false)
 	_, _, ready, mismatch := v.Observe(3, 3960, false)
 	if !ready || mismatch {
@@ -39,7 +39,7 @@ func TestVoterAgreementIsNotMismatch(t *testing.T) {
 
 func TestVoterBlindWhenBothPathsTampered(t *testing.T) {
 	// Both copies rewritten to the same value: invisible, by design.
-	v := NewDualPathVoter()
+	var v DualPathVoter
 	v.Observe(3, 990, true)
 	final, _, ready, mismatch := v.Observe(3, 990, true)
 	if !ready || mismatch {
@@ -51,7 +51,7 @@ func TestVoterBlindWhenBothPathsTampered(t *testing.T) {
 }
 
 func TestVoterFlushUnpaired(t *testing.T) {
-	v := NewDualPathVoter()
+	var v DualPathVoter
 	v.Observe(3, 990, true)
 	v.Observe(7, 3960, false)
 	left := v.Flush()
@@ -64,13 +64,32 @@ func TestVoterFlushUnpaired(t *testing.T) {
 	if v.Unpaired != 2 {
 		t.Errorf("Unpaired = %d, want 2", v.Unpaired)
 	}
-	if got := v.Flush(); got != nil {
-		t.Error("second flush must be empty")
+	if got := v.Flush(); len(got) != 0 {
+		t.Errorf("second flush = %v, want empty", got)
+	}
+}
+
+// A reset voter pairs nothing left from before the reset and counts from
+// zero.
+func TestVoterReset(t *testing.T) {
+	var v DualPathVoter
+	v.Observe(3, 990, true)
+	v.Observe(5, 3960, false)
+	v.Observe(5, 3960, false)
+	v.Reset()
+	if v.Pairs != 0 || v.Mismatches != 0 || v.Unpaired != 0 {
+		t.Errorf("counters after Reset = %d/%d/%d, want zero", v.Pairs, v.Mismatches, v.Unpaired)
+	}
+	if _, _, ready, _ := v.Observe(3, 3960, false); ready {
+		t.Error("a copy from before the reset must not pair")
+	}
+	if left := v.Flush(); len(left) != 1 || left[0] != (UnpairedCopy{Core: 3, Value: 3960}) {
+		t.Errorf("flush after Reset = %v, want only the new copy", left)
 	}
 }
 
 func TestVoterIndependentCores(t *testing.T) {
-	v := NewDualPathVoter()
+	var v DualPathVoter
 	v.Observe(1, 100, false)
 	if _, _, ready, _ := v.Observe(2, 200, false); ready {
 		t.Fatal("copies from different cores must not pair")

@@ -533,9 +533,7 @@ func (m *manager) submit(j *job) error {
 		cspan.SetAttr("tier", "memory")
 		cspan.End()
 		m.register(j)
-		m.metrics.inc(jobsSubmitted, cacheHits)
-		m.logJobAccepted(j, "memory")
-		j.events.publish("state", stateEvent{State: jobQueued})
+		m.accept(j, cacheHits, "memory")
 		j.finish(jobDone, tables, nil, "memory", "")
 		return nil
 	}
@@ -543,9 +541,7 @@ func (m *manager) submit(j *job) error {
 		cspan.SetAttr("tier", "disk")
 		cspan.End()
 		m.register(j)
-		m.metrics.inc(jobsSubmitted, cacheDiskHits)
-		m.logJobAccepted(j, "disk")
-		j.events.publish("state", stateEvent{State: jobQueued})
+		m.accept(j, cacheDiskHits, "disk")
 		j.finish(jobDone, nil, files, "disk", "")
 		return nil
 	}
@@ -560,12 +556,10 @@ func (m *manager) submit(j *job) error {
 	// leader's capacity, so tenant quotas don't apply to them.
 	if leader := m.inflight[j.cacheKey]; leader != nil {
 		m.registerLocked(j)
+		m.accept(j, singleFlight, "single-flight")
+		j.trace.SetAttr("single_flight_leader", leader.id)
 		m.followers[leader.id] = append(m.followers[leader.id], j)
 		m.mu.Unlock()
-		m.metrics.inc(jobsSubmitted, singleFlight)
-		j.trace.SetAttr("single_flight_leader", leader.id)
-		m.logJobAccepted(j, "single-flight")
-		j.events.publish("state", stateEvent{State: jobQueued})
 		return nil
 	}
 	// Per-tenant quota: a tenant at its cap of queued-plus-running jobs
@@ -580,31 +574,41 @@ func (m *manager) submit(j *job) error {
 		return fmt.Errorf("%w: tenant %q has %d jobs active", errTenantQuota, j.tenant, m.tenantQuota)
 	}
 	// The queue-full check happens under the registration lock so a burst
-	// of submissions cannot overshoot the declared depth. Replay pushes
-	// past the bound: every replayed job held a queue slot when it was
-	// first accepted, and boot-time replay happens before the listener
-	// opens, so nothing else is competing for depth yet. The job is
-	// registered before the push makes it visible to the dispatcher, which
-	// reads j.id without m.mu; a shed job is unregistered again under the
-	// same hold, so it consumes no ID.
-	j.queueSpan = j.trace.StartChild("queue.wait")
-	m.registerLocked(j)
-	if j.replay {
-		m.queue.pushReplay(j)
-	} else if !m.queue.push(j) {
-		m.unregisterLastLocked(j)
+	// of submissions cannot overshoot the declared depth, and before the
+	// job is registered, so a shed job consumes no ID. Every push happens
+	// under m.mu and pops only shrink the queue, so the push below cannot
+	// fail. Replay pushes past the bound: every replayed job held a queue
+	// slot when it was first accepted, and boot-time replay happens before
+	// the listener opens, so nothing else is competing for depth yet.
+	if !j.replay && m.queue.len() >= m.queue.capacity() {
 		m.mu.Unlock()
 		m.metrics.inc(jobsRejected)
 		m.journal.appendTerminal(j.jseq, stateRejected)
 		m.logger.Warn("job rejected: queue full", "kind", j.kind, "tenant", j.tenant)
 		return errQueueFull
 	}
+	j.queueSpan = j.trace.StartChild("queue.wait")
+	m.registerLocked(j)
 	m.inflight[j.cacheKey] = j
+	m.accept(j, cacheMisses, "")
+	if j.replay {
+		m.queue.pushReplay(j)
+	} else {
+		m.queue.push(j)
+	}
 	m.mu.Unlock()
-	m.metrics.inc(jobsSubmitted, cacheMisses)
-	m.logJobAccepted(j, "")
-	j.events.publish("state", stateEvent{State: jobQueued})
 	return nil
+}
+
+// accept counts, logs and announces one registered submission, which
+// the tier counter answers. It runs before anything can finish the job —
+// the push or the follower append makes it visible to the dispatcher or
+// to settle — so no scrape, log or event stream sees the job end before
+// it was submitted.
+func (m *manager) accept(j *job, tier counter, cache string) {
+	m.metrics.inc(jobsSubmitted, tier)
+	m.logJobAccepted(j, cache)
+	j.events.publish("state", stateEvent{State: jobQueued})
 }
 
 // logJobAccepted records one admission at Info with the attrs every
@@ -699,15 +703,6 @@ func (m *manager) registerLocked(j *job) {
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
 	j.trace.SetAttr("job_id", j.id)
-}
-
-// unregisterLastLocked undoes the registerLocked call that registered j,
-// returning its ID to the sequence; m.mu must have been held since.
-func (m *manager) unregisterLastLocked(j *job) {
-	m.seq--
-	delete(m.jobs, j.id)
-	m.order = m.order[:len(m.order)-1]
-	j.id = ""
 }
 
 // dispatch pops jobs FIFO and starts each one once the gate admits it, so
