@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/budget"
 	"repro/internal/defense"
+	"repro/internal/noc"
 	"repro/internal/results"
 )
 
@@ -167,5 +169,71 @@ func TestOptimalVsRandomParallelDeterminism(t *testing.T) {
 	seq, par := run(1), run(8)
 	if *seq != *par {
 		t.Fatalf("study diverges:\nsequential %+v\nparallel   %+v", seq, par)
+	}
+}
+
+// TestSharedPluginsKeepNoState pins what lets concurrent runs share one
+// allocator and one filter value without copying them: two managers that
+// share a PI controller and a range+history chain, epochs interleaved,
+// each grant and flag exactly what a manager with plugins of its own does.
+func TestSharedPluginsKeepNoState(t *testing.T) {
+	levels := []uint32{700, 1200, 1800, 2500, 3300, 4000}
+	streams := [2][][2]uint32{
+		{{4000, 3300}, {4000, 3300}, {4000, 3300}, {1200, 3300}, {0, 3300}, {3300, 2500}},
+		{{2500, 1800}, {2500, 4000}, {700, 4000}, {2500, 4000}, {2500, 900}, {1800, 1800}},
+	}
+	newManager := func(alloc budget.Allocator, filter budget.RequestFilter) *budget.Manager {
+		m, err := budget.NewManager(9, alloc, 6000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetFilter(filter)
+		for _, c := range []noc.NodeID{1, 2} {
+			m.SetCoreInfo(c, budget.CoreInfo{Sensitivity: 1, LevelsMW: levels})
+		}
+		return m
+	}
+	newFilter := func() budget.RequestFilter {
+		rg, err := defense.NewRangeGuard(levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return defense.NewChain(rg, defense.NewHistoryGuard(0.3, 0.4))
+	}
+	epoch := func(m *budget.Manager, reqs [2]uint32) []budget.Grant {
+		for i, mw := range reqs {
+			m.HandleRequest(&noc.Packet{Src: noc.NodeID(i + 1), Dst: 9, Type: noc.TypePowerReq, Payload: mw})
+		}
+		return slices.Clone(m.AllocateEpoch())
+	}
+
+	var want [2][]budget.Grant
+	var wantFlagged [2]uint64
+	for s, stream := range streams {
+		m := newManager(budget.NewPIController(0.5), newFilter())
+		for _, reqs := range stream {
+			want[s] = append(want[s], epoch(m, reqs)...)
+		}
+		wantFlagged[s] = m.FlaggedTotal
+		if wantFlagged[s] == 0 {
+			t.Fatalf("stream %d: the history guard flagged nothing, so its memory is not exercised", s)
+		}
+	}
+
+	alloc, filter := budget.NewPIController(0.5), newFilter()
+	shared := [2]*budget.Manager{newManager(alloc, filter), newManager(alloc, filter)}
+	var got [2][]budget.Grant
+	for e := range streams[0] {
+		for s, m := range shared {
+			got[s] = append(got[s], epoch(m, streams[s][e])...)
+		}
+	}
+	for s, m := range shared {
+		if !slices.Equal(got[s], want[s]) {
+			t.Errorf("stream %d: grants with shared plugins %v, with its own %v", s, got[s], want[s])
+		}
+		if m.FlaggedTotal != wantFlagged[s] {
+			t.Errorf("stream %d: flagged %d with shared plugins, %d with its own", s, m.FlaggedTotal, wantFlagged[s])
+		}
 	}
 }
